@@ -162,8 +162,7 @@ commands:
   render       rasterise question visuals to PNG (-dir out, -factor N)
   ask          run one model on one question (-model, -q, -agent)
   extended     generate an extended collection (-seed, -n per category, -o file;
-               -packed file loads a .cvqb pack, -stream -eval evaluates shard-at-a-time,
-               -cachebudget N caps scene-cache bytes)
+               -packed file loads a .cvqb pack, -stream -eval evaluates shard-at-a-time)
   pack         write an extended fold in the compact binary format (-seed, -n, -o, -check)
   compare      paired McNemar test + bootstrap CIs between two models (-a, -b)
   finetune     domain-adaptation learning-curve study (-model)
@@ -475,7 +474,6 @@ func cmdExtended(ctx context.Context, args []string) error {
 	packed := fs.String("packed", "", "load the fold from a packed .cvqb file instead of generating")
 	stream := fs.Bool("stream", false, "with -eval: evaluate shard-at-a-time, never holding the fold in memory")
 	shardSize := fs.Int("shard", 512, "shard size for -stream")
-	budget := fs.Int64("cachebudget", 0, "scene-cache byte budget (0 = unlimited)")
 	downsample := fs.Int("downsample", 1, "image downsample factor for evaluation (1 = full resolution; §IV-B uses 8 and 16)")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -484,9 +482,6 @@ func cmdExtended(ctx context.Context, args []string) error {
 	suite, err := chipvqa.NewSuite()
 	if err != nil {
 		return err
-	}
-	if *budget > 0 {
-		chipvqa.SetRenderCacheBudget(*budget)
 	}
 	if *stream && (*out != "" || !*evalModels) {
 		return fmt.Errorf("-stream requires -eval and is incompatible with -o (the fold is never materialised)")
@@ -534,11 +529,6 @@ func cmdExtended(ctx context.Context, args []string) error {
 		}, reports)
 		fmt.Printf("streamed %d questions (shard size %d)\n", total, *shardSize)
 		fmt.Print(chipvqa.FormatTableII(reports, nil))
-		if *budget > 0 {
-			st := chipvqa.RenderCacheStats()
-			fmt.Printf("scene cache: peak %d bytes of %d budget, %d evictions\n",
-				st.PeakBytes, st.Budget, st.Evictions)
-		}
 		if err != nil {
 			fmt.Println("(run interrupted — table covers the completed prefix only)")
 			return err
@@ -589,11 +579,6 @@ func cmdExtended(ctx context.Context, args []string) error {
 		}
 		reports, err := r.EvaluateAllContext(ctx, models, ext)
 		fmt.Print(chipvqa.FormatTableII(reports, nil))
-		if *budget > 0 {
-			st := chipvqa.RenderCacheStats()
-			fmt.Printf("scene cache: peak %d bytes of %d budget, %d evictions\n",
-				st.PeakBytes, st.Budget, st.Evictions)
-		}
 		if err != nil {
 			fmt.Println("(run interrupted — table covers the completed prefix only)")
 			return err

@@ -153,3 +153,17 @@ func (h Hasher) Stream() Stream {
 	s := uint64(h)
 	return Stream{hi: s, lo: s ^ seedMix}
 }
+
+// Bernoulli is the allocation-free form of the package-level Bernoulli
+// over the equivalent part list, edge cases included: p <= 0 is false
+// and p >= 1 is true, both without a draw.
+func (h Hasher) Bernoulli(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	s := h.Stream()
+	return s.Float64() < p
+}

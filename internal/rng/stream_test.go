@@ -118,6 +118,29 @@ func TestHasherStreamMatchesNew(t *testing.T) {
 	}
 }
 
+// TestHasherBernoulliMatchesBernoulli pins Hasher.Bernoulli against the
+// package-level Bernoulli over the same parts, including the edge cases
+// that return without a draw (p <= 0, p >= 1) and out-of-range p.
+func TestHasherBernoulliMatchesBernoulli(t *testing.T) {
+	ps := []float64{-1, 0, 1, 2, 1e-9, 0.05, 0.25, 0.5, 0.65, 0.9, 0.999999}
+	trues := 0
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprint("q", i)
+		for _, p := range ps {
+			got := NewHasher("model", id, "perc").String("elem").Int(16).Bernoulli(p)
+			if want := Bernoulli(p, "model", id, "perc", "elem", "16"); got != want {
+				t.Fatalf("p=%v id=%s: Hasher.Bernoulli = %v, Bernoulli = %v", p, id, got, want)
+			}
+			if got {
+				trues++
+			}
+		}
+	}
+	if trues == 0 || trues == 200*len(ps) {
+		t.Errorf("degenerate draws: %d true of %d", trues, 200*len(ps))
+	}
+}
+
 // TestHasherZeroAlloc pins the whole per-chunk key derivation —
 // extending a prefix hash with a chunk index and sealing a stream — at
 // zero allocations, the point of replacing fmt.Sprint keys.

@@ -52,6 +52,10 @@ func TestServeAccessLogE2E(t *testing.T) {
 	waitTerminal(t, ts, st.ID) // polls GET /v1/runs/{id} — logged too
 	get("/v1/runs/"+st.ID+"/report", http.StatusOK)
 
+	// The client can read a response body before the middleware writes
+	// its access record; Close waits for in-flight handlers (and is
+	// idempotent, so the cleanup's second Close is a no-op).
+	ts.Close()
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,13 @@ import (
 	"sync"
 )
 
-// SceneCache memoizes per-scene visual artifacts across evaluation runs:
-// the rendered image, its downsampled variants, and the per-critical-
-// element legibility losses at each downsample factor. A Table II-style
-// sweep asks 12 models about the same 142 figures; without the cache
-// every (model, question) pair re-derives the same scene properties.
-// With it each property is computed once per (scene, factor).
+// SceneCache memoizes the expensive per-scene visual artifacts: the
+// rendered image, its downsampled variants, and their PNG encodings.
+// Rendering a figure costs milliseconds and about 1.2MB of pixels, so
+// the image endpoint and the render CLI compute each artifact once per
+// (scene, factor) and serve repeats from the cache. The simulated
+// models' perception stage does not use it: its per-element legibility
+// losses cost a few flops, less than a cache lookup.
 //
 // Keying is by scene pointer identity plus factor. Scenes are built once
 // per benchmark and shared by reference everywhere (the challenge
@@ -61,15 +62,13 @@ type SceneCache struct {
 	evictions    uint64
 }
 
-// artifactKind distinguishes the three artifact tables that share the
+// artifactKind distinguishes the two artifact tables that share the
 // cache's single LRU list.
 type artifactKind uint8
 
 const (
-	artRender    artifactKind = iota // *image.RGBA
-	artLosses                        // []float64
-	artCriticals                     // []Element
-	artPNG                           // pngResult
+	artRender artifactKind = iota // *image.RGBA
+	artPNG                        // pngResult
 )
 
 type cacheKey struct {
@@ -97,13 +96,11 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-// Byte-accounting estimates. Weights approximate retained heap, not
-// measure it exactly: the pixel buffer or slice payload plus a flat
-// per-entry overhead for the entry, map slot and headers.
-const (
-	entryOverhead = 128
-	elementBytes  = 160 // rough footprint of one Element value
-)
+// entryOverhead is the byte-accounting estimate of one entry's fixed
+// cost. Weights approximate retained heap, not measure it exactly: the
+// pixel buffer or PNG payload plus this flat overhead for the entry,
+// map slot and headers.
+const entryOverhead = 128
 
 // CacheStats reports cache effectiveness and byte pressure.
 type CacheStats struct {
@@ -226,31 +223,6 @@ func (c *SceneCache) EncodedPNG(s *Scene, factor int) ([]byte, error) {
 	})
 	pr := e.val.(pngResult)
 	return pr.data, pr.err
-}
-
-// CriticalLosses returns LegibilityLoss(factor, e.Salience) for every
-// critical element of the scene, in CriticalElements order, computed
-// once per (scene, factor) instead of once per (model, question, element).
-func (c *SceneCache) CriticalLosses(s *Scene, factor int) []float64 {
-	e := c.get(cacheKey{s, factor, artLosses}, false, func() (any, int64) {
-		crit := s.CriticalElements()
-		out := make([]float64, len(crit))
-		for i, el := range crit {
-			out[i] = LegibilityLoss(factor, el.Salience)
-		}
-		return out, int64(8*len(out)) + entryOverhead
-	})
-	return e.val.([]float64)
-}
-
-// Criticals returns s.CriticalElements() memoized per scene, so the
-// filtered slice is built once rather than on every perception call.
-func (c *SceneCache) Criticals(s *Scene) []Element {
-	e := c.get(cacheKey{s, 0, artCriticals}, false, func() (any, int64) {
-		crit := s.CriticalElements()
-		return crit, int64(len(crit))*elementBytes + entryOverhead
-	})
-	return e.val.([]Element)
 }
 
 // get is the single lookup path. It finds or inserts the entry for k,
@@ -424,14 +396,6 @@ func CachedRender(s *Scene) *image.RGBA { return Default.Render(s) }
 
 // CachedDownsample renders and downsamples via the Default cache.
 func CachedDownsample(s *Scene, factor int) *image.RGBA { return Default.Downsampled(s, factor) }
-
-// CachedCriticalLosses returns the per-critical-element legibility
-// losses via the Default cache.
-func CachedCriticalLosses(s *Scene, factor int) []float64 { return Default.CriticalLosses(s, factor) }
-
-// CachedCriticals returns the scene's critical elements via the Default
-// cache.
-func CachedCriticals(s *Scene) []Element { return Default.Criticals(s) }
 
 // CachedPNG returns the scene's encoded PNG via the Default cache.
 func CachedPNG(s *Scene, factor int) ([]byte, error) { return Default.EncodedPNG(s, factor) }

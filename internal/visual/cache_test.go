@@ -47,33 +47,6 @@ func TestSceneCacheDownsampled(t *testing.T) {
 	}
 }
 
-func TestSceneCacheCriticalLossesAndCriticals(t *testing.T) {
-	c := NewSceneCache()
-	s := sampleScene(KindSchematic)
-	crit := c.Criticals(s)
-	direct := s.CriticalElements()
-	if len(crit) != len(direct) {
-		t.Fatalf("criticals %d, want %d", len(crit), len(direct))
-	}
-	for _, factor := range []int{8, 16} {
-		losses := c.CriticalLosses(s, factor)
-		if len(losses) != len(direct) {
-			t.Fatalf("factor %d: %d losses for %d criticals", factor, len(losses), len(direct))
-		}
-		for i, e := range direct {
-			if want := LegibilityLoss(factor, e.Salience); losses[i] != want {
-				t.Errorf("factor %d element %d: loss %v, want %v", factor, i, losses[i], want)
-			}
-		}
-	}
-	// Memoized: same backing slice on the second call.
-	a := c.CriticalLosses(s, 16)
-	b := c.CriticalLosses(s, 16)
-	if len(a) > 0 && &a[0] != &b[0] {
-		t.Error("losses recomputed on second call")
-	}
-}
-
 // TestSceneCacheReset pins Stats() behaviour across Reset(): the hit,
 // miss, eviction and byte counters all restart from zero, the budget
 // (configuration, not a counter) survives, and previously cached
@@ -81,12 +54,12 @@ func TestSceneCacheCriticalLossesAndCriticals(t *testing.T) {
 func TestSceneCacheReset(t *testing.T) {
 	w := renderWeight(t)
 	c := NewSceneCache()
-	budget := w + 1024 // one render plus the small loss/critical entries
+	budget := w + w/8 // one render plus its small downsampled variants
 	c.SetBudget(budget)
 	s := sampleScene(KindCurve)
 	img := c.Render(s)
-	_ = c.CriticalLosses(s, 8)
-	_ = c.Criticals(s)
+	_ = c.Downsampled(s, 8)
+	_ = c.Downsampled(s, 16)
 	_ = c.Render(sampleScene(KindTable)) // second render forces an eviction
 	before := c.Stats()
 	if before.Evictions == 0 || before.EvictedBytes == 0 || before.Bytes == 0 || before.PeakBytes == 0 {
@@ -273,16 +246,15 @@ func TestSceneCacheConcurrent(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	const goroutines = 16
-	// Record pointer identities (image pointer, first loss element) so
-	// we can check every goroutine saw the same cached artifacts.
+	// Record image pointer identities so we can check every goroutine
+	// saw the same cached artifacts.
 	ptrs := make([][]any, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for _, s := range scenes {
-				losses := c.CriticalLosses(s, 8)
-				ptrs[g] = append(ptrs[g], c.Downsampled(s, 8), &losses[0])
+				ptrs[g] = append(ptrs[g], c.Downsampled(s, 8), c.Render(s))
 			}
 		}(g)
 	}
@@ -295,9 +267,9 @@ func TestSceneCacheConcurrent(t *testing.T) {
 			}
 		}
 	}
-	// Each (scene, factor) computed once: 3 scenes x (render + 8x + losses).
-	if st := c.Stats(); st.Misses != 9 {
-		t.Errorf("misses %d, want 9 (%+v)", st.Misses, st)
+	// Each (scene, factor) computed once: 3 scenes x (render + 8x).
+	if st := c.Stats(); st.Misses != 6 {
+		t.Errorf("misses %d, want 6 (%+v)", st.Misses, st)
 	}
 }
 

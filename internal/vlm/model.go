@@ -102,31 +102,37 @@ func (m *SimulatedVLM) BuildPrompt(q *dataset.Question) string {
 // perceives runs the perception stage: at full resolution the scene
 // graph is fully legible; a downsampled image loses low-salience
 // critical details per visual.LegibilityLoss, and the model gives up
-// when too little of the critical content survives. The per-element
-// losses come from the shared scene cache, so they are derived once per
-// (scene, factor) rather than once per (model, question) pair; only the
-// per-model recovery draws (keyed rng, deterministic) happen here.
+// when too little of the critical content survives. Each critical
+// element's loss is a few flops, so it is derived in place, and its
+// recovery draw is keyed by (model, question, "perc", element, factor)
+// through one prefix hash: the stage takes no lock and allocates nothing.
+//
+//hot:perception the §IV-B resolution runs call this per (model, question)
 func (m *SimulatedVLM) perceives(q *dataset.Question, factor int) bool {
 	if factor <= 1 || q.Visual == nil {
 		return true
 	}
-	crit := visual.CachedCriticals(q.Visual)
-	if len(crit) == 0 {
-		return true
-	}
-	losses := visual.CachedCriticalLosses(q.Visual, factor)
 	scale := m.perception.LossScaleBase - m.perception.LossScalePerception*m.profile.Perception
-	recovered := 0
-	for i, e := range crit {
-		loss := losses[i] * scale
+	key := rng.NewHasher(m.profile.Name, q.ID, "perc")
+	critical, recovered := 0, 0
+	for i := range q.Visual.Elements {
+		e := &q.Visual.Elements[i]
+		if !e.Critical {
+			continue
+		}
+		critical++
+		loss := visual.LegibilityLoss(factor, e.Salience) * scale
 		if loss > 1 {
 			loss = 1
 		}
-		if rng.Bernoulli(1-loss, m.profile.Name, q.ID, "perc", e.Name, fmt.Sprint(factor)) {
+		if key.String(e.Name).Int(factor).Bernoulli(1 - loss) {
 			recovered++
 		}
 	}
-	frac := float64(recovered) / float64(len(crit))
+	if critical == 0 {
+		return true
+	}
+	frac := float64(recovered) / float64(critical)
 	return frac >= m.perception.RecallThreshold
 }
 
@@ -151,7 +157,7 @@ func (m *SimulatedVLM) decisionFor(q *dataset.Question) decision {
 	} else {
 		target = m.profile.NoChoice[q.Category]
 	}
-	if rng.Bernoulli(target, m.profile.Name, q.ID, "fallback", q.Type.String()) {
+	if rng.NewHasher(m.profile.Name, q.ID, "fallback", q.Type.String()).Bernoulli(target) {
 		return decSolve
 	}
 	if q.Type == dataset.MultipleChoice {
@@ -182,7 +188,8 @@ func (m *SimulatedVLM) goldenResponse(q *dataset.Question, verbose bool) string 
 }
 
 func (m *SimulatedVLM) wrongLetter(q *dataset.Question) string {
-	off := 1 + rng.Pick(3, m.profile.Name, q.ID, "wrong-letter")
+	s := rng.NewHasher(m.profile.Name, q.ID, "wrong-letter").Stream()
+	off := 1 + s.IntN(3)
 	return dataset.ChoiceLetter((q.Golden.Choice + off) % 4)
 }
 
@@ -199,7 +206,8 @@ func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
 	switch q.Golden.Kind {
 	case dataset.AnswerNumber:
 		// Classic slip: off by a factor well outside tolerance.
-		factor := []float64{3.1, 0.31, -1.7}[rng.Pick(3, m.profile.Name, q.ID, "wrong-num")]
+		s := rng.NewHasher(m.profile.Name, q.ID, "wrong-num").Stream()
+		factor := [...]float64{3.1, 0.31, -1.7}[s.IntN(3)]
 		return fmt.Sprintf("%g %s", q.Golden.Number*factor+1, q.Golden.Unit)
 	case dataset.AnswerExpression:
 		return "F = " + wrongExpressionFor(q)

@@ -24,7 +24,7 @@ SMOKE="$(mktemp -t chipvqa-smoke.XXXXXX.cvqb)"
 trap 'rm -f "$SMOKE"' EXIT
 go run ./cmd/chipvqa pack -seed smoke -n 2000 -shard 512 -o "$SMOKE" -check
 go run ./cmd/chipvqa extended -packed "$SMOKE" -eval -stream \
-    -downsample 8 -cachebudget 1048576 > /dev/null
+    -downsample 8 > /dev/null
 # Smoke one adaptive evaluation end to end (calibration grid + IRT
 # tournament) so the snapshot's adaptive section never records a run
 # that the CLI path itself cannot complete.

@@ -18,4 +18,6 @@ echo "== go test"
 go test ./...
 echo "== go test -race"
 go test -race ./...
+echo "== benchmark module: go test -race"
+(cd benchmark && go test -race ./...)
 echo "verify: all tier-1 gates passed"
