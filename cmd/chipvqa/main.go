@@ -179,6 +179,20 @@ commands:
 evaluation commands take -workers N: 0 = auto (GOMAXPROCS), 1 = serial.`)
 }
 
+// zooModels returns the suite's model zoo in Table II row order.
+func zooModels(suite *chipvqa.Suite) ([]chipvqa.Model, error) {
+	names := suite.ModelNames()
+	models := make([]chipvqa.Model, 0, len(names))
+	for _, name := range names {
+		m, err := suite.Model(name)
+		if err != nil {
+			return nil, err
+		}
+		models = append(models, m)
+	}
+	return models, nil
+}
+
 // workersFlag registers the shared -workers knob: 0 (default) lets the
 // engine pick GOMAXPROCS, 1 forces serial, N pins the pool size.
 func workersFlag(fs *flag.FlagSet) *int {
@@ -320,9 +334,6 @@ func cmdResolution(ctx context.Context, args []string) error {
 		*model, *category, len(questions))
 	for _, f := range []int{1, 8, 16} {
 		r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: f}, Workers: *workers}
-		if *workers == 0 {
-			r.Workers = -1 // auto
-		}
 		rep, err := r.EvaluateContext(ctx, m, sub)
 		if err != nil {
 			return err
@@ -505,23 +516,16 @@ func cmdExtended(ctx context.Context, args []string) error {
 	}
 	if *stream {
 		r := eval.Runner{Workers: *workers, Opts: eval.InferenceOptions{DownsampleFactor: *downsample}}
-		if *workers == 0 {
-			r.Workers = -1 // auto
-		}
-		var models []chipvqa.Model
-		for _, name := range suite.ModelNames() {
-			m, err := suite.Model(name)
-			if err != nil {
-				return err
-			}
-			models = append(models, m)
+		models, err := zooModels(suite)
+		if err != nil {
+			return err
 		}
 		reports := make([]*chipvqa.Report, len(models))
 		for i := range reports {
 			reports[i] = &chipvqa.Report{}
 		}
 		total := 0
-		err := r.EvaluateShardsContext(ctx, models, func(yield func(chipvqa.Shard) error) error {
+		err = r.EvaluateShardsContext(ctx, models, func(yield func(chipvqa.Shard) error) error {
 			return shardStream(func(sh chipvqa.Shard) error {
 				total += len(sh.Questions)
 				return yield(sh)
@@ -566,16 +570,9 @@ func cmdExtended(ctx context.Context, args []string) error {
 	}
 	if *evalModels {
 		r := eval.Runner{Workers: *workers, Opts: eval.InferenceOptions{DownsampleFactor: *downsample}}
-		if *workers == 0 {
-			r.Workers = -1 // auto
-		}
-		var models []chipvqa.Model
-		for _, name := range suite.ModelNames() {
-			m, err := suite.Model(name)
-			if err != nil {
-				return err
-			}
-			models = append(models, m)
+		models, err := zooModels(suite)
+		if err != nil {
+			return err
 		}
 		reports, err := r.EvaluateAllContext(ctx, models, ext)
 		fmt.Print(chipvqa.FormatTableII(reports, nil))
@@ -742,16 +739,9 @@ func cmdItems(ctx context.Context, args []string) error {
 		collection = "challenge"
 	}
 	r := eval.Runner{Workers: *workers}
-	if *workers == 0 {
-		r.Workers = -1 // auto
-	}
-	var models []chipvqa.Model
-	for _, name := range suite.ModelNames() {
-		m, err := suite.Model(name)
-		if err != nil {
-			return err
-		}
-		models = append(models, m)
+	models, err := zooModels(suite)
+	if err != nil {
+		return err
 	}
 	// Item statistics over a truncated grid would be silently biased, so
 	// an interrupted run aborts instead of analysing the partial prefix.
@@ -1118,13 +1108,9 @@ func cmdBench(ctx context.Context, args []string) error {
 	// Sharded grid sweep: the digest of every worker count must match
 	// the workers=1 run byte for byte before any timing is recorded.
 	fmt.Println("timing sharded grid sweep (workers 1/2/4/8)...")
-	models := make([]chipvqa.Model, 0, len(names))
-	for _, name := range names {
-		m, err := suite.Model(name)
-		if err != nil {
-			return err
-		}
-		models = append(models, m)
+	models, err := zooModels(suite)
+	if err != nil {
+		return err
 	}
 	var grid []gridPoint
 	var baseDigest string
@@ -1186,9 +1172,10 @@ func cmdBench(ctx context.Context, args []string) error {
 		}
 		r := eval.Runner{Workers: -1, Opts: eval.InferenceOptions{DownsampleFactor: 8}}
 		start := now()
-		reports, err := r.EvaluateShards([]chipvqa.Model{m}, func(yield func(chipvqa.Shard) error) error {
+		reports := []*chipvqa.Report{{}}
+		err = r.EvaluateShardsContext(ctx, []chipvqa.Model{m}, func(yield func(chipvqa.Shard) error) error {
 			return chipvqa.StreamExtended("bench-stream", perCat, 1024, yield)
-		})
+		}, reports)
 		elapsed := now().Sub(start)
 		streamCache = chipvqa.RenderCacheStats()
 		chipvqa.SetRenderCacheBudget(0)

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -44,7 +45,7 @@ func TestAdaptiveReproducesFullGridRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.EvaluateAdaptive(models, trn); err != nil {
+	if _, err := r.EvaluateAdaptiveContext(context.Background(), models, trn); err != nil {
 		t.Fatal(err)
 	}
 	asked := trn.QuestionsAsked()

@@ -304,7 +304,7 @@ func TestTournamentAnnotatesEvents(t *testing.T) {
 		last[ev.Model.Name()] = ev
 		count[ev.Model.Name()]++
 	})}
-	reports, err := r.EvaluateAdaptive(models, trn)
+	reports, err := r.EvaluateAdaptiveContext(context.Background(), models, trn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestTournamentSharedChains(t *testing.T) {
 	r := eval.Runner{Workers: 4, Observer: eval.ObserverFunc(func(ev eval.Event) {
 		chains[ev.Model.Name()] = append(chains[ev.Model.Name()], ev.Question.ID)
 	})}
-	if _, err := r.EvaluateAdaptive(models, trn); err != nil {
+	if _, err := r.EvaluateAdaptiveContext(context.Background(), models, trn); err != nil {
 		t.Fatal(err)
 	}
 	a, b := chains["twin-a"], chains["twin-b"]

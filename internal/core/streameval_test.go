@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -50,11 +51,12 @@ func streamEvalEnvelope(t *testing.T, seed string, perCategory, shardSize int, b
 	monoJSON := evalReportsJSON(t, r.EvaluateAll(models, mono))
 	visual.Default.Reset() // isolate the streaming pass's cache pressure
 
-	streamed, err := r.EvaluateShards(models, func(yield func(dataset.Shard) error) error {
+	streamed := []*eval.Report{{}}
+	err = r.EvaluateShardsContext(context.Background(), models, func(yield func(dataset.Shard) error) error {
 		return StreamExtended(seed, perCategory, shardSize, yield)
-	})
+	}, streamed)
 	if err != nil {
-		t.Fatalf("EvaluateShards: %v", err)
+		t.Fatalf("EvaluateShardsContext: %v", err)
 	}
 	if got := evalReportsJSON(t, streamed); string(got) != string(monoJSON) {
 		t.Error("streaming reports differ from monolithic evaluation")

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Adaptive evaluation entry points: run the staged pipeline off a
+// Adaptive evaluation entry point: run the staged pipeline off a
 // dynamic ItemScheduler (internal/adaptive.Tournament is the
 // production implementation) instead of a static grid. Events
 // interleave models in the scheduler's canonical issue order, so the
@@ -34,21 +34,13 @@ func (s *modelSink) Consume(ev Event) {
 	})
 }
 
-// EvaluateAdaptive runs the models against a dynamic scheduler and
-// returns one report per model, in input order. The scheduler decides
-// which (model, question) pairs run and when each model stops; see
-// internal/adaptive for the IRT tournament that drives this.
-func (r Runner) EvaluateAdaptive(models []Model, sched ItemScheduler) ([]*Report, error) {
-	//lint:ignore errdrop context.Background never cancels, so the only possible error is nil
-	out, _ := r.EvaluateAdaptiveContext(context.Background(), models, sched)
-	return out, nil
-}
-
-// EvaluateAdaptiveContext is EvaluateAdaptive with cooperative
-// cancellation. On cancel it returns ctx.Err() and the reports hold
-// the deterministic delivered prefix of the adaptive transcript — the
-// same events, byte for byte, that a full run would have delivered
-// first. Observers on the Runner see every event in canonical order
+// EvaluateAdaptiveContext runs the models against a dynamic scheduler
+// and returns one report per model, in input order. The scheduler
+// decides which (model, question) pairs run and when each model stops;
+// see internal/adaptive for the IRT tournament that drives this. On
+// cancel it returns ctx.Err() and the reports hold the deterministic
+// delivered prefix of the adaptive transcript — the same events, byte
+// for byte, that a full run would have delivered first. Observers on the Runner see every event in canonical order
 // with the scheduler's annotations (ability, stop reason) applied.
 func (r Runner) EvaluateAdaptiveContext(ctx context.Context, models []Model, sched ItemScheduler) ([]*Report, error) {
 	if sched == nil {
@@ -66,13 +58,5 @@ func (r Runner) EvaluateAdaptiveContext(ctx context.Context, models []Model, sch
 	if len(models) == 0 {
 		return reports, nil
 	}
-	p := &Pipeline{
-		Scheduler: sched,
-		Infer:     modelInference{opts: r.Opts},
-		Judge:     judgeStage{judge: r.Judge},
-		Sink:      sink,
-		Observer:  r.Observer,
-		Workers:   r.EffectiveWorkers(),
-	}
-	return reports, p.Run(ctx)
+	return reports, r.run(ctx, sched, sink)
 }

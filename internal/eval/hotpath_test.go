@@ -75,32 +75,6 @@ func TestApplyUnitSICasePairs(t *testing.T) {
 	}
 }
 
-// TestEvaluateIntoReusesBuffers proves a report evaluated repeatedly
-// through EvaluateInto refills its Results backing array in place
-// instead of reallocating per run.
-func TestEvaluateIntoReusesBuffers(t *testing.T) {
-	b := testBenchmark(10)
-	m := fixedModel{"m", func(q *dataset.Question) string { return "c" }}
-	r := Runner{Workers: 2}
-	rep := &Report{}
-	if err := r.EvaluateInto(context.Background(), m, b, rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 10 {
-		t.Fatalf("first run: %d results", len(rep.Results))
-	}
-	first := &rep.Results[0]
-	if err := r.EvaluateInto(context.Background(), m, b, rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 10 {
-		t.Fatalf("second run: %d results", len(rep.Results))
-	}
-	if &rep.Results[0] != first {
-		t.Error("second EvaluateInto reallocated the Results backing array")
-	}
-}
-
 // TestEvaluateAllIntoReuse covers the grid form: buffer reuse across
 // runs, window isolation between adjacent models sharing one backing
 // array, and the length-mismatch guard.

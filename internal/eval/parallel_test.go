@@ -17,7 +17,7 @@ func TestWorkersNormalization(t *testing.T) {
 	}{
 		{-1, auto},  // negative = auto
 		{-99, auto}, // any negative normalizes
-		{0, 1},      // zero value stays serial
+		{0, auto},   // zero value is auto too
 		{1, 1},
 		{7, 7},
 	}
@@ -25,9 +25,6 @@ func TestWorkersNormalization(t *testing.T) {
 		if got := (Runner{Workers: c.workers}).EffectiveWorkers(); got != c.want {
 			t.Errorf("Workers=%d: effective %d, want %d", c.workers, got, c.want)
 		}
-	}
-	if got := NewRunner().Workers; got != auto {
-		t.Errorf("NewRunner().Workers = %d, want GOMAXPROCS %d", got, auto)
 	}
 }
 

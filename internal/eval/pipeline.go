@@ -2,21 +2,23 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
 )
 
 // This file decomposes the evaluation path into an explicit staged
-// pipeline: a Source yields per-question Events in a canonical order,
-// an Inference stage fills in the model response, a JudgeStage scores
-// it, and a Sink consumes completed events strictly in Seq order. An
-// optional Observer sees every event right after the sink — in the
-// same deterministic order — which is the hook point for metrics,
-// tracing and progress reporting. Runner composes these stages; the
-// composed pipeline is byte-identical to the old monolithic loop while
-// adding context cancellation with graceful partial results.
+// pipeline: an ItemScheduler (scheduler.go) issues per-question Events
+// in a canonical order, an Inference stage fills in the model response,
+// a JudgeStage scores it, and a Sink consumes completed events strictly
+// in Seq order. An optional Observer sees every event right after the
+// sink — in the same deterministic order — which is the hook point for
+// metrics, tracing and progress reporting. Runner.run is the one place
+// the Runner composes these stages, with context cancellation and
+// graceful partial results.
 
 // Event is the per-question unit of work flowing through the pipeline.
 // The Source seeds Seq, Model and Question; Inference fills Response;
@@ -55,9 +57,9 @@ type Event struct {
 // Source yields a statically known task list in canonical order.
 // Event(i) must be a pure function of i so any worker may materialise
 // any task. A Source is the degenerate, feedback-free case of the
-// ItemScheduler seam (scheduler.go): the pipeline wraps it in a trivial
-// scheduler and the resulting run is byte-identical to the pre-seam
-// indexed loop.
+// ItemScheduler seam: a Pipeline with a nil Scheduler wraps its Source
+// in newSourceScheduler, the same trivial scheduler the Runner's
+// static path builds for every shard.
 type Source interface {
 	Len() int
 	Event(i int) Event
@@ -96,7 +98,7 @@ type ObserverFunc func(ev Event)
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
 // Pipeline wires the four stages plus the optional observer. Workers
-// has the Runner.EffectiveWorkers convention already applied: <= 1
+// is a resolved pool size (Runner.run passes EffectiveWorkers): <= 1
 // runs serially, larger values size the pool. Exactly one of Scheduler
 // and Source drives the run; when both are set, Scheduler wins.
 type Pipeline struct {
@@ -115,12 +117,17 @@ type Pipeline struct {
 }
 
 // Run executes the pipeline until the scheduler drains or ctx is
-// cancelled, returning ctx.Err(). Workers pull tasks cooperatively:
-// cancellation is checked between questions (a question in flight
-// finishes), and the in-order delivery gate re-checks the context
-// before every emit, so after cancel the sink holds a consistent
-// prefix of the canonical order — a graceful partial report — and
-// every delivered result is byte-identical to the full run's.
+// cancelled, returning ctx.Err(). A scheduler that breaks the Seq
+// contract (ItemScheduler) fails the run with an error instead: a
+// repeated Seq stops delivery at once, and a skipped Seq is reported
+// once the workers exit with events still parked behind it.
+//
+// Workers pull tasks cooperatively: cancellation is checked between
+// questions (a question in flight finishes), and the in-order delivery
+// gate re-checks the context before every emit, so after cancel the
+// sink holds a consistent prefix of the canonical order — a graceful
+// partial report — and every delivered result is byte-identical to the
+// full run's.
 //
 // Judged outcomes feed back into the scheduler from inside the reorder
 // buffer, strictly in Seq order, before the sink sees them — the
@@ -164,7 +171,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		scratches[i] = getScratch()
 	}
 	work := func(w int) {
-		for ctx.Err() == nil {
+		for ctx.Err() == nil && !d.stopped.Load() {
 			ev, st := sched.Next()
 			if st == ScheduleWait {
 				// Arm the gate, then re-check: a Record between the
@@ -173,6 +180,11 @@ func (p *Pipeline) Run(ctx context.Context) error {
 				wake := gate.arm()
 				ev, st = sched.Next()
 				if st == ScheduleWait {
+					if d.stopped.Load() {
+						// A stop's pulse may have preceded this arm;
+						// nothing would wake the wait below.
+						return
+					}
 					select {
 					case <-wake:
 					case <-ctx.Done():
@@ -206,7 +218,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	for _, sc := range scratches {
 		putScratch(sc)
 	}
-	return ctx.Err()
+	return d.result(ctx)
 }
 
 // delivery is the reorder buffer between the parallel stages and the
@@ -218,7 +230,8 @@ type delivery struct {
 	mu      sync.Mutex
 	next    int           // lowest Seq not yet emitted
 	pending map[int]Event // completed events waiting for their turn
-	stopped bool          // context cancelled; drop instead of emit
+	stopped atomic.Bool   // cancelled or broken; drop instead of emit
+	breach  error         // the first Seq contract breach, if any
 	sink    Sink
 	obs     Observer
 	clock   func() time.Time
@@ -233,7 +246,12 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 	// attempt: Record below may have issued new work, and on
 	// cancellation the pulse is harmless (waiters also watch ctx).
 	defer d.gate.pulse()
-	if d.stopped {
+	if d.stopped.Load() {
+		return
+	}
+	if _, dup := d.pending[ev.Seq]; dup || ev.Seq < d.next {
+		d.breach = fmt.Errorf("eval: scheduler issued Seq %d twice", ev.Seq)
+		d.stopped.Store(true)
 		return
 	}
 	d.pending[ev.Seq] = ev
@@ -243,7 +261,7 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 			// for events already buffered — so an observer that cancels
 			// during Observe cuts the report off deterministically
 			// right after its event.
-			d.stopped = true
+			d.stopped.Store(true)
 			return
 		}
 		nxt, ok := d.pending[d.next]
@@ -266,20 +284,23 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 	}
 }
 
+// result is the run's outcome once every worker has exited: a Seq
+// contract breach, else ctx.Err(), else a gap — an uncancelled run
+// that still holds parked events never saw the Seq they wait behind.
+func (d *delivery) result(ctx context.Context) error {
+	if d.breach != nil {
+		return d.breach
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if len(d.pending) > 0 {
+		return fmt.Errorf("eval: scheduler skipped Seq %d; %d later events undelivered", d.next, len(d.pending))
+	}
+	return nil
+}
+
 // --- Concrete stages used by Runner ------------------------------------
-
-// benchmarkSource streams one model over a question list; Seq is the
-// question index.
-type benchmarkSource struct {
-	model     Model
-	questions []*dataset.Question
-}
-
-func (s benchmarkSource) Len() int { return len(s.questions) }
-
-func (s benchmarkSource) Event(i int) Event {
-	return Event{Seq: i, Model: s.model, Question: s.questions[i]}
-}
 
 // gridSource streams the flattened model-major (model, question) grid,
 // so the worker pool stays busy across model boundaries — a cheap
@@ -327,10 +348,8 @@ type reportSink struct {
 }
 
 func (s *reportSink) Consume(ev Event) {
-	mi := 0
-	if s.nq > 0 {
-		mi = ev.Seq / s.nq
-	}
+	// nq > 0: an empty grid issues no events.
+	mi := ev.Seq / s.nq
 	s.reports[mi].Results = append(s.reports[mi].Results, QuestionResult{
 		QuestionID: ev.Question.ID,
 		Category:   ev.Question.Category,

@@ -200,12 +200,15 @@ func TestObserverTimestampsUseClockSeam(t *testing.T) {
 	fixed := time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
 	var stamps []time.Time
 	rep := &Report{ModelName: m.Name()}
-	p := Runner{Workers: 4}.pipeline(
-		benchmarkSource{model: m, questions: b.Questions},
-		&reportSink{nq: b.Len(), reports: []*Report{rep}},
-	)
-	p.Clock = func() time.Time { return fixed }
-	p.Observer = ObserverFunc(func(ev Event) { stamps = append(stamps, ev.At) })
+	p := &Pipeline{
+		Source:   gridSource{models: []Model{m}, questions: b.Questions},
+		Infer:    modelInference{},
+		Judge:    judgeStage{judge: Judge{}},
+		Sink:     &reportSink{nq: b.Len(), reports: []*Report{rep}},
+		Observer: ObserverFunc(func(ev Event) { stamps = append(stamps, ev.At) }),
+		Workers:  4,
+		Clock:    func() time.Time { return fixed },
+	}
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -75,16 +75,21 @@ func (r *Report) Pass1ByCategory() map[dataset.Category]float64 {
 	return out
 }
 
-// Runner evaluates models over a benchmark with a judge. It is a
-// pre-composed instance of the staged pipeline (pipeline.go): a Source
-// streams the questions, Inference and JudgeStage run on the worker
-// pool, and a report sink collects results in canonical order.
+// Runner evaluates models over a benchmark with a judge. Every entry
+// point is a scheduler plus a sink handed to run, the one place this
+// package composes the staged pipeline (pipeline.go): the scheduler
+// issues (model, question) events, Inference and JudgeStage run on the
+// worker pool, and the sink collects results in canonical order. A
+// static run is a shard stream (EvaluateShardsContext) whose shards
+// each run as one model-major grid, and a whole benchmark is its
+// one-shard case; an adaptive run (EvaluateAdaptiveContext) swaps in a
+// dynamic scheduler.
 //
-// Workers selects the evaluation engine:
+// Workers sizes the worker pool:
 //
-//	> 0  that many pooled worker goroutines
-//	== 0 serial (the zero value keeps its historical behaviour)
-//	< 0  auto: runtime.GOMAXPROCS(0) workers
+//	<= 0 auto: runtime.GOMAXPROCS(0) workers (the zero value)
+//	== 1 serial
+//	> 1  that many pooled worker goroutines
 //
 // Results are deterministic regardless of Workers: every stochastic
 // decision draws from an rng stream keyed by (model, question, stage),
@@ -102,24 +107,13 @@ type Runner struct {
 	Observer Observer
 }
 
-// NewRunner returns a Runner with Workers defaulted to
-// runtime.GOMAXPROCS(0) — the engine the paper-scale experiments
-// (12 models x 2 collections x 142 questions) should run on.
-func NewRunner() Runner {
-	return Runner{Workers: runtime.GOMAXPROCS(0)}
-}
-
-// EffectiveWorkers normalizes the Workers knob: negative means auto
-// (GOMAXPROCS), zero means serial, positive is taken as-is.
+// EffectiveWorkers normalizes the Workers knob: zero or negative means
+// auto (GOMAXPROCS), positive is taken as-is.
 func (r Runner) EffectiveWorkers() int {
-	switch {
-	case r.Workers < 0:
+	if r.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
-	case r.Workers == 0:
-		return 1
-	default:
-		return r.Workers
 	}
+	return r.Workers
 }
 
 // forEach runs fn(i) for every i in [0, n) on a fixed pool of at most
@@ -129,17 +123,6 @@ func (r Runner) EffectiveWorkers() int {
 // claim, an item in flight always completes, and no index is ever
 // claimed twice. fn must be safe to call from multiple goroutines.
 func forEach(ctx context.Context, workers, n int, fn func(int)) {
-	forEachWorker(ctx, workers, n, func(_, i int) { fn(i) })
-}
-
-// forEachWorker is forEach with the executing worker's pool slot
-// (0..effective workers-1; always 0 on the serial path) passed to fn.
-// The slot index is what per-worker state — the judge's Scratch
-// checkouts in Pipeline.Run — hangs off: a slot is owned by exactly one
-// goroutine for the whole run, so slot-indexed state needs no locking.
-// The slot must not influence results, only where reusable state lives;
-// determinism across worker counts stays with the caller.
-func forEachWorker(ctx context.Context, workers, n int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -148,7 +131,7 @@ func forEachWorker(ctx context.Context, workers, n int, fn func(worker, i int)) 
 			if ctx.Err() != nil {
 				return
 			}
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -163,23 +146,26 @@ func forEachWorker(ctx context.Context, workers, n int, fn func(worker, i int)) 
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// pipeline composes the Runner's stages over a source and sink.
-func (r Runner) pipeline(src Source, sink Sink) *Pipeline {
-	return &Pipeline{
-		Source:   src,
-		Infer:    modelInference{opts: r.Opts},
-		Judge:    judgeStage{judge: r.Judge},
-		Sink:     sink,
-		Observer: r.Observer,
-		Workers:  r.EffectiveWorkers(),
+// run evaluates every event sched issues and hands each to sink in
+// canonical order. It is the only place this package builds a
+// Pipeline.
+func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink) error {
+	p := &Pipeline{
+		Scheduler: sched,
+		Infer:     modelInference{opts: r.Opts},
+		Judge:     judgeStage{judge: r.Judge},
+		Sink:      sink,
+		Observer:  r.Observer,
+		Workers:   r.EffectiveWorkers(),
 	}
+	return p.Run(ctx)
 }
 
 // Evaluate runs one model over the benchmark.
@@ -194,22 +180,8 @@ func (r Runner) Evaluate(m Model, b *dataset.Benchmark) *Report {
 // report holding a consistent prefix of the question order; every
 // result present is byte-identical to the full run's.
 func (r Runner) EvaluateContext(ctx context.Context, m Model, b *dataset.Benchmark) (*Report, error) {
-	rep := &Report{}
-	err := r.EvaluateInto(ctx, m, b, rep)
-	return rep, err
-}
-
-// EvaluateInto is EvaluateContext writing into a caller-retained
-// report: rep's ModelName is overwritten and its Results slice is
-// truncated and refilled in place when its capacity already fits the
-// benchmark, so a loop evaluating many models (or the same model
-// repeatedly, as the benchmarks do) reuses one QuestionResult buffer
-// instead of allocating per run.
-func (r Runner) EvaluateInto(ctx context.Context, m Model, b *dataset.Benchmark, rep *Report) error {
-	rep.ModelName = m.Name()
-	rep.Results = sizeResults(rep.Results, len(b.Questions))
-	sink := &reportSink{nq: len(b.Questions), reports: []*Report{rep}}
-	return r.pipeline(benchmarkSource{model: m, questions: b.Questions}, sink).Run(ctx)
+	out, err := r.EvaluateAllContext(ctx, []Model{m}, b)
+	return out[0], err
 }
 
 // sizeResults truncates rs for refilling, reallocating only when the
@@ -257,21 +229,15 @@ func (r Runner) EvaluateAllContext(ctx context.Context, models []Model, b *datas
 // reports (one per model, same order): each report's ModelName is
 // overwritten and its Results refilled in place when capacity fits, so
 // a grid evaluated repeatedly — resolution sweeps, benchmark loops —
-// reuses its QuestionResult buffers across runs.
+// reuses its QuestionResult buffers across runs. The benchmark runs as
+// a one-shard stream.
 func (r Runner) EvaluateAllInto(ctx context.Context, models []Model, b *dataset.Benchmark, reports []*Report) error {
-	if len(reports) != len(models) {
-		return fmt.Errorf("eval: %d reports for %d models", len(reports), len(models))
+	for _, rep := range reports {
+		rep.Results = sizeResults(rep.Results, len(b.Questions))
 	}
-	nq := len(b.Questions)
-	for i, m := range models {
-		reports[i].ModelName = m.Name()
-		reports[i].Results = sizeResults(reports[i].Results, nq)
-	}
-	if nq == 0 || len(models) == 0 {
-		return nil
-	}
-	sink := &reportSink{nq: nq, reports: reports}
-	return r.pipeline(gridSource{models: models, questions: b.Questions}, sink).Run(ctx)
+	return r.EvaluateShardsContext(ctx, models, func(yield func(dataset.Shard) error) error {
+		return yield(dataset.Shard{Questions: b.Questions})
+	}, reports)
 }
 
 // FormatTableII renders reports in the layout of the paper's Table II:

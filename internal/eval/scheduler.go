@@ -5,14 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// This file is the pull-based successor of the static Source seam: an
-// ItemScheduler hands the pipeline its next task on demand and hears
-// every judged outcome back, which is what lets a scheduler *react* —
-// an adaptive run picks its next question from the verdicts so far,
-// something a Len()/Event(i) grid can never express. Static sources
-// remain first-class citizens: newSourceScheduler wraps any Source into
-// a trivial scheduler whose behaviour (and therefore whose reports) is
-// byte-identical to the pre-seam pipeline.
+// This file is the pipeline's task seam: an ItemScheduler hands the
+// pipeline its next task on demand and hears every judged outcome
+// back, which is what lets a scheduler *react* — an adaptive run picks
+// its next question from the verdicts so far, something a
+// Len()/Event(i) grid can never express. Every Runner entry point
+// drives the pipeline through this seam; a static task list is a
+// Source wrapped by newSourceScheduler into a trivial scheduler.
 
 // ScheduleState is an ItemScheduler's answer to Next.
 type ScheduleState int
@@ -35,8 +34,11 @@ const (
 //
 // Next may be called concurrently from every worker; implementations
 // guard their own state. Events must be issued with consecutive Seq
-// values starting at 0, in the order Next hands them out — the reorder
-// buffer delivers strictly in Seq order, so a gap would wedge the run.
+// values starting at 0, in the order Next hands them out, because the
+// reorder buffer delivers strictly in Seq order. Pipeline.Run fails a
+// run that breaks this: a repeated Seq stops delivery with an error,
+// and a skipped Seq leaves every later event undelivered and is
+// reported when the workers exit.
 //
 // Record receives each judged event exactly once, strictly in Seq
 // order, from one goroutine at a time, *before* the sink and observer
@@ -59,8 +61,8 @@ type schedulerSize interface {
 }
 
 // sourceScheduler adapts a static Source to the ItemScheduler seam: an
-// atomic claim counter hands out Event(i) exactly as the pre-seam
-// worker loop did, Record is a no-op, and Wait never occurs.
+// atomic claim counter hands out each Event(i) exactly once, Record is
+// a no-op, and Wait never occurs.
 type sourceScheduler struct {
 	src  Source
 	n    int

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestSourceSchedulerCoversSourceOnce(t *testing.T) {
 	b := testBenchmark(9)
 	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
-	s := newSourceScheduler(benchmarkSource{model: m, questions: b.Questions})
+	s := newSourceScheduler(gridSource{models: []Model{m}, questions: b.Questions})
 	seen := make(map[int]bool)
 	for {
 		ev, st := s.Next()
@@ -127,7 +128,7 @@ func TestSchedulerWinsOverSource(t *testing.T) {
 	rep := &Report{ModelName: m.Name()}
 	p := &Pipeline{
 		Scheduler: sched,
-		Source:    benchmarkSource{model: m, questions: b.Questions},
+		Source:    gridSource{models: []Model{m}, questions: b.Questions},
 		Infer:     modelInference{},
 		Judge:     judgeStage{judge: Judge{}},
 		Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
@@ -138,6 +139,65 @@ func TestSchedulerWinsOverSource(t *testing.T) {
 	}
 	if len(rep.Results) != 3 {
 		t.Fatalf("delivered %d results, want the scheduler's 3 (source must be ignored)", len(rep.Results))
+	}
+}
+
+// seqScheduler issues one event per entry of seqs, with that Seq, and
+// is then done: a scheduler that can break the consecutive-Seq
+// contract on purpose.
+type seqScheduler struct {
+	mu        sync.Mutex
+	model     Model
+	questions []*dataset.Question
+	seqs      []int
+	issued    int
+}
+
+func (s *seqScheduler) Next() (Event, ScheduleState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.issued >= len(s.seqs) {
+		return Event{}, ScheduleDone
+	}
+	ev := Event{Seq: s.seqs[s.issued], Model: s.model, Question: s.questions[s.issued]}
+	s.issued++
+	return ev, ScheduleReady
+}
+
+func (s *seqScheduler) Record(*Event) {}
+
+// TestSchedulerSeqContractBreach: a skipped or repeated Seq fails the
+// run with an error naming the Seq instead of returning nil with
+// events silently lost.
+func TestSchedulerSeqContractBreach(t *testing.T) {
+	b := testBenchmark(5)
+	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
+	cases := []struct {
+		name string
+		seqs []int
+		want string
+	}{
+		{"gap", []int{0, 2, 3, 4, 5}, "skipped Seq 1"},
+		{"duplicate", []int{0, 1, 1, 2, 3}, "Seq 1 twice"},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			rep := &Report{ModelName: m.Name()}
+			p := &Pipeline{
+				Scheduler: &seqScheduler{model: m, questions: b.Questions, seqs: c.seqs},
+				Infer:     modelInference{},
+				Judge:     judgeStage{judge: Judge{}},
+				Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
+				Workers:   workers,
+			}
+			err := p.Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s, workers=%d: err = %v, want it to contain %q", c.name, workers, err, c.want)
+			}
+			if c.name == "gap" && len(rep.Results) != 1 {
+				t.Errorf("gap, workers=%d: delivered %d results, want only Seq 0", workers, len(rep.Results))
+			}
+		}
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// Streaming evaluation: the shard-at-a-time counterpart of EvaluateAll
-// for folds too large to hold in memory. The stream callback drives the
-// run — StreamExtended regenerates shards, StreamPack decodes them from
-// a packed fold — and each shard's questions are released to the
+// Streaming evaluation: the Runner's one static run path. A fold too
+// large to hold in memory arrives shard by shard, and EvaluateAll is
+// the one-shard case over a whole benchmark. The stream callback drives
+// the run — StreamExtended regenerates shards, StreamPack decodes them
+// from a packed fold — and each shard's questions are released to the
 // garbage collector as soon as the next shard arrives.
 //
 // Reports are byte-identical to a monolithic EvaluateAll over the
@@ -21,24 +22,14 @@ import (
 // shard the grid is model-major and the sink consumes in Seq order, so
 // each model's Results fill in question order across shards too.
 
-// EvaluateShards runs every model over a shard stream and returns
-// reports in model order. stream must call its yield for each shard in
-// canonical order (dataset.Shard semantics) and return yield's error
-// unchanged; both shard producers in this repository do.
-func (r Runner) EvaluateShards(models []Model, stream func(func(dataset.Shard) error) error) ([]*Report, error) {
-	out := make([]*Report, len(models))
-	for i := range out {
-		out[i] = &Report{}
-	}
-	err := r.EvaluateShardsContext(context.Background(), models, stream, out)
-	return out, err
-}
-
-// EvaluateShardsContext is EvaluateShards with cooperative cancellation,
-// writing into caller-retained reports (one per model, same order).
-// On cancel the error is ctx.Err() and each report holds a consistent
-// prefix: shards before the cut-off are complete, the shard at the
-// cut-off contributes a prefix of its own model-major order.
+// EvaluateShardsContext runs every model over a shard stream, writing
+// into caller-retained reports (one per model, same order). stream must
+// call its yield for each shard in canonical order (dataset.Shard
+// semantics) and return yield's error unchanged; both shard producers
+// in this repository do. On cancel the error is ctx.Err() and each
+// report holds a consistent prefix: shards before the cut-off are
+// complete, the shard at the cut-off contributes a prefix of its own
+// model-major order.
 //
 // An Observer on the Runner sees events with shard-local Seq values
 // (each shard runs its own pipeline); order within a shard is still
@@ -67,7 +58,7 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 		if len(sh.Questions) == 0 {
 			return nil
 		}
-		sink := &reportSink{nq: len(sh.Questions), reports: reports}
-		return r.pipeline(gridSource{models: models, questions: sh.Questions}, sink).Run(ctx)
+		return r.run(ctx, newSourceScheduler(gridSource{models: models, questions: sh.Questions}),
+			&reportSink{nq: len(sh.Questions), reports: reports})
 	})
 }

@@ -36,6 +36,16 @@ func streamTestModels() []Model {
 	}
 }
 
+// evaluateShards runs EvaluateShardsContext into fresh reports.
+func evaluateShards(r Runner, models []Model, stream func(func(dataset.Shard) error) error) ([]*Report, error) {
+	reps := make([]*Report, len(models))
+	for i := range reps {
+		reps[i] = &Report{}
+	}
+	err := r.EvaluateShardsContext(context.Background(), models, stream, reps)
+	return reps, err
+}
+
 func reportsJSON(t *testing.T, reps []*Report) []byte {
 	t.Helper()
 	js, err := json.Marshal(reps)
@@ -57,7 +67,7 @@ func TestEvaluateShardsMatchesMonolithic(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		r := Runner{Workers: workers}
 		for _, shardSize := range []int{1, 3, 7, 23, 50} {
-			reps, err := r.EvaluateShards(models, sliceStream(b, shardSize))
+			reps, err := evaluateShards(r, models, sliceStream(b, shardSize))
 			if err != nil {
 				t.Fatalf("workers=%d shard=%d: %v", workers, shardSize, err)
 			}
@@ -101,7 +111,7 @@ func TestEvaluateShardsStopsOnStreamError(t *testing.T) {
 		}
 		return sentinel
 	}
-	reps, err := (Runner{}).EvaluateShards(streamTestModels(), stream)
+	reps, err := evaluateShards(Runner{}, streamTestModels(), stream)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}

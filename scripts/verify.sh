@@ -12,6 +12,11 @@ echo "== go vet"
 go vet ./...
 echo "== go build"
 go build ./...
+# benchmark/ is its own module, so the root build stops short of it;
+# vet it here so a break in the eval API it compiles against fails
+# fast instead of after the race run.
+echo "== benchmark module: go vet"
+(cd benchmark && go vet ./...)
 echo "== lint (gofmt + chipvqa-lint)"
 sh scripts/lint.sh
 echo "== go test"
