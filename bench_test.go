@@ -96,8 +96,7 @@ func BenchmarkTableIIGrid(b *testing.B) {
 	}
 }
 
-// E2e — the sharded grid sweep behind the bench snapshot's
-// table_ii_grid section: the full (model, question) grid through
+// E2e — the sharded grid sweep: the full (model, question) grid through
 // EvaluateAllInto at fixed worker counts 1/2/4/8, each shard count
 // first proven byte-identical to the workers=1 run via a digest over
 // every model name, question ID, response and verdict. The scaling is
@@ -475,6 +474,22 @@ func BenchmarkStatisticalComparison(b *testing.B) {
 		if _, _, err := suite.Compare("GPT4o", "LLaMA-3.2-90B"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The 2000-resample bootstrap CI over one Table II report alone
+// (chunk-parallel, batched binomial resampling), without the McNemar
+// test and the two model sweeps BenchmarkStatisticalComparison adds.
+func BenchmarkBootstrapCI(b *testing.B) {
+	suite := chipvqa.MustNewSuite()
+	rep, err := suite.Evaluate("GPT4o")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = rep.BootstrapCI(2000, 0.95)
 	}
 }
 

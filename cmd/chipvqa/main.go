@@ -1,23 +1,27 @@
 // Command chipvqa regenerates every table and figure of the ChipVQA
-// paper from the reproduction:
+// paper from the reproduction, and runs the extensions built on it:
 //
 //	chipvqa stats              Table I benchmark statistics
 //	chipvqa stats -coverage    Fig. 1/3 discipline x visual coverage
 //	chipvqa eval               Table II, standard collection
-//	chipvqa challenge          Table II, challenge collection
 //	chipvqa eval -gap          per-model MC vs SA gap (§IV-A RAG effect)
+//	chipvqa challenge          Table II, challenge collection
 //	chipvqa agent              Table III agent study
 //	chipvqa resolution         §IV-B image resolution study
 //	chipvqa export -o FILE     benchmark as JSON
-//	chipvqa pack -o FILE       extended fold in the compact binary format
 //	chipvqa render -dir DIR    rasterise every question to PNG
 //	chipvqa ask -model M -q ID one model on one question (with transcript)
+//	chipvqa extended -n N      generated extended collection (-eval, -stream, -packed FILE)
+//	chipvqa pack -o FILE       extended fold in the compact binary format
+//	chipvqa compare -a A -b B  paired McNemar test + bootstrap CIs
+//	chipvqa finetune -model M  domain-adaptation learning curve
+//	chipvqa items              per-question difficulty and discrimination
+//	chipvqa adaptive           IRT adaptive evaluation over an extended fold
+//	chipvqa serve              eval-as-a-service HTTP daemon
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -27,17 +31,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strings"
 	"syscall"
-	"testing"
 
 	"repro"
 	"repro/internal/agent"
 	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/visual"
 	"repro/internal/vlm"
 )
 
@@ -92,10 +92,6 @@ func main() {
 		err = cmdAdaptive(ctx, args)
 	case "finetune":
 		err = cmdFineTune(ctx, args)
-	case "bench":
-		err = cmdBench(ctx, args)
-	case "benchdiff":
-		err = cmdBenchDiff(ctx, args)
 	case "serve":
 		err = cmdServe(ctx, args)
 	case "help", "-h", "--help":
@@ -124,7 +120,7 @@ func usagef(format string, args ...any) error {
 }
 
 // exitCode maps a command's error to the process exit code: 0 success,
-// 1 runtime failure or regression finding, 2 usage error.
+// 1 runtime failure, 2 usage error.
 func exitCode(err error) int {
 	if err == nil {
 		return 0
@@ -171,8 +167,6 @@ commands:
   adaptive     IRT adaptive evaluation over an extended fold: calibrate a 2PL item
                bank from the full grid, then early-stopping tournament
                (-seed, -n, -budget, -runseed)
-  bench        time the evaluation engine and write a perf snapshot (-o file)
-  benchdiff    compare two bench snapshots; non-zero exit on regression (-tol)
   serve        eval-as-a-service HTTP daemon (-addr, -max-sessions,
                -workers-per-session, -drain-timeout, -packed file, -accesslog file)
 
@@ -490,12 +484,12 @@ func cmdExtended(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *stream && (*out != "" || !*evalModels) {
+		return usagef("-stream requires -eval and is incompatible with -o (the fold is never materialised)")
+	}
 	suite, err := chipvqa.NewSuite()
 	if err != nil {
 		return err
-	}
-	if *stream && (*out != "" || !*evalModels) {
-		return fmt.Errorf("-stream requires -eval and is incompatible with -o (the fold is never materialised)")
 	}
 	// shardStream drives the streaming path from whichever producer was
 	// asked for: shards decoded from a pack, or shards regenerated from
@@ -761,7 +755,7 @@ func cmdItems(ctx context.Context, args []string) error {
 }
 
 // itemsDocument is the machine-readable form of the item analysis. The
-// schema is versioned like the bench snapshots, items are sorted by
+// schema is versioned, items are sorted by
 // QuestionID and solver lists alphabetically, so the document is
 // byte-stable across runs and worker counts.
 type itemsDocument struct {
@@ -852,591 +846,4 @@ func cmdAdaptive(ctx context.Context, args []string) error {
 		return runErr
 	}
 	return nil
-}
-
-// benchSnapshot is the schema of the repo's recorded perf trajectory
-// (BENCH_1.json and successors): wall time of the headline Table II
-// sweep under the serial and parallel engines, the cached render path,
-// the zero-alloc judge/normalise hot paths, and the scene-cache
-// effectiveness counters. Schema v3 adds an *_allocs_per_op sibling to
-// every benchmarked *_ns_per_op field (allocation regressions are as
-// real as time regressions on the hot paths of DESIGN.md §12), the
-// judge/normalise micro-benchmarks, and the sharded table_ii_grid
-// section recording the same grid sweep at worker counts 1/2/4/8 with
-// a byte-identity assertion across them. Schema v4 adds the scale
-// section of DESIGN.md §13: binary-pack encode/decode times at 10k
-// questions, the cold-load-vs-regeneration speedup, streaming-eval
-// throughput at 10k and 100k questions, and the scene-cache byte
-// pressure of the budgeted streaming run. Schema v5 adds the adaptive
-// section of DESIGN.md §15: the IRT tournament's question count
-// against the full grid and its rank agreement with the full-grid
-// ranking — benchdiff fails on any rank-agreement decrease.
-type benchSnapshot struct {
-	Schema     string `json:"schema"`
-	Date       string `json:"date"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-
-	// Table II standard collection: 12 models x 142 questions. The
-	// parallel run is pinned to GOMAXPROCS = NumCPU so snapshots taken
-	// under a restricted GOMAXPROCS still record the machine's capability.
-	TableIISerialNsPerOp       int64   `json:"table_ii_serial_ns_per_op"`
-	TableIISerialAllocsPerOp   int64   `json:"table_ii_serial_allocs_per_op"`
-	TableIIParallelNsPerOp     int64   `json:"table_ii_parallel_ns_per_op"`
-	TableIIParallelAllocsPerOp int64   `json:"table_ii_parallel_allocs_per_op"`
-	TableIISpeedup             float64 `json:"table_ii_speedup"`
-
-	// Sharded grid sweep: the full (model, question) grid through
-	// EvaluateAllInto at fixed worker counts. The digest of every
-	// sharded run is asserted byte-identical to the workers=1 run
-	// before timing; the scaling is recorded but not asserted (a 1-CPU
-	// host legitimately shows none).
-	TableIIGrid []gridPoint `json:"table_ii_grid"`
-
-	// §IV-B-style 16x resolution pass over the full collection: cold is
-	// the first pass after a cache reset (pays every scene derivation),
-	// warm is the steady state.
-	Resolution16ColdNs          int64 `json:"resolution16_cold_ns"`
-	Resolution16WarmNsPerOp     int64 `json:"resolution16_warm_ns_per_op"`
-	Resolution16WarmAllocsPerOp int64 `json:"resolution16_warm_allocs_per_op"`
-
-	// Raster kernel, no cache: rasterise every question's scene from
-	// scratch and hand each frame back to the pixel pool. This is the
-	// span kernel's headline number.
-	RenderAllColdNsPerOp     int64 `json:"render_all_cold_ns_per_op"`
-	RenderAllColdAllocsPerOp int64 `json:"render_all_cold_allocs_per_op"`
-
-	// Rendering every question at 8x through the scene cache: warm is
-	// the zero-copy QuestionImage accessor, clone is RenderQuestion's
-	// private copy — the gap is the per-call cost of cloning.
-	RenderAll8xWarmNsPerOp      int64 `json:"render_all_8x_warm_ns_per_op"`
-	RenderAll8xWarmAllocsPerOp  int64 `json:"render_all_8x_warm_allocs_per_op"`
-	RenderAll8xCloneNsPerOp     int64 `json:"render_all_8x_clone_ns_per_op"`
-	RenderAll8xCloneAllocsPerOp int64 `json:"render_all_8x_clone_allocs_per_op"`
-
-	// 2000-resample bootstrap CI over one report (chunk-parallel,
-	// batched binomial resampling).
-	BootstrapCINsPerOp     int64 `json:"bootstrap_ci_ns_per_op"`
-	BootstrapCIAllocsPerOp int64 `json:"bootstrap_ci_allocs_per_op"`
-
-	// Judging all 142 stored (question, response) pairs of one report,
-	// and re-normalising the 142 canonical golden texts: the zero-alloc
-	// hot paths — both allocs_per_op fields must be 0 in the steady
-	// state (TestJudgeZeroAlloc / TestNormalizeZeroAlloc pin this).
-	JudgeAllNsPerOp      int64 `json:"judge_all_ns_per_op"`
-	JudgeAllAllocsPerOp  int64 `json:"judge_all_allocs_per_op"`
-	NormalizeNsPerOp     int64 `json:"normalize_ns_per_op"`
-	NormalizeAllocsPerOp int64 `json:"normalize_allocs_per_op"`
-
-	RenderCacheHits    uint64  `json:"render_cache_hits"`
-	RenderCacheMisses  uint64  `json:"render_cache_misses"`
-	RenderCacheHitRate float64 `json:"render_cache_hit_rate"`
-
-	// Scale section (schema v4). pack_10k_cold_ns generates and encodes
-	// a 10k-question fold; pack_load_10k_ns cold-decodes the same bytes;
-	// the speedup is their ratio (the codec's reason to exist — see the
-	// >= 10x gate in internal/core). Streaming-eval throughput runs one
-	// model shard-at-a-time under a 1 MiB scene-cache budget; generation
-	// is inline, so qps is the end-to-end streaming number. The cache
-	// fields record the byte pressure of the 100k run.
-	Pack10kColdNs        int64   `json:"pack_10k_cold_ns"`
-	Pack10kBytes         int64   `json:"pack_10k_bytes"`
-	PackLoad10kNs        int64   `json:"pack_load_10k_ns"`
-	PackLoad10kSpeedup   float64 `json:"pack_load_10k_speedup"`
-	StreamEval10kQPS     float64 `json:"stream_eval_10k_qps"`
-	StreamEval100kQPS    float64 `json:"stream_eval_100k_qps"`
-	StreamCacheBudget    int64   `json:"stream_cache_budget_bytes"`
-	StreamCachePeakBytes int64   `json:"stream_cache_peak_bytes"`
-	StreamCacheEvictions uint64  `json:"stream_cache_evictions"`
-
-	// Adaptive section (schema v5): the acceptance-fold IRT tournament.
-	// adaptive_rank_agreement compares the adaptive ability ranking to
-	// the full-grid Pass@1 ranking (1.0 = every strict pair reproduced)
-	// and is quality-gated by benchdiff: any decrease fails the diff.
-	AdaptiveQuestionsAsked    int     `json:"adaptive_questions_asked"`
-	AdaptiveFullGridQuestions int     `json:"adaptive_full_grid_questions"`
-	AdaptiveRankAgreement     float64 `json:"adaptive_rank_agreement"`
-	AdaptiveNs                int64   `json:"adaptive_ns"`
-}
-
-// gridPoint is one worker-count sample of the sharded grid sweep.
-type gridPoint struct {
-	Workers     int   `json:"workers"`
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-}
-
-// reportsDigest condenses a report set into a hash covering everything
-// determinism guarantees: model order, question order, responses and
-// verdicts. Two runs are byte-identical iff their digests match.
-func reportsDigest(reports []*chipvqa.Report) string {
-	h := sha256.New()
-	for _, r := range reports {
-		_, _ = h.Write([]byte(r.ModelName))
-		for _, q := range r.Results {
-			_, _ = h.Write([]byte{0})
-			_, _ = h.Write([]byte(q.QuestionID))
-			_, _ = h.Write([]byte(q.Response))
-			if q.Correct {
-				_, _ = h.Write([]byte{1})
-			}
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-func cmdBench(ctx context.Context, args []string) error {
-	fs := newFlagSet("bench")
-	out := fs.String("o", "BENCH_1.json", "snapshot output file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	suite, err := chipvqa.NewSuite()
-	if err != nil {
-		return err
-	}
-	names := suite.ModelNames()
-	tableII := func(workers int) testing.BenchmarkResult {
-		suite.Workers = workers
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, name := range names {
-					if _, err := suite.Evaluate(name); err != nil {
-						panic(err)
-					}
-				}
-			}
-		})
-	}
-	fmt.Println("timing Table II sweep (12 models x 142 questions)...")
-	serial := tableII(1)
-	// Pin the parallel run to the machine's full core count even when the
-	// process was started with a lower GOMAXPROCS, then restore.
-	prevProcs := runtime.GOMAXPROCS(runtime.NumCPU())
-	parallel := tableII(-1)
-	runtime.GOMAXPROCS(prevProcs)
-
-	// Resolution study: cold pass pays every (scene, factor) derivation
-	// once; the warm steady state reuses them across models and runs.
-	suite.Workers = -1
-	chipvqa.ResetRenderCache()
-	start := now()
-	if _, err := suite.EvaluateAtResolution("GPT4o", 16); err != nil {
-		return err
-	}
-	cold := now().Sub(start)
-	res16 := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := suite.EvaluateAtResolution("GPT4o", 16); err != nil {
-				panic(err)
-			}
-		}
-	})
-	renderCold := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range suite.Benchmark.Questions {
-				img := visual.Render(q.Visual)
-				visual.ReleaseImage(img)
-			}
-		}
-	})
-	render8 := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range suite.Benchmark.Questions {
-				_ = chipvqa.QuestionImage(q, 8)
-			}
-		}
-	})
-	render8Clone := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range suite.Benchmark.Questions {
-				img := chipvqa.RenderQuestion(q, 8)
-				visual.ReleaseImage(img) // caller-owned clone, safe to recycle
-			}
-		}
-	})
-	rep, err := suite.Evaluate("GPT4o")
-	if err != nil {
-		return err
-	}
-	boot := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = rep.BootstrapCI(2000, 0.95)
-		}
-	})
-
-	// Judge hot path: re-judge every stored (question, response) pair of
-	// the GPT4o report. Steady-state allocs/op must be 0 (the scratch
-	// buffers and expression memo absorb everything after warm-up).
-	qByID := make(map[string]*chipvqa.Question, len(suite.Benchmark.Questions))
-	for _, q := range suite.Benchmark.Questions {
-		qByID[q.ID] = q
-	}
-	judge := eval.Judge{}
-	for _, qr := range rep.Results { // warm-up: grow buffers, fill memo
-		judge.Correct(qByID[qr.QuestionID], qr.Response)
-	}
-	judgeRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, qr := range rep.Results {
-				judge.Correct(qByID[qr.QuestionID], qr.Response)
-			}
-		}
-	})
-	// Normalise hot path over canonical inputs: the fast-path gate must
-	// return every golden text unchanged without allocating.
-	norms := make([]string, 0, len(suite.Benchmark.Questions))
-	for _, q := range suite.Benchmark.Questions {
-		norms = append(norms, eval.Normalize(q.Golden.Text))
-	}
-	normRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, s := range norms {
-				_ = eval.Normalize(s)
-			}
-		}
-	})
-
-	// Sharded grid sweep: the digest of every worker count must match
-	// the workers=1 run byte for byte before any timing is recorded.
-	fmt.Println("timing sharded grid sweep (workers 1/2/4/8)...")
-	models, err := zooModels(suite)
-	if err != nil {
-		return err
-	}
-	var grid []gridPoint
-	var baseDigest string
-	for _, w := range []int{1, 2, 4, 8} {
-		r := eval.Runner{Workers: w}
-		reports, err := r.EvaluateAllContext(ctx, models, suite.Benchmark)
-		if err != nil {
-			return err
-		}
-		d := reportsDigest(reports)
-		switch {
-		case baseDigest == "":
-			baseDigest = d
-		case d != baseDigest:
-			return fmt.Errorf("grid sweep not deterministic: workers=%d digest %s != workers=1 digest %s",
-				w, d, baseDigest)
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := r.EvaluateAllInto(ctx, models, suite.Benchmark, reports); err != nil {
-					panic(err)
-				}
-			}
-		})
-		grid = append(grid, gridPoint{Workers: w, NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()})
-	}
-	stats := chipvqa.RenderCacheStats()
-
-	// Scale section (schema v4). Captured after the cache counters above
-	// so the budgeted streaming runs (which reset the cache) don't
-	// clobber the sweep's hit/miss record.
-	fmt.Println("timing pack codec and streaming evaluation (10k/100k)...")
-	const packPerCat = 2000 // 10k questions
-	var packBuf bytes.Buffer
-	pw := dataset.NewPackWriter(&packBuf, "bench-pack")
-	start = now()
-	if err := chipvqa.StreamExtended("bench-pack", packPerCat, 512, pw.WriteShard); err != nil {
-		return err
-	}
-	if err := pw.Close(); err != nil {
-		return err
-	}
-	packCold := now().Sub(start)
-	start = now()
-	if _, err := dataset.ReadPackBytes(packBuf.Bytes()); err != nil {
-		return err
-	}
-	packLoad := now().Sub(start)
-
-	const streamBudget = 1 << 20
-	var streamCache visual.CacheStats
-	streamQPS := func(perCat int) (float64, error) {
-		chipvqa.ResetRenderCache()
-		chipvqa.SetRenderCacheBudget(streamBudget)
-		m, err := suite.Model("GPT4o")
-		if err != nil {
-			return 0, err
-		}
-		r := eval.Runner{Workers: -1, Opts: eval.InferenceOptions{DownsampleFactor: 8}}
-		start := now()
-		reports := []*chipvqa.Report{{}}
-		err = r.EvaluateShardsContext(ctx, []chipvqa.Model{m}, func(yield func(chipvqa.Shard) error) error {
-			return chipvqa.StreamExtended("bench-stream", perCat, 1024, yield)
-		}, reports)
-		elapsed := now().Sub(start)
-		streamCache = chipvqa.RenderCacheStats()
-		chipvqa.SetRenderCacheBudget(0)
-		chipvqa.ResetRenderCache()
-		if err != nil {
-			return 0, err
-		}
-		return float64(len(reports[0].Results)) / elapsed.Seconds(), nil
-	}
-	qps10k, err := streamQPS(2000)
-	if err != nil {
-		return err
-	}
-	qps100k, err := streamQPS(20000)
-	if err != nil {
-		return err
-	}
-
-	// Adaptive section (schema v5): the acceptance-fold tournament —
-	// calibrate on the fold's full grid, then tournament the zoo with a
-	// third of the grid's question budget. The timing covers both halves.
-	fmt.Println("timing adaptive IRT tournament (acceptance fold)...")
-	suite.Workers = -1
-	start = now()
-	adp, err := suite.AdaptiveContext(ctx, "fold-j", 30, chipvqa.AdaptiveConfig{Seed: "acceptance"})
-	if err != nil {
-		return err
-	}
-	adaptiveNs := now().Sub(start).Nanoseconds()
-
-	snap := benchSnapshot{
-		Schema:                      "chipvqa-bench/5",
-		Date:                        snapshotDate(),
-		GoMaxProcs:                  runtime.GOMAXPROCS(0),
-		NumCPU:                      runtime.NumCPU(),
-		TableIISerialNsPerOp:        serial.NsPerOp(),
-		TableIISerialAllocsPerOp:    serial.AllocsPerOp(),
-		TableIIParallelNsPerOp:      parallel.NsPerOp(),
-		TableIIParallelAllocsPerOp:  parallel.AllocsPerOp(),
-		TableIIGrid:                 grid,
-		Resolution16ColdNs:          cold.Nanoseconds(),
-		Resolution16WarmNsPerOp:     res16.NsPerOp(),
-		Resolution16WarmAllocsPerOp: res16.AllocsPerOp(),
-		RenderAllColdNsPerOp:        renderCold.NsPerOp(),
-		RenderAllColdAllocsPerOp:    renderCold.AllocsPerOp(),
-		RenderAll8xWarmNsPerOp:      render8.NsPerOp(),
-		RenderAll8xWarmAllocsPerOp:  render8.AllocsPerOp(),
-		RenderAll8xCloneNsPerOp:     render8Clone.NsPerOp(),
-		RenderAll8xCloneAllocsPerOp: render8Clone.AllocsPerOp(),
-		BootstrapCINsPerOp:          boot.NsPerOp(),
-		BootstrapCIAllocsPerOp:      boot.AllocsPerOp(),
-		JudgeAllNsPerOp:             judgeRes.NsPerOp(),
-		JudgeAllAllocsPerOp:         judgeRes.AllocsPerOp(),
-		NormalizeNsPerOp:            normRes.NsPerOp(),
-		NormalizeAllocsPerOp:        normRes.AllocsPerOp(),
-		RenderCacheHits:             stats.Hits,
-		RenderCacheMisses:           stats.Misses,
-		RenderCacheHitRate:          stats.HitRate(),
-		Pack10kColdNs:               packCold.Nanoseconds(),
-		Pack10kBytes:                int64(packBuf.Len()),
-		PackLoad10kNs:               packLoad.Nanoseconds(),
-		StreamEval10kQPS:            qps10k,
-		StreamEval100kQPS:           qps100k,
-		StreamCacheBudget:           streamBudget,
-		StreamCachePeakBytes:        streamCache.PeakBytes,
-		StreamCacheEvictions:        streamCache.Evictions,
-		AdaptiveQuestionsAsked:      adp.QuestionsAsked,
-		AdaptiveFullGridQuestions:   adp.GridQuestions,
-		AdaptiveRankAgreement:       adp.RankAgreement,
-		AdaptiveNs:                  adaptiveNs,
-	}
-	if parallel.NsPerOp() > 0 {
-		snap.TableIISpeedup = float64(serial.NsPerOp()) / float64(parallel.NsPerOp())
-	}
-	if packLoad > 0 {
-		snap.PackLoad10kSpeedup = float64(packCold.Nanoseconds()) / float64(packLoad.Nanoseconds())
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("Table II: serial %.1f ms/op, parallel %.1f ms/op (%.2fx, NumCPU=%d)\n",
-		float64(snap.TableIISerialNsPerOp)/1e6, float64(snap.TableIIParallelNsPerOp)/1e6,
-		snap.TableIISpeedup, snap.NumCPU)
-	fmt.Printf("16x resolution: cold %.1f ms, warm %.1f ms/op\n",
-		float64(snap.Resolution16ColdNs)/1e6, float64(snap.Resolution16WarmNsPerOp)/1e6)
-	fmt.Printf("render all 142: cold %.1f ms/op; 8x warm %.3f ms/op, 8x clone %.3f ms/op\n",
-		float64(snap.RenderAllColdNsPerOp)/1e6,
-		float64(snap.RenderAll8xWarmNsPerOp)/1e6, float64(snap.RenderAll8xCloneNsPerOp)/1e6)
-	fmt.Printf("bootstrap CI: %.3f ms/op (%d allocs/op)\n",
-		float64(snap.BootstrapCINsPerOp)/1e6, snap.BootstrapCIAllocsPerOp)
-	fmt.Printf("judge 142 pairs: %.1f us/op (%d allocs/op); normalize 142: %.1f us/op (%d allocs/op)\n",
-		float64(snap.JudgeAllNsPerOp)/1e3, snap.JudgeAllAllocsPerOp,
-		float64(snap.NormalizeNsPerOp)/1e3, snap.NormalizeAllocsPerOp)
-	for _, g := range snap.TableIIGrid {
-		fmt.Printf("grid workers=%d: %.1f ms/op (%d allocs/op)\n",
-			g.Workers, float64(g.NsPerOp)/1e6, g.AllocsPerOp)
-	}
-	fmt.Printf("render cache: %d hits / %d misses (%.1f%% hit rate)\n",
-		stats.Hits, stats.Misses, 100*stats.HitRate())
-	fmt.Printf("pack 10k: encode %.0f ms (%d bytes), cold load %.1f ms (%.1fx)\n",
-		float64(snap.Pack10kColdNs)/1e6, snap.Pack10kBytes,
-		float64(snap.PackLoad10kNs)/1e6, snap.PackLoad10kSpeedup)
-	fmt.Printf("stream eval: %.0f q/s at 10k, %.0f q/s at 100k (cache peak %d of %d budget, %d evictions)\n",
-		snap.StreamEval10kQPS, snap.StreamEval100kQPS,
-		snap.StreamCachePeakBytes, snap.StreamCacheBudget, snap.StreamCacheEvictions)
-	fmt.Printf("adaptive: %d of %d questions (%.1f%%), rank agreement %.3f, %.0f ms total\n",
-		snap.AdaptiveQuestionsAsked, snap.AdaptiveFullGridQuestions,
-		100*float64(snap.AdaptiveQuestionsAsked)/float64(max(snap.AdaptiveFullGridQuestions, 1)),
-		snap.AdaptiveRankAgreement, float64(snap.AdaptiveNs)/1e6)
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// cmdBenchDiff compares two bench snapshots field by field:
-// `chipvqa benchdiff OLD.json NEW.json`. A regression — any
-// *_ns_per_op growing more than 20%, any *_allocs_per_op growing at
-// all, or any *rank_agreement decreasing at all — makes the command
-// fail, which is what lets scripts/benchdiff.sh gate on it. Fields present in only one snapshot (schema evolution)
-// are reported informationally and never fail the diff, so snapshots
-// with different schema versions diff on their shared fields. When the
-// two snapshots were taken on machines with different num_cpu, timing
-// fields are not comparable: they are printed with a skipped-field
-// note and never counted as regressions (allocs/op is
-// machine-independent and still gates).
-// cmdBenchDiff compares two small JSON files — no cancellation point
-// needed, hence the blank context.
-func cmdBenchDiff(_ context.Context, args []string) error {
-	fs := newFlagSet("benchdiff")
-	tol := fs.Float64("tol", 0.20, "allowed fractional ns/op growth before failing")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return usagef("usage: chipvqa benchdiff OLD.json NEW.json")
-	}
-	oldSnap, oldSchema, err := loadFlatSnapshot(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newSnap, newSchema, err := loadFlatSnapshot(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	if oldSchema != newSchema {
-		fmt.Printf("note: schema %q vs %q — only shared fields are compared; the rest are listed informationally\n",
-			oldSchema, newSchema)
-	}
-	gateTiming := oldSnap["num_cpu"] == newSnap["num_cpu"]
-	if !gateTiming {
-		fmt.Printf("note: num_cpu %g vs %g — timing fields skipped (not comparable across machines); allocs/op still gates\n",
-			oldSnap["num_cpu"], newSnap["num_cpu"])
-	}
-	keys := make([]string, 0, len(oldSnap))
-	for k := range oldSnap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var regressions []string
-	for _, k := range keys {
-		ov := oldSnap[k]
-		nv, ok := newSnap[k]
-		if !ok {
-			fmt.Printf("  %-40s dropped (was %g)\n", k, ov)
-			continue
-		}
-		switch {
-		case strings.HasSuffix(k, "_ns_per_op") || strings.HasSuffix(k, ".ns_per_op") || strings.HasSuffix(k, "_ns"):
-			delta := 0.0
-			if ov > 0 {
-				delta = nv/ov - 1
-			}
-			status := "ok"
-			switch {
-			case !gateTiming:
-				status = "skipped (num_cpu differs)"
-			case nv > ov*(1+*tol):
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: %+.1f%% ns/op", k, 100*delta))
-			}
-			fmt.Printf("  %-40s %12.0f -> %12.0f ns (%+.1f%%) %s\n", k, ov, nv, 100*delta, status)
-		case strings.HasSuffix(k, "allocs_per_op"):
-			status := "ok"
-			if nv > ov {
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: %g -> %g allocs/op", k, ov, nv))
-			}
-			fmt.Printf("  %-40s %12g -> %12g allocs/op %s\n", k, ov, nv, status)
-		case strings.HasSuffix(k, "rank_agreement"):
-			// Quality gate, not a timing: the adaptive ranking must keep
-			// reproducing the full-grid ranking. Any decrease fails,
-			// machine-independently.
-			status := "ok"
-			if nv < ov {
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s: %g -> %g", k, ov, nv))
-			}
-			fmt.Printf("  %-40s %12g -> %12g %s\n", k, ov, nv, status)
-		}
-	}
-	newKeys := make([]string, 0)
-	for k := range newSnap {
-		if _, ok := oldSnap[k]; !ok {
-			newKeys = append(newKeys, k)
-		}
-	}
-	sort.Strings(newKeys)
-	for _, k := range newKeys {
-		fmt.Printf("  %-40s (new) %g\n", k, newSnap[k])
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d perf regression(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
-	}
-	fmt.Println("no regressions")
-	return nil
-}
-
-// loadFlatSnapshot reads a snapshot JSON and flattens every numeric
-// field into path-keyed values ("table_ii_grid.0.ns_per_op"), so the
-// diff handles nested sections and schema growth uniformly. The schema
-// identifier is returned separately so the diff can note when the two
-// snapshots come from different schema versions.
-func loadFlatSnapshot(path string) (map[string]float64, string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	var raw any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	schema := ""
-	if obj, ok := raw.(map[string]any); ok {
-		schema, _ = obj["schema"].(string)
-	}
-	out := make(map[string]float64)
-	flattenNumeric("", raw, out)
-	return out, schema, nil
-}
-
-// flattenNumeric walks parsed JSON, recording numeric leaves under
-// dotted path keys. Writing into a map from a map range is
-// order-independent, so the traversal needs no sorting.
-func flattenNumeric(prefix string, v any, out map[string]float64) {
-	switch t := v.(type) {
-	case map[string]any:
-		for k, val := range t {
-			key := k
-			if prefix != "" {
-				key = prefix + "." + k
-			}
-			flattenNumeric(key, val, out)
-		}
-	case []any:
-		for i, val := range t {
-			flattenNumeric(fmt.Sprintf("%s.%d", prefix, i), val, out)
-		}
-	case float64:
-		out[prefix] = t
-	}
 }

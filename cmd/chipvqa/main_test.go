@@ -99,6 +99,24 @@ func TestCmdExtended(t *testing.T) {
 	}
 }
 
+// TestCmdExtendedPackedStream drives the scale path end to end through
+// the CLI: pack a fold with -check, then evaluate it from the pack both
+// shard-at-a-time (-stream) and fully materialised.
+func TestCmdExtendedPackedStream(t *testing.T) {
+	pack := filepath.Join(t.TempDir(), "fold.cvqb")
+	if err := cmdPack(context.Background(), []string{"-seed", "cli-test", "-n", "2", "-o", pack, "-check"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-packed", pack, "-eval", "-stream", "-shard", "4"},
+		{"-packed", pack, "-eval"},
+	} {
+		if err := cmdExtended(context.Background(), args); err != nil {
+			t.Fatalf("extended %v: %v", args, err)
+		}
+	}
+}
+
 func TestCmdCompare(t *testing.T) {
 	if err := cmdCompare(context.Background(), []string{"-a", "GPT4o", "-b", "kosmos-2"}); err != nil {
 		t.Fatal(err)
@@ -288,66 +306,5 @@ func TestCmdAdaptive(t *testing.T) {
 	cancel()
 	if err := cmdAdaptive(ctx, []string{"-seed", "cli-test", "-n", "4"}); err == nil {
 		t.Error("cancelled adaptive run returned nil error")
-	}
-}
-
-func TestCmdBenchDiff(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	old := write("old.json", `{
-		"schema": "chipvqa-bench/2",
-		"bootstrap_ci_ns_per_op": 1000000,
-		"table_ii_serial_ns_per_op": 500,
-		"dropped_ns_per_op": 42
-	}`)
-	better := write("better.json", `{
-		"schema": "chipvqa-bench/3",
-		"bootstrap_ci_ns_per_op": 50000,
-		"bootstrap_ci_allocs_per_op": 14,
-		"table_ii_serial_ns_per_op": 550,
-		"table_ii_grid": [{"workers": 1, "ns_per_op": 7, "allocs_per_op": 0}]
-	}`)
-	if err := cmdBenchDiff(context.Background(), []string{old, better}); err != nil {
-		t.Fatalf("improvement flagged as regression: %v", err)
-	}
-	slow := write("slow.json", `{"bootstrap_ci_ns_per_op": 1300000, "table_ii_serial_ns_per_op": 500}`)
-	if err := cmdBenchDiff(context.Background(), []string{old, slow}); err == nil {
-		t.Error(">20% ns/op growth not rejected")
-	}
-	// Within tolerance: 10% growth passes the default 20% gate.
-	mild := write("mild.json", `{"bootstrap_ci_ns_per_op": 1100000, "table_ii_serial_ns_per_op": 500}`)
-	if err := cmdBenchDiff(context.Background(), []string{old, mild}); err != nil {
-		t.Errorf("10%% growth rejected at default tolerance: %v", err)
-	}
-	// Any allocs/op increase is a regression, even with ns/op flat.
-	allocOld := write("alloc-old.json", `{"judge_all_ns_per_op": 100, "judge_all_allocs_per_op": 0}`)
-	allocNew := write("alloc-new.json", `{"judge_all_ns_per_op": 100, "judge_all_allocs_per_op": 3}`)
-	if err := cmdBenchDiff(context.Background(), []string{allocOld, allocNew}); err == nil {
-		t.Error("allocs/op increase not rejected")
-	}
-	// Any rank-agreement decrease is a regression (quality gate, schema
-	// v5); an increase or equality passes.
-	rankOld := write("rank-old.json", `{"adaptive_rank_agreement": 1.0, "adaptive_questions_asked": 600}`)
-	rankBad := write("rank-bad.json", `{"adaptive_rank_agreement": 0.95, "adaptive_questions_asked": 500}`)
-	if err := cmdBenchDiff(context.Background(), []string{rankOld, rankBad}); err == nil {
-		t.Error("rank_agreement decrease not rejected")
-	}
-	if err := cmdBenchDiff(context.Background(), []string{rankOld, rankOld}); err != nil {
-		t.Errorf("flat rank_agreement rejected: %v", err)
-	}
-	if err := cmdBenchDiff(context.Background(), []string{old}); err == nil {
-		t.Error("missing operand accepted")
-	}
-	if err := cmdBenchDiff(context.Background(), []string{old, filepath.Join(dir, "nope.json")}); err == nil {
-		t.Error("unreadable snapshot accepted")
-	}
-	if err := cmdBenchDiff(context.Background(), []string{old, write("bad.json", "{")}); err == nil {
-		t.Error("malformed JSON accepted")
 	}
 }

@@ -131,8 +131,8 @@ func TestStreamPackMatchesStreamExtended(t *testing.T) {
 // the codec: at 10k-question scale, loading a packed fold must beat
 // regenerating it by a wide margin. Generation is the serial streaming
 // build — the apples-to-apples single-goroutine comparison. The
-// measured ratio on the reference host is 10-12x (the snapshot's
-// pack_load_10k_speedup field records it); the test gates at 7x so a
+// measured ratio on the reference host is 10-12x (BenchmarkWritePack10k
+// over BenchmarkReadPack10k reports it); the test gates at 7x so a
 // noisy shared-CI scheduler cannot flake a genuinely order-of-magnitude
 // win, while a real codec regression (ratio collapse) still fails.
 func TestPackColdLoadFasterThanRegeneration(t *testing.T) {

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Full tier-1 verification gate, in dependency order: vet, build, the
 # static gates (gofmt + chipvqa-lint via scripts/lint.sh), the test
-# suite, and the race-enabled test suite. Everything that merges must
-# pass this; bench.sh runs it as its preflight so no perf snapshot is
-# ever recorded from a tree that fails the gate.
+# suite, a one-iteration smoke of every benchmark, and the race-enabled
+# test suite. Everything that merges must pass this.
 #
 # Usage: scripts/verify.sh
 set -e
@@ -21,6 +20,11 @@ echo "== lint (gofmt + chipvqa-lint)"
 sh scripts/lint.sh
 echo "== go test"
 go test ./...
+# One iteration of every go test benchmark: catches a bench that panics
+# or b.Fatals, and runs the byte-identity assertion inside
+# BenchmarkTableIIGridSharded, which no plain test executes.
+echo "== go test -bench smoke"
+go test -run '^$' -bench=. -benchtime=1x ./...
 echo "== go test -race"
 go test -race ./...
 echo "== benchmark module: go test -race"
