@@ -56,7 +56,7 @@ func TestCmdServeUsage(t *testing.T) {
 func TestCmdServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	packPath := filepath.Join(dir, "extra.cvqb")
-	ext, err := core.CollectExtended("cmd-serve", 1, 2)
+	ext, err := core.BuildExtended("cmd-serve", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestAdaptiveReproducesFullGridRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fold, err := core.CollectExtended("fold-j", 30, 64)
+	fold, err := core.BuildExtended("fold-j", 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,9 @@ import "repro/internal/dataset"
 // than hard-importing every discipline package.
 func init() {
 	dataset.RegisterGenerator(dataset.Generator{
-		Name:               "analog",
-		Category:           dataset.Analog,
-		Generate:           Generate,
-		GenerateExtra:      GenerateExtra,
-		GenerateExtraRange: GenerateExtraRange,
+		Name:     "analog",
+		Category: dataset.Analog,
+		Generate: Generate,
+		ExtraAt:  ExtraAt,
 	})
 }

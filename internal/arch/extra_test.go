@@ -10,7 +10,14 @@ import (
 // isolation; cross-collection properties (oracle, disjointness) live in
 // internal/core.
 func TestGenerateExtraSmoke(t *testing.T) {
-	qs := GenerateExtra("unit", 12)
+	extras := func() []*dataset.Question {
+		qs := make([]*dataset.Question, 12)
+		for i := range qs {
+			qs[i] = ExtraAt("unit", i)
+		}
+		return qs
+	}
+	qs := extras()
 	if len(qs) != 12 {
 		t.Fatalf("got %d", len(qs))
 	}
@@ -22,7 +29,7 @@ func TestGenerateExtraSmoke(t *testing.T) {
 			t.Errorf("%s: wrong category", q.ID)
 		}
 	}
-	qs2 := GenerateExtra("unit", 12)
+	qs2 := extras()
 	for i := range qs {
 		if qs[i].Prompt != qs2[i].Prompt || qs[i].Golden.Text != qs2[i].Golden.Text {
 			t.Fatalf("extra %d differs between runs", i)

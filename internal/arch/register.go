@@ -7,10 +7,9 @@ import "repro/internal/dataset"
 // than hard-importing every discipline package.
 func init() {
 	dataset.RegisterGenerator(dataset.Generator{
-		Name:               "arch",
-		Category:           dataset.Architecture,
-		Generate:           Generate,
-		GenerateExtra:      GenerateExtra,
-		GenerateExtraRange: GenerateExtraRange,
+		Name:     "arch",
+		Category: dataset.Architecture,
+		Generate: Generate,
+		ExtraAt:  ExtraAt,
 	})
 }

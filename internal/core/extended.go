@@ -9,10 +9,11 @@ import (
 // BuildExtended generates an extended collection beyond the fixed
 // 142-question benchmark — the paper's stated future work
 // ("ChipVQA-oriented dataset collection"). Each registered discipline
-// contributes perCategory additional seed-parameterised questions from
-// its template library; the seed makes disjoint collections ("fold-a",
+// contributes its ExtraAt questions 0..perCategory-1, one generation
+// job per discipline; the seed makes disjoint collections ("fold-a",
 // "fold-b", ...) for train/test studies. Like BuildBenchmark, assembly
-// walks the dataset generator registry in canonical category order.
+// walks the dataset generator registry in canonical category order, so
+// the result is byte-identical to concatenating StreamExtended's shards.
 func BuildExtended(seed string, perCategory int) (*dataset.Benchmark, error) {
 	if perCategory <= 0 {
 		return nil, fmt.Errorf("core: perCategory must be positive, got %d", perCategory)
@@ -23,7 +24,11 @@ func BuildExtended(seed string, perCategory int) (*dataset.Benchmark, error) {
 	}
 	b := &dataset.Benchmark{Name: fmt.Sprintf("ChipVQA-extended-%s", seed)}
 	b.Questions = generateConcurrent(gens, func(g dataset.Generator) []*dataset.Question {
-		return g.GenerateExtra(seed, perCategory)
+		qs := make([]*dataset.Question, perCategory)
+		for i := range qs {
+			qs[i] = g.ExtraAt(seed, i)
+		}
+		return qs
 	})
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -31,21 +36,51 @@ func BuildExtended(seed string, perCategory int) (*dataset.Benchmark, error) {
 	return b, nil
 }
 
-// SplitTrainTest partitions a benchmark into a training and a test split
-// by taking every k-th question into the test set (k = 1/testFraction),
-// preserving category balance because questions are grouped by category.
-func SplitTrainTest(b *dataset.Benchmark, testEvery int) (train, test *dataset.Benchmark) {
-	if testEvery < 2 {
-		testEvery = 2
+// StreamExtended generates the same fold as BuildExtended(seed,
+// perCategory) but delivers it as a sequence of shards of at most
+// shardSize questions, so a large fold never has to exist as a single
+// slice. Shards arrive in canonical category-major order and
+// concatenating them is byte-identical to the monolithic build: both
+// loop each registered discipline's ExtraAt over the same (seed, index)
+// pairs, and ExtraAt is a pure function of them.
+//
+// yield is called once per shard, in order, on the calling goroutine;
+// returning a non-nil error stops the stream and propagates the error.
+// The shard's Questions slice must not be retained after yield returns.
+//
+// ID disjointness needs no global dedup set here: every discipline
+// prefixes its extended IDs with a distinct marker (xd-/xa-/xr-/xm-/
+// xp-) followed by the seed and within-category index, so IDs are
+// unique across categories and across folds by construction. Each
+// question is still individually validated before delivery.
+func StreamExtended(seed string, perCategory, shardSize int, yield func(dataset.Shard) error) error {
+	if perCategory <= 0 {
+		return fmt.Errorf("core: perCategory must be positive, got %d", perCategory)
 	}
-	train = &dataset.Benchmark{Name: b.Name + "-train"}
-	test = &dataset.Benchmark{Name: b.Name + "-test"}
-	for i, q := range b.Questions {
-		if i%testEvery == 0 {
-			test.Questions = append(test.Questions, q)
-		} else {
-			train.Questions = append(train.Questions, q)
+	if shardSize <= 0 {
+		return fmt.Errorf("core: shardSize must be positive, got %d", shardSize)
+	}
+	if yield == nil {
+		return fmt.Errorf("core: StreamExtended requires a yield callback")
+	}
+	gens, err := registeredGenerators()
+	if err != nil {
+		return err
+	}
+	total := len(gens) * perCategory
+	for start, idx := 0, 0; start < total; start, idx = start+shardSize, idx+1 {
+		end := min(start+shardSize, total)
+		qs := make([]*dataset.Question, 0, end-start)
+		for i := start; i < end; i++ {
+			q := gens[i/perCategory].ExtraAt(seed, i%perCategory)
+			if err := q.Validate(); err != nil {
+				return fmt.Errorf("core: shard %d: %w", idx, err)
+			}
+			qs = append(qs, q)
+		}
+		if err := yield(dataset.Shard{Index: idx, Start: start, Questions: qs}); err != nil {
+			return err
 		}
 	}
-	return train, test
+	return nil
 }

@@ -18,6 +18,21 @@ func benchmarkJSON(t *testing.T, b *dataset.Benchmark) []byte {
 	return buf.Bytes()
 }
 
+// collectExtended concatenates StreamExtended's shards into one fold,
+// named like BuildExtended's, for the stream-vs-monolith comparisons.
+func collectExtended(t *testing.T, seed string, perCategory, shardSize int) *dataset.Benchmark {
+	t.Helper()
+	b := &dataset.Benchmark{Name: fmt.Sprintf("ChipVQA-extended-%s", seed)}
+	err := StreamExtended(seed, perCategory, shardSize, func(s dataset.Shard) error {
+		b.Questions = append(b.Questions, s.Questions...)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("StreamExtended(%s, shard=%d): %v", seed, shardSize, err)
+	}
+	return b
+}
+
 // TestStreamMatchesMonolith is the core determinism contract of the
 // shard pipeline: the streamed fold, concatenated, must be
 // byte-identical to BuildExtended — including with a shard size that
@@ -29,10 +44,7 @@ func TestStreamMatchesMonolith(t *testing.T) {
 	}
 	monoJSON := benchmarkJSON(t, mono)
 	for _, shardSize := range []int{1, 7, 37, 40, 200, 1000} {
-		streamed, err := CollectExtended("stream-a", 40, shardSize)
-		if err != nil {
-			t.Fatalf("CollectExtended(shard=%d): %v", shardSize, err)
-		}
+		streamed := collectExtended(t, "stream-a", 40, shardSize)
 		if got := benchmarkJSON(t, streamed); !bytes.Equal(got, monoJSON) {
 			t.Errorf("shard size %d: streamed fold differs from monolithic build", shardSize)
 		}
@@ -99,10 +111,7 @@ func TestStreamFoldsDisjointAtShardBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildExtended(%s): %v", seed, err)
 		}
-		streamed, err := CollectExtended(seed, 60, shardSize)
-		if err != nil {
-			t.Fatalf("CollectExtended(%s): %v", seed, err)
-		}
+		streamed := collectExtended(t, seed, 60, shardSize)
 		if !bytes.Equal(benchmarkJSON(t, mono), benchmarkJSON(t, streamed)) {
 			t.Errorf("fold %s: streamed build differs from monolithic build", seed)
 		}

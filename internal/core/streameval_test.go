@@ -38,10 +38,7 @@ func streamEvalEnvelope(t *testing.T, seed string, perCategory, shardSize int, b
 		visual.Default.Reset()
 	}()
 
-	mono, err := CollectExtended(seed, perCategory, shardSize)
-	if err != nil {
-		t.Fatalf("CollectExtended: %v", err)
-	}
+	mono := collectExtended(t, seed, perCategory, shardSize)
 	// Calibrate one Table II model against the fold; decisions are keyed
 	// by question ID, so the streaming pass (fresh question values, same
 	// IDs) sees identical behaviour.
@@ -52,7 +49,7 @@ func streamEvalEnvelope(t *testing.T, seed string, perCategory, shardSize int, b
 	visual.Default.Reset() // isolate the streaming pass's cache pressure
 
 	streamed := []*eval.Report{{}}
-	err = r.EvaluateShardsContext(context.Background(), models, func(yield func(dataset.Shard) error) error {
+	err := r.EvaluateShardsContext(context.Background(), models, func(yield func(dataset.Shard) error) error {
 		return StreamExtended(seed, perCategory, shardSize, yield)
 	}, streamed)
 	if err != nil {

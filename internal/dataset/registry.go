@@ -8,9 +8,9 @@ import (
 
 // Generator is one discipline's entry in the benchmark-assembly
 // registry: a name, the discipline it covers, the fixed Table I
-// question generator and the seed-parameterised extended generator.
-// Discipline packages (internal/digital, internal/analog, ...)
-// self-register from init, and internal/core assembles collections
+// question generator and the seed-parameterised extended question
+// primitive. Discipline packages (internal/digital, internal/analog,
+// ...) self-register from init, and internal/core assembles collections
 // from the registry instead of hard-importing every discipline — the
 // inversion that lets alternative assemblies (subsets, shards, new
 // disciplines) plug in without touching core.
@@ -24,32 +24,12 @@ type Generator struct {
 	// Generate produces the discipline's share of the fixed
 	// 142-question ChipVQA collection.
 	Generate func() []*Question
-	// GenerateExtra produces count additional seed-parameterised
-	// questions for extended collections; distinct seeds must give
-	// disjoint folds.
-	GenerateExtra func(seed string, count int) []*Question
-	// GenerateExtraRange produces only the extended questions with
-	// within-category indices in [lo, hi) — the window primitive the
-	// streaming shard API is built on. It must satisfy the prefix
-	// contract: GenerateExtraRange(seed, lo, hi) is element-for-element
-	// identical to GenerateExtra(seed, hi)[lo:], so shard assembly is
-	// byte-identical to a monolithic build. Optional for back-compat;
-	// when nil, ExtraRange falls back to generating the full prefix.
-	GenerateExtraRange func(seed string, lo, hi int) []*Question
-}
-
-// ExtraRange returns g's extended questions with indices in [lo, hi),
-// using the windowed generator when the discipline registered one and
-// the (memory-proportional-to-hi) GenerateExtra prefix fallback
-// otherwise. All five built-in disciplines register the windowed form.
-func (g Generator) ExtraRange(seed string, lo, hi int) []*Question {
-	if hi <= lo {
-		return nil
-	}
-	if g.GenerateExtraRange != nil {
-		return g.GenerateExtraRange(seed, lo, hi)
-	}
-	return g.GenerateExtra(seed, hi)[lo:]
+	// ExtraAt builds the i-th extended question of the fold named by
+	// seed. It must be a pure function of (seed, i), and distinct seeds
+	// must give disjoint folds: every extended build, monolithic or
+	// sharded, is a loop over it, so any window of a fold is identical
+	// to the same slice of a full build.
+	ExtraAt func(seed string, i int) *Question
 }
 
 // registry is the process-wide generator table. Registration happens
@@ -64,7 +44,7 @@ var registry struct {
 // panics on incomplete entries or duplicate names/categories: both are
 // wiring bugs that must fail at init, not at first use.
 func RegisterGenerator(g Generator) {
-	if g.Name == "" || g.Generate == nil || g.GenerateExtra == nil {
+	if g.Name == "" || g.Generate == nil || g.ExtraAt == nil {
 		panic(fmt.Sprintf("dataset: incomplete generator registration %+v", g))
 	}
 	if g.Category < 0 || g.Category >= numCategories {
@@ -93,16 +73,4 @@ func Generators() []Generator {
 	copy(out, registry.gens)
 	sort.Slice(out, func(i, j int) bool { return out[i].Category < out[j].Category })
 	return out
-}
-
-// GeneratorFor looks up the generator registered for a category.
-func GeneratorFor(c Category) (Generator, bool) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, g := range registry.gens {
-		if g.Category == c {
-			return g, true
-		}
-	}
-	return Generator{}, false
 }

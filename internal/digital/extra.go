@@ -7,31 +7,10 @@ import (
 	"repro/internal/rng"
 )
 
-// GenerateExtra produces additional Digital Design questions beyond the
-// fixed 142-question collection — the paper's future-work direction of
-// "ChipVQA-oriented dataset collection". Questions cycle through the
-// package's templates with seed-parameterised instances; IDs are
-// prefixed so they never collide with the standard collection.
-func GenerateExtra(seed string, count int) []*dataset.Question {
-	return GenerateExtraRange(seed, 0, count)
-}
-
-// GenerateExtraRange produces only the extended questions with indices
-// in [lo, hi). Every question is a pure function of (seed, index), so a
-// window is byte-identical to the same slice of a full build — the
-// contract the streaming shard assembly relies on.
-func GenerateExtraRange(seed string, lo, hi int) []*dataset.Question {
-	if hi <= lo {
-		return nil
-	}
-	qs := make([]*dataset.Question, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		qs = append(qs, ExtraAt(seed, i))
-	}
-	return qs
-}
-
-// ExtraAt builds the i-th extended Digital Design question of a fold.
+// ExtraAt builds the i-th extended Digital Design question of fold
+// seed (the paper's future-work "ChipVQA-oriented dataset collection"),
+// cycling through the package's templates; the "xd-" ID prefix keeps it
+// clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
 	inst := fmt.Sprintf("%s-%d", seed, i)
 	id := fmt.Sprintf("xd-%s-%02d", seed, i)

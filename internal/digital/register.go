@@ -7,10 +7,9 @@ import "repro/internal/dataset"
 // than hard-importing every discipline package.
 func init() {
 	dataset.RegisterGenerator(dataset.Generator{
-		Name:               "digital",
-		Category:           dataset.Digital,
-		Generate:           Generate,
-		GenerateExtra:      GenerateExtra,
-		GenerateExtraRange: GenerateExtraRange,
+		Name:     "digital",
+		Category: dataset.Digital,
+		Generate: Generate,
+		ExtraAt:  ExtraAt,
 	})
 }

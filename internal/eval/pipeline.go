@@ -117,10 +117,12 @@ type Pipeline struct {
 }
 
 // Run executes the pipeline until the scheduler drains or ctx is
-// cancelled, returning ctx.Err(). A scheduler that breaks the Seq
+// cancelled, returning ctx.Err(). A scheduler that breaks its
 // contract (ItemScheduler) fails the run with an error instead: a
-// repeated Seq stops delivery at once, and a skipped Seq is reported
-// once the workers exit with events still parked behind it.
+// repeated Seq stops delivery at once, a skipped Seq is reported once
+// the workers exit with events still parked behind it, and a
+// ScheduleWait with nothing outstanding stops the run as soon as every
+// worker is waiting.
 //
 // Workers pull tasks cooperatively: cancellation is checked between
 // questions (a question in flight finishes), and the in-order delivery
@@ -183,6 +185,13 @@ func (p *Pipeline) Run(ctx context.Context) error {
 					if d.stopped.Load() {
 						// A stop's pulse may have preceded this arm;
 						// nothing would wake the wait below.
+						return
+					}
+					if gate.park(wake, nw) {
+						// Nothing can ever pulse the gate: stop the
+						// run and release the other waiters.
+						d.stopped.Store(true)
+						gate.pulse()
 						return
 					}
 					select {
@@ -286,7 +295,8 @@ func (d *delivery) deliver(ctx context.Context, ev Event) {
 
 // result is the run's outcome once every worker has exited: a Seq
 // contract breach, else ctx.Err(), else a gap — an uncancelled run
-// that still holds parked events never saw the Seq they wait behind.
+// that still holds parked events never saw the Seq they wait behind —
+// else a wait that nothing outstanding could ever end.
 func (d *delivery) result(ctx context.Context) error {
 	if d.breach != nil {
 		return d.breach
@@ -296,6 +306,9 @@ func (d *delivery) result(ctx context.Context) error {
 	}
 	if len(d.pending) > 0 {
 		return fmt.Errorf("eval: scheduler skipped Seq %d; %d later events undelivered", d.next, len(d.pending))
+	}
+	if d.gate.stuck {
+		return fmt.Errorf("eval: scheduler waits with no outstanding events after %d delivered", d.next)
 	}
 	return nil
 }

@@ -22,7 +22,8 @@ const (
 	// ScheduleWait: no event is available right now, but outcomes are
 	// still outstanding and recording them may unblock more work. Only
 	// legal while at least one issued event has not been recorded —
-	// otherwise nothing can ever wake the pipeline again.
+	// otherwise nothing can ever wake the pipeline again, and
+	// Pipeline.Run fails the run once every worker is waiting.
 	ScheduleWait
 	// ScheduleDone: the run is complete; no further events will be
 	// issued. Must be sticky: once returned, every later Next must
@@ -87,15 +88,17 @@ func (s *sourceScheduler) SizeHint() int { return s.n }
 
 // schedGate wakes workers parked on ScheduleWait. A worker arms the
 // gate only after a first Next returned Wait (so the static path never
-// touches it), re-checks the scheduler, and then blocks on the armed
-// channel; the delivery path pulses the gate after recording outcomes,
-// which closes the channel only when someone is (or may be) waiting —
-// the channel is replaced lazily, so a run that never waits never
-// allocates here.
+// touches it), re-checks the scheduler, parks, and then blocks on the
+// armed channel; the delivery path pulses the gate after recording
+// outcomes, which closes the channel only when someone is (or may be)
+// waiting — the channel is replaced lazily, so a run that never waits
+// never allocates here.
 type schedGate struct {
-	mu    sync.Mutex
-	ch    chan struct{}
-	armed bool
+	mu     sync.Mutex
+	ch     chan struct{}
+	armed  bool
+	parked int  // waiters blocked since the last pulse
+	stuck  bool // every worker parked at once: no pulse can ever come
 }
 
 func newSchedGate() *schedGate {
@@ -110,6 +113,20 @@ func (g *schedGate) arm() <-chan struct{} {
 	return g.ch
 }
 
+// park counts a waiter about to block on wake (unless wake was already
+// pulsed) and reports whether all workers are now parked: then none
+// holds an event whose Record could ever pulse the gate.
+func (g *schedGate) park(wake <-chan struct{}, workers int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ch != wake {
+		return false
+	}
+	g.parked++
+	g.stuck = g.parked == workers
+	return g.stuck
+}
+
 // pulse wakes every armed waiter; a no-op when nobody armed since the
 // last pulse.
 func (g *schedGate) pulse() {
@@ -121,4 +138,5 @@ func (g *schedGate) pulse() {
 	close(g.ch)
 	g.ch = make(chan struct{})
 	g.armed = false
+	g.parked = 0
 }

@@ -2,9 +2,11 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -143,13 +145,15 @@ func TestSchedulerWinsOverSource(t *testing.T) {
 }
 
 // seqScheduler issues one event per entry of seqs, with that Seq, and
-// is then done: a scheduler that can break the consecutive-Seq
-// contract on purpose.
+// is then done — or, with wait set, returns ScheduleWait forever: a
+// scheduler that can break the consecutive-Seq and Wait contracts on
+// purpose.
 type seqScheduler struct {
 	mu        sync.Mutex
 	model     Model
 	questions []*dataset.Question
 	seqs      []int
+	wait      bool
 	issued    int
 }
 
@@ -157,6 +161,9 @@ func (s *seqScheduler) Next() (Event, ScheduleState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.issued >= len(s.seqs) {
+		if s.wait {
+			return Event{}, ScheduleWait
+		}
 		return Event{}, ScheduleDone
 	}
 	ev := Event{Seq: s.seqs[s.issued], Model: s.model, Question: s.questions[s.issued]}
@@ -166,37 +173,50 @@ func (s *seqScheduler) Next() (Event, ScheduleState) {
 
 func (s *seqScheduler) Record(*Event) {}
 
-// TestSchedulerSeqContractBreach: a skipped or repeated Seq fails the
-// run with an error naming the Seq instead of returning nil with
-// events silently lost.
+// TestSchedulerSeqContractBreach: a skipped or repeated Seq, or a
+// ScheduleWait with nothing outstanding (always, or after skipping the
+// Seq it waits on), fails the run with an error instead of returning
+// nil with events silently lost or parking every worker forever.
 func TestSchedulerSeqContractBreach(t *testing.T) {
 	b := testBenchmark(5)
 	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
 	cases := []struct {
-		name string
-		seqs []int
-		want string
+		name    string
+		seqs    []int
+		wait    bool
+		want    string
+		results int // delivered events; -1 when it depends on timing
 	}{
-		{"gap", []int{0, 2, 3, 4, 5}, "skipped Seq 1"},
-		{"duplicate", []int{0, 1, 1, 2, 3}, "Seq 1 twice"},
+		{"gap", []int{0, 2, 3, 4, 5}, false, "skipped Seq 1", 1},
+		{"duplicate", []int{0, 1, 1, 2, 3}, false, "Seq 1 twice", -1},
+		{"always-wait", nil, true, "no outstanding events after 0 delivered", 0},
+		{"skip-then-wait", []int{0, 2, 3}, true, "skipped Seq 1", 1},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
-			rep := &Report{ModelName: m.Name()}
-			p := &Pipeline{
-				Scheduler: &seqScheduler{model: m, questions: b.Questions, seqs: c.seqs},
-				Infer:     modelInference{},
-				Judge:     judgeStage{judge: Judge{}},
-				Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
-				Workers:   workers,
-			}
-			err := p.Run(context.Background())
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("%s, workers=%d: err = %v, want it to contain %q", c.name, workers, err, c.want)
-			}
-			if c.name == "gap" && len(rep.Results) != 1 {
-				t.Errorf("gap, workers=%d: delivered %d results, want only Seq 0", workers, len(rep.Results))
-			}
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				rep := &Report{ModelName: m.Name()}
+				p := &Pipeline{
+					Scheduler: &seqScheduler{model: m, questions: b.Questions, seqs: c.seqs, wait: c.wait},
+					Infer:     modelInference{},
+					Judge:     judgeStage{judge: Judge{}},
+					Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
+					Workers:   workers,
+				}
+				done := make(chan error, 1)
+				go func() { done <- p.Run(context.Background()) }()
+				select {
+				case err := <-done:
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("err = %v, want it to contain %q", err, c.want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("Run still parked after 10s")
+				}
+				if c.results >= 0 && len(rep.Results) != c.results {
+					t.Errorf("delivered %d results, want %d", len(rep.Results), c.results)
+				}
+			})
 		}
 	}
 }

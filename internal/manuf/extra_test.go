@@ -7,7 +7,14 @@ import (
 )
 
 func TestGenerateExtraSmoke(t *testing.T) {
-	qs := GenerateExtra("unit", 12)
+	extras := func() []*dataset.Question {
+		qs := make([]*dataset.Question, 12)
+		for i := range qs {
+			qs[i] = ExtraAt("unit", i)
+		}
+		return qs
+	}
+	qs := extras()
 	if len(qs) != 12 {
 		t.Fatalf("got %d", len(qs))
 	}
@@ -20,7 +27,7 @@ func TestGenerateExtraSmoke(t *testing.T) {
 		}
 	}
 	// Determinism.
-	qs2 := GenerateExtra("unit", 12)
+	qs2 := extras()
 	for i := range qs {
 		if qs[i].Prompt != qs2[i].Prompt || qs[i].Golden.Number != qs2[i].Golden.Number {
 			t.Fatalf("extra %d differs between runs", i)

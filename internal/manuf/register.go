@@ -7,10 +7,9 @@ import "repro/internal/dataset"
 // than hard-importing every discipline package.
 func init() {
 	dataset.RegisterGenerator(dataset.Generator{
-		Name:               "manuf",
-		Category:           dataset.Manufacture,
-		Generate:           Generate,
-		GenerateExtra:      GenerateExtra,
-		GenerateExtraRange: GenerateExtraRange,
+		Name:     "manuf",
+		Category: dataset.Manufacture,
+		Generate: Generate,
+		ExtraAt:  ExtraAt,
 	})
 }

@@ -8,27 +8,9 @@ import (
 	"repro/internal/visual"
 )
 
-// GenerateExtra produces additional Physical Design questions, cycling
-// through seed-parameterised instances of the package's templates.
-func GenerateExtra(seed string, count int) []*dataset.Question {
-	return GenerateExtraRange(seed, 0, count)
-}
-
-// GenerateExtraRange produces only the extended questions with indices
-// in [lo, hi); each is a pure function of (seed, index), so a window is
-// byte-identical to the same slice of a full build.
-func GenerateExtraRange(seed string, lo, hi int) []*dataset.Question {
-	if hi <= lo {
-		return nil
-	}
-	qs := make([]*dataset.Question, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		qs = append(qs, ExtraAt(seed, i))
-	}
-	return qs
-}
-
-// ExtraAt builds the i-th extended Physical Design question of a fold.
+// ExtraAt builds the i-th extended Physical Design question of fold seed,
+// cycling through the package's templates; the "xp-" ID prefix keeps
+// it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
 	inst := fmt.Sprintf("%s-%d", seed, i)
 	id := fmt.Sprintf("xp-%s-%02d", seed, i)

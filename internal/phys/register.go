@@ -7,10 +7,9 @@ import "repro/internal/dataset"
 // than hard-importing every discipline package.
 func init() {
 	dataset.RegisterGenerator(dataset.Generator{
-		Name:               "phys",
-		Category:           dataset.Physical,
-		Generate:           Generate,
-		GenerateExtra:      GenerateExtra,
-		GenerateExtraRange: GenerateExtraRange,
+		Name:     "phys",
+		Category: dataset.Physical,
+		Generate: Generate,
+		ExtraAt:  ExtraAt,
 	})
 }

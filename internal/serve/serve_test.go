@@ -348,7 +348,7 @@ func TestServeQuestionImage(t *testing.T) {
 // fold round-trips through the CVQB codec via StreamPack and is served
 // as an extra collection, browsable and evaluable by name.
 func TestServePackedCollection(t *testing.T) {
-	ext, err := core.CollectExtended("serve-pack", 2, 3)
+	ext, err := core.BuildExtended("serve-pack", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
