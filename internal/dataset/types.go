@@ -6,6 +6,7 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/visual"
 )
@@ -224,8 +225,16 @@ func (b *Benchmark) Validate() error {
 	return nil
 }
 
+// letters backs ChoiceLetter: slicing a constant does not allocate.
+const letters = "abcdefghijklmnopqrstuvwxyz"
+
 // ChoiceLetter formats a choice index as the letter used in prompts.
-func ChoiceLetter(i int) string { return string(rune('a' + i)) }
+func ChoiceLetter(i int) string {
+	if i >= 0 && i < len(letters) {
+		return letters[i : i+1]
+	}
+	return string(rune('a' + i))
+}
 
 // FormatPrompt renders the full text prompt a model receives, appending
 // lettered options for multiple-choice questions — the paper notes that
@@ -234,9 +243,18 @@ func (q *Question) FormatPrompt() string {
 	if q.Type != MultipleChoice {
 		return q.Prompt
 	}
-	s := q.Prompt
-	for i, c := range q.Choices {
-		s += fmt.Sprintf("\n%s) %s", ChoiceLetter(i), c)
+	n := len(q.Prompt)
+	for _, c := range q.Choices {
+		n += len("\na) ") + len(c)
 	}
-	return s
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(q.Prompt)
+	for i, c := range q.Choices {
+		b.WriteString("\n")
+		b.WriteString(ChoiceLetter(i))
+		b.WriteString(") ")
+		b.WriteString(c)
+	}
+	return b.String()
 }

@@ -8,6 +8,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -105,5 +106,36 @@ func TestJudgeZeroAlloc(t *testing.T) {
 				t.Errorf("Judge.Correct(%s): %v allocs/op, want 0", c.name, allocs)
 			}
 		})
+	}
+}
+
+// TestPipelineZeroAllocPerEvent pins the per-event pipeline path —
+// claim, infer, judge, reorder ring, drain — at 0 allocations: a run's
+// allocations are its set-up (ring, workers, gate), so a 4,096-event
+// grid allocates exactly as often as a 64-event one.
+func TestPipelineZeroAllocPerEvent(t *testing.T) {
+	b := testBenchmark(64)
+	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
+	allocs := func(models int) float64 {
+		ms := make([]Model, models)
+		for i := range ms {
+			ms[i] = m
+		}
+		return testing.AllocsPerRun(20, func() {
+			p := &Pipeline{
+				Source:  gridSource{models: ms, questions: b.Questions},
+				Infer:   constStage{},
+				Judge:   constStage{},
+				Sink:    nopSink{},
+				Workers: 2,
+			}
+			if err := p.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1), allocs(64)
+	if per := (large - small) / (64*64 - 64); per > 0 {
+		t.Errorf("Pipeline.Run: %.0f allocs for 4096 events vs %.0f for 64: %.4f per event, want 0", large, small, per)
 	}
 }

@@ -120,7 +120,8 @@ type Pipeline struct {
 // cancelled, returning ctx.Err(). A scheduler that breaks its
 // contract (ItemScheduler) fails the run with an error instead: a
 // repeated Seq stops delivery at once, a skipped Seq is reported once
-// the workers exit with events still parked behind it, and a
+// the workers exit, or all wait for room in the reorder window, with
+// events still parked behind it, and a
 // ScheduleWait with nothing outstanding stops the run as soon as every
 // worker is waiting.
 //
@@ -148,15 +149,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	if sched == nil {
 		sched = newSourceScheduler(p.Source)
 	}
-	gate := newSchedGate()
-	d := &delivery{
-		pending: make(map[int]Event),
-		sink:    p.Sink,
-		obs:     p.Observer,
-		clock:   clock,
-		sched:   sched,
-		gate:    gate,
-	}
 	nw := p.Workers
 	if s, ok := sched.(schedulerSize); ok && nw > s.SizeHint() {
 		nw = s.SizeHint()
@@ -164,51 +156,66 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	if nw < 1 {
 		nw = 1
 	}
-	// One Scratch per worker slot, checked out for the whole run: each
-	// slot belongs to exactly one goroutine, so the buffers are reused
-	// across every event that worker judges without locking or
-	// per-event pool traffic.
-	scratches := make([]*Scratch, nw)
-	for i := range scratches {
-		scratches[i] = getScratch()
+	gate := newSchedGate()
+	d := &delivery{
+		ring:    make([]slot, ringSize(sched, nw)),
+		workers: nw,
+		done:    ctx.Done(),
+		sink:    p.Sink,
+		obs:     p.Observer,
+		clock:   clock,
+		sched:   sched,
+		gate:    gate,
 	}
+	// One Event and one Scratch per worker, reused for the whole run:
+	// each belongs to exactly one goroutine, so Infer and Judge run
+	// without per-event allocation, locking or pool traffic.
+	evs := make([]Event, nw)
 	work := func(w int) {
-		for ctx.Err() == nil && !d.stopped.Load() {
-			ev, st := sched.Next()
+		ev, sc := &evs[w], getScratch()
+		judged := 0
+		for !closed(d.done) && !d.stopped.Load() {
+			var st ScheduleState
+			*ev, st = sched.Next()
 			if st == ScheduleWait {
 				// Arm the gate, then re-check: a Record between the
 				// first Next and arm would otherwise be a missed
 				// wake-up. The static path never reaches here.
 				wake := gate.arm()
-				ev, st = sched.Next()
+				*ev, st = sched.Next()
 				if st == ScheduleWait {
 					if d.stopped.Load() {
 						// A stop's pulse may have preceded this arm;
 						// nothing would wake the wait below.
-						return
+						break
 					}
 					if gate.park(wake, nw) {
 						// Nothing can ever pulse the gate: stop the
 						// run and release the other waiters.
-						d.stopped.Store(true)
-						gate.pulse()
-						return
+						d.stop()
+						break
 					}
 					select {
 					case <-wake:
-					case <-ctx.Done():
+					case <-d.done:
 					}
 					continue
 				}
 			}
 			if st == ScheduleDone {
-				return
+				break
 			}
-			ev.scratch = scratches[w]
-			p.Infer.Infer(ctx, &ev)
-			p.Judge.Judge(ctx, &ev)
+			ev.scratch = sc
+			p.Infer.Infer(ctx, ev)
+			p.Judge.Judge(ctx, ev)
 			ev.scratch = nil
-			d.deliver(ctx, ev)
+			judged++
+			d.publish(ev)
+		}
+		d.judged.Add(int64(judged))
+		putScratch(sc)
+		if gate.leave(nw) {
+			d.stop()
 		}
 	}
 	if nw == 1 {
@@ -224,79 +231,238 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		}
 		wg.Wait()
 	}
-	for _, sc := range scratches {
-		putScratch(sc)
-	}
 	return d.result(ctx)
 }
 
+// ringPerWorker sizes the reorder window: ringSize gives each worker
+// this many slots of lead over the lowest undelivered Seq. A worker
+// the OS deschedules for a while lets the others run far ahead — on a
+// 2-worker Table II sweep they park nearly the whole 1,704-event grid,
+// and on a 12,000-event stream shard several thousand events — so a
+// small window would turn every such stall into backpressure.
+const ringPerWorker = 4096
+
+// ringMax caps the window (about 9 MB of slots) however many workers
+// a caller asks for.
+const ringMax = 1 << 16
+
+// ringSize is the reorder window for a run of the given worker count,
+// clamped to a static source's length: no Seq of such a run can lap
+// the ring, so it never waits for room.
+func ringSize(sched ItemScheduler, workers int) int {
+	n := min(ringPerWorker*workers, ringMax)
+	if s, ok := sched.(*sourceScheduler); ok && s.n < n {
+		n = max(s.n, 1)
+	}
+	return n
+}
+
+// Slot phases: the low two bits of slot.state. The remaining bits hold
+// the slot's lap, Seq / len(ring), so slot i of lap L accepts exactly
+// Seq L*len(ring)+i; the zero state is lap 0, free.
+const (
+	slotFree    = iota // waiting for its lap's Seq
+	slotWriting        // a worker is copying the event in
+	slotReady          // parked until the drainer reaches it
+	lapShift    = 2
+)
+
+// slot is one reorder-window cell.
+type slot struct {
+	state atomic.Uint64
+	ev    Event
+}
+
 // delivery is the reorder buffer between the parallel stages and the
-// ordered sink: workers complete events in scheduling order, deliver
-// parks them until their Seq is next, and the contiguous prefix drains
-// under one mutex — which is what serialises Sink/Observer calls and
-// keeps them in canonical order for any worker count.
+// ordered sink: a ring of W slots indexed by Seq % W. A worker parks
+// its judged event in the slot its Seq names, waiting while that slot
+// still holds the previous lap (backpressure: at most W events are
+// ever parked), then tries to take the drain role. One drainer at a
+// time emits the contiguous ready prefix, which serialises Record,
+// Sink and Observer and keeps them in canonical order for any worker
+// count; a worker that finds the role taken goes back to work.
 type delivery struct {
-	mu      sync.Mutex
-	next    int           // lowest Seq not yet emitted
-	pending map[int]Event // completed events waiting for their turn
-	stopped atomic.Bool   // cancelled or broken; drop instead of emit
-	breach  error         // the first Seq contract breach, if any
+	ring    []slot
+	workers int
+	done    <-chan struct{} // the run's ctx.Done()
+	stopped atomic.Bool     // cancelled or broken; drop instead of emit
 	sink    Sink
 	obs     Observer
 	clock   func() time.Time
 	sched   ItemScheduler
 	gate    *schedGate
+	// The drainer writes next on every event and every publisher
+	// tries for the drain role: each sits on its own cache line, so
+	// neither write evicts the fields above, which the drainer reads
+	// on every event.
+	_        cacheLine
+	next     atomic.Int64 // lowest Seq not yet emitted
+	_        cacheLine
+	draining atomic.Bool // the drain role
+	_        cacheLine
+	judged   atomic.Int64 // events judged, summed as workers exit
+	once     sync.Once
+	breach   error // the first Seq contract breach, if any
 }
 
-func (d *delivery) deliver(ctx context.Context, ev Event) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Workers parked on ScheduleWait re-poll after every delivery
-	// attempt: Record below may have issued new work, and on
-	// cancellation the pulse is harmless (waiters also watch ctx).
-	defer d.gate.pulse()
-	if d.stopped.Load() {
+// cacheLine pads apart fields that different cores write.
+type cacheLine [64]byte
+
+// slotFor returns the ring slot Seq seq maps to and the state that
+// slot holds while it is free for seq's lap.
+func (d *delivery) slotFor(seq uint64) (*slot, uint64) {
+	w := uint64(len(d.ring))
+	return &d.ring[seq%w], seq / w << lapShift
+}
+
+// publish parks ev in its ring slot and drains what it can. A Seq the
+// ring has already taken — parked, being written, or emitted — is the
+// scheduler's repeated-Seq breach.
+func (d *delivery) publish(ev *Event) {
+	if ev.Seq < 0 {
+		d.repeated(ev.Seq)
 		return
 	}
-	if _, dup := d.pending[ev.Seq]; dup || ev.Seq < d.next {
-		d.breach = fmt.Errorf("eval: scheduler issued Seq %d twice", ev.Seq)
-		d.stopped.Store(true)
-		return
-	}
-	d.pending[ev.Seq] = ev
+	sl, free := d.slotFor(uint64(ev.Seq))
 	for {
-		if ctx.Err() != nil {
+		v := sl.state.Load()
+		if v == free && sl.state.CompareAndSwap(free, free|slotWriting) {
+			break
+		}
+		if v >= free {
+			if v != free {
+				d.repeated(ev.Seq)
+				return
+			}
+			continue // lost a race for the slot; look again
+		}
+		// The slot still holds an earlier lap: wait for the window.
+		if d.stopped.Load() || !d.await(sl, free) {
+			return
+		}
+	}
+	sl.ev = *ev
+	sl.state.Store(free | slotReady)
+	d.drain()
+}
+
+// await blocks until the drainer frees sl for the lap free names,
+// reporting false when the run stopped or its context ended instead. It
+// parks on the scheduler gate, so a window no drain can ever advance
+// — every worker waiting, the Seq it needs never issued — counts
+// towards the stuck run the gate detects.
+func (d *delivery) await(sl *slot, free uint64) bool {
+	wake := d.gate.arm()
+	if sl.state.Load() >= free {
+		return true // freed between the failed claim and arm
+	}
+	if d.stopped.Load() {
+		return false // a stop's pulse may have preceded this arm
+	}
+	if d.gate.park(wake, d.workers) {
+		d.stop()
+		return false
+	}
+	select {
+	case <-wake:
+		return true
+	case <-d.done:
+		return false
+	}
+}
+
+// drain takes the drain role if it is free and emits the ready prefix.
+// After letting go of the role it looks at the next slot once more: a
+// worker that published there while the role was held saw the role
+// taken and went back to work, so this re-check is what keeps that
+// event from waiting for the next publish.
+func (d *delivery) drain() {
+	// Load before the CAS: while another worker drains, a failed CAS
+	// would still take the role's cache line away from it.
+	for !d.draining.Load() && d.draining.CompareAndSwap(false, true) {
+		n := d.emit()
+		d.draining.Store(false)
+		if n > 0 {
+			// Record may have issued new work, and emitting freed
+			// slots: wake workers parked on either.
+			d.gate.pulse()
+		}
+		sl, free := d.slotFor(uint64(d.next.Load()))
+		if d.stopped.Load() || sl.state.Load() != free|slotReady {
+			return
+		}
+	}
+}
+
+// emit delivers ready slots in Seq order until it reaches one not yet
+// ready, returning how many it delivered. The caller holds the drain
+// role; each slot's event is recorded, stamped and handed to the sink
+// and observer in place, then the slot is freed for its next lap.
+//
+//hot:deliver per-event reorder drain; nothing here may allocate
+func (d *delivery) emit() int {
+	next := uint64(d.next.Load())
+	n := 0
+	for !d.stopped.Load() {
+		if closed(d.done) {
 			// Stop emitting the moment cancellation is visible — even
-			// for events already buffered — so an observer that cancels
+			// for events already parked — so an observer that cancels
 			// during Observe cuts the report off deterministically
 			// right after its event.
-			d.stopped.Store(true)
-			return
+			d.stop()
+			break
 		}
-		nxt, ok := d.pending[d.next]
-		if !ok {
-			return
+		sl, free := d.slotFor(next)
+		if sl.state.Load() != free|slotReady {
+			break
 		}
-		delete(d.pending, d.next)
-		d.next++
 		// The scheduler hears the judged outcome first — in canonical
 		// Seq order — and may annotate the event (ability, stop reason)
 		// before the sink and observer see it.
-		d.sched.Record(&nxt)
-		nxt.At = d.clock()
+		d.sched.Record(&sl.ev)
+		sl.ev.At = d.clock()
 		if d.sink != nil {
-			d.sink.Consume(nxt)
+			d.sink.Consume(sl.ev)
 		}
 		if d.obs != nil {
-			d.obs.Observe(nxt)
+			d.obs.Observe(sl.ev)
 		}
+		next++
+		d.next.Store(int64(next))
+		sl.state.Store(free + 1<<lapShift) // free for the next lap
+		n++
 	}
+	return n
+}
+
+// closed reports whether done is closed without blocking or locking,
+// which ctx.Err() does on every call. A nil done (a context that never
+// ends) is never closed.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// stop makes every worker drop its work and wakes any that wait.
+func (d *delivery) stop() {
+	d.stopped.Store(true)
+	d.gate.pulse()
+}
+
+// repeated fails the run on a Seq the scheduler issued twice.
+func (d *delivery) repeated(seq int) {
+	d.once.Do(func() { d.breach = fmt.Errorf("eval: scheduler issued Seq %d twice", seq) })
+	d.stop()
 }
 
 // result is the run's outcome once every worker has exited: a Seq
 // contract breach, else ctx.Err(), else a gap — an uncancelled run
-// that still holds parked events never saw the Seq they wait behind —
-// else a wait that nothing outstanding could ever end.
+// that judged events it never delivered never saw the Seq they wait
+// behind — else a wait that nothing outstanding could ever end.
 func (d *delivery) result(ctx context.Context) error {
 	if d.breach != nil {
 		return d.breach
@@ -304,11 +470,12 @@ func (d *delivery) result(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(d.pending) > 0 {
-		return fmt.Errorf("eval: scheduler skipped Seq %d; %d later events undelivered", d.next, len(d.pending))
+	next := d.next.Load()
+	if n := d.judged.Load() - next; n > 0 {
+		return fmt.Errorf("eval: scheduler skipped Seq %d; %d later events undelivered", next, n)
 	}
 	if d.gate.stuck {
-		return fmt.Errorf("eval: scheduler waits with no outstanding events after %d delivered", d.next)
+		return fmt.Errorf("eval: scheduler waits with no outstanding events after %d delivered", next)
 	}
 	return nil
 }

@@ -27,7 +27,8 @@ const (
 	ScheduleWait
 	// ScheduleDone: the run is complete; no further events will be
 	// issued. Must be sticky: once returned, every later Next must
-	// return it too.
+	// return it too. Pipeline.Run fails a run whose workers exit on
+	// Done while the rest wait with nothing outstanding.
 	ScheduleDone
 )
 
@@ -39,7 +40,8 @@ const (
 // reorder buffer delivers strictly in Seq order. Pipeline.Run fails a
 // run that breaks this: a repeated Seq stops delivery with an error,
 // and a skipped Seq leaves every later event undelivered and is
-// reported when the workers exit.
+// reported when the workers exit or all wait for room in the reorder
+// window.
 //
 // Record receives each judged event exactly once, strictly in Seq
 // order, from one goroutine at a time, *before* the sink and observer
@@ -86,19 +88,22 @@ func (s *sourceScheduler) Record(*Event) {}
 
 func (s *sourceScheduler) SizeHint() int { return s.n }
 
-// schedGate wakes workers parked on ScheduleWait. A worker arms the
-// gate only after a first Next returned Wait (so the static path never
-// touches it), re-checks the scheduler, parks, and then blocks on the
-// armed channel; the delivery path pulses the gate after recording
-// outcomes, which closes the channel only when someone is (or may be)
-// waiting — the channel is replaced lazily, so a run that never waits
+// schedGate wakes workers parked on ScheduleWait or on a full reorder
+// window. A worker arms the gate only after a first Next returned Wait
+// or its ring slot was still taken (so a static run that never fills
+// its window never touches it), re-checks, parks, and then blocks on
+// the armed channel; the delivery path pulses the gate after emitting
+// events, which closes the channel only when someone is (or may be)
+// waiting. The armed flag lets that pulse skip the mutex when nobody
+// is, and the channel is replaced lazily, so a run that never waits
 // never allocates here.
 type schedGate struct {
+	armed  atomic.Bool
 	mu     sync.Mutex
 	ch     chan struct{}
-	armed  bool
 	parked int  // waiters blocked since the last pulse
-	stuck  bool // every worker parked at once: no pulse can ever come
+	gone   int  // workers that have exited the run
+	stuck  bool // every running worker parked at once: no pulse can ever come
 }
 
 func newSchedGate() *schedGate {
@@ -109,13 +114,14 @@ func newSchedGate() *schedGate {
 func (g *schedGate) arm() <-chan struct{} {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.armed = true
+	g.armed.Store(true)
 	return g.ch
 }
 
 // park counts a waiter about to block on wake (unless wake was already
-// pulsed) and reports whether all workers are now parked: then none
-// holds an event whose Record could ever pulse the gate.
+// pulsed) and reports whether every worker still running is now
+// parked: then none holds an event whose Record could ever pulse the
+// gate.
 func (g *schedGate) park(wake <-chan struct{}, workers int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -123,20 +129,44 @@ func (g *schedGate) park(wake <-chan struct{}, workers int) bool {
 		return false
 	}
 	g.parked++
-	g.stuck = g.parked == workers
-	return g.stuck
+	return g.stall(workers)
 }
 
-// pulse wakes every armed waiter; a no-op when nobody armed since the
-// last pulse.
-func (g *schedGate) pulse() {
+// leave counts a worker that has exited and reports whether it left
+// only parked workers behind: an exited worker holds no event, so
+// nothing can pulse them either.
+func (g *schedGate) leave(workers int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.armed {
+	g.gone++
+	return g.parked > 0 && g.stall(workers)
+}
+
+// stall reports whether parked and exited workers make up the whole
+// pool, and latches stuck when they do. The caller holds g.mu.
+func (g *schedGate) stall(workers int) bool {
+	if g.parked+g.gone == workers {
+		g.stuck = true
+		return true
+	}
+	return false
+}
+
+// pulse wakes every armed waiter; a no-op, without locking, when
+// nobody armed since the last pulse. A waiter arms before it re-checks
+// the state it waits on, and a pulse follows the change to that state,
+// so either the re-check sees the change or the pulse sees the arm.
+func (g *schedGate) pulse() {
+	if !g.armed.Load() {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.armed.Load() {
 		return
 	}
 	close(g.ch)
 	g.ch = make(chan struct{})
-	g.armed = false
+	g.armed.Store(false)
 	g.parked = 0
 }

@@ -45,7 +45,7 @@ var errDraining = errors.New("serve: draining, not admitting new runs")
 
 // run is one launched evaluation. Its event log is append-only and
 // delivered in the pipeline's canonical Seq order (the eval Observer is
-// invoked under the reorder buffer's lock), so every subscriber —
+// invoked from the reorder buffer's single drain role), so every subscriber —
 // however late it attaches — replays the identical byte stream.
 type run struct {
 	id      string

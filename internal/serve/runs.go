@@ -297,9 +297,9 @@ func (s *Server) modelsFor(spec RunSpec) []eval.Model {
 }
 
 // observerFor adapts the pipeline's in-order Observer seam onto the
-// run's append-only event log. The pipeline invokes it under the
-// reorder buffer's delivery lock, so appends happen in canonical Seq
-// order and every subscriber replays an identical stream.
+// run's append-only event log. The pipeline invokes it from the
+// reorder buffer's single drain role, so appends happen in canonical
+// Seq order and every subscriber replays an identical stream.
 func (s *Server) observerFor(r *run) eval.Observer {
 	gate := s.eventGate
 	return eval.ObserverFunc(func(ev eval.Event) {

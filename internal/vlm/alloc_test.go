@@ -1,6 +1,6 @@
 //go:build !race
 
-// Allocation pin for the perception stage. The race detector
+// Allocation pins for the perception stage and the answer path. The race detector
 // instruments allocations, so this runs only in the plain test pass.
 
 package vlm
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/eval"
 )
 
 // TestPerceivesZeroAlloc pins the 16x perception stage — the §IV-B
@@ -37,4 +38,26 @@ func TestPerceivesZeroAlloc(t *testing.T) {
 		t.Errorf("16x perceives allocates %.1f times per benchmark sweep; want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestAnswerAllocsAtMostResponse pins the answer path at no more than
+// one allocation per call — the response string itself — over the
+// Table II benchmark at full resolution and at the §IV-B 16x factor.
+// Assembling the text prompt on this path would fail it.
+func TestAnswerAllocsAtMostResponse(t *testing.T) {
+	b, _, zoo := buildAll(t)
+	m, _ := zoo.Model("GPT4o")
+	for _, factor := range []int{1, 16} {
+		opts := eval.InferenceOptions{DownsampleFactor: factor}
+		sink := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, q := range b.Questions {
+				sink += len(m.Answer(q, opts))
+			}
+		})
+		if per := allocs / float64(b.Len()); per > 1 {
+			t.Errorf("factor %d: Answer allocates %.2f times per call; want at most 1 (its response)", factor, per)
+		}
+		_ = sink
+	}
 }

@@ -1,7 +1,7 @@
 package vlm
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
@@ -64,11 +64,11 @@ func (m *SimulatedVLM) Profile() Profile { return m.profile }
 func (m *SimulatedVLM) SetPerception(p PerceptionPolicy) { m.perception = p }
 
 // Answer implements eval.Model: it runs the simulated Fig. 2 pipeline —
-// system/user prompt assembly, perception over the scene graph at the
-// requested resolution, then the calibrated solve stage — and emits the
-// model's textual response.
+// perception over the scene graph at the requested resolution, then the
+// calibrated solve stage — and emits the model's textual response. The
+// simulation reads the question directly, so it never assembles the
+// text prompt BuildPrompt documents.
 func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) string {
-	_ = m.BuildPrompt(q) // prompt assembly, kept for parity with real serving
 	if !m.perceives(q, opts.DownsampleFactor) {
 		return m.perceptionFailureResponse(q)
 	}
@@ -172,7 +172,7 @@ func (m *SimulatedVLM) goldenResponse(q *dataset.Question, verbose bool) string 
 	if q.Type == dataset.MultipleChoice {
 		letter := dataset.ChoiceLetter(q.Golden.Choice)
 		if verbose {
-			return fmt.Sprintf("%s) %s", letter, q.Choices[q.Golden.Choice])
+			return letter + ") " + q.Choices[q.Golden.Choice]
 		}
 		return letter
 	}
@@ -181,10 +181,19 @@ func (m *SimulatedVLM) goldenResponse(q *dataset.Question, verbose bool) string 
 		if q.Golden.Text != "" {
 			return q.Golden.Text
 		}
-		return fmt.Sprintf("%g %s", q.Golden.Number, q.Golden.Unit)
+		return quantity(q.Golden.Number, q.Golden.Unit)
 	default:
 		return q.Golden.Text
 	}
+}
+
+// quantity formats a number and its unit as fmt's "%g %s" does, with
+// the response string as its only allocation.
+func quantity(x float64, unit string) string {
+	var buf [48]byte
+	b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
+	b = append(b, ' ')
+	return string(append(b, unit...))
 }
 
 func (m *SimulatedVLM) wrongLetter(q *dataset.Question) string {
@@ -198,8 +207,8 @@ func (m *SimulatedVLM) malformedResponse(q *dataset.Question) string {
 	if q.Visual != nil {
 		kind = q.Visual.Kind.String()
 	}
-	return fmt.Sprintf("The image shows a %s with several connected components. "+
-		"It depicts the structure described in the question.", kind)
+	return "The image shows a " + kind + " with several connected components. " +
+		"It depicts the structure described in the question."
 }
 
 func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
@@ -208,7 +217,7 @@ func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
 		// Classic slip: off by a factor well outside tolerance.
 		s := rng.NewHasher(m.profile.Name, q.ID, "wrong-num").Stream()
 		factor := [...]float64{3.1, 0.31, -1.7}[s.IntN(3)]
-		return fmt.Sprintf("%g %s", q.Golden.Number*factor+1, q.Golden.Unit)
+		return quantity(q.Golden.Number*factor+1, q.Golden.Unit)
 	case dataset.AnswerExpression:
 		return "F = " + wrongExpressionFor(q)
 	default:
