@@ -105,31 +105,9 @@ func BenchmarkTableIIGrid(b *testing.B) {
 // property (identical output) is checked.
 func BenchmarkTableIIGridSharded(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	var models []chipvqa.Model
-	for _, name := range suite.ModelNames() {
-		m, err := suite.Model(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		models = append(models, m)
-	}
-	digest := func(reports []*chipvqa.Report) string {
-		h := sha256.New()
-		for _, r := range reports {
-			_, _ = h.Write([]byte(r.ModelName))
-			for _, q := range r.Results {
-				_, _ = h.Write([]byte{0})
-				_, _ = h.Write([]byte(q.QuestionID))
-				_, _ = h.Write([]byte(q.Response))
-				if q.Correct {
-					_, _ = h.Write([]byte{1})
-				}
-			}
-		}
-		return fmt.Sprintf("%x", h.Sum(nil))
-	}
+	models := zooModels(b, suite)
 	serial := eval.Runner{Workers: 1}
-	base := digest(serial.EvaluateAll(models, suite.Benchmark))
+	base := reportsDigest(serial.EvaluateAll(models, suite.Benchmark))
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			r := eval.Runner{Workers: w}
@@ -137,7 +115,7 @@ func BenchmarkTableIIGridSharded(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if d := digest(reports); d != base {
+			if d := reportsDigest(reports); d != base {
 				b.Fatalf("workers=%d digest %s != serial digest %s", w, d, base)
 			}
 			b.ReportAllocs()
@@ -149,6 +127,37 @@ func BenchmarkTableIIGridSharded(b *testing.B) {
 			}
 		})
 	}
+}
+
+// zooModels returns the suite's 12 Table II models in row order.
+func zooModels(b *testing.B, suite *chipvqa.Suite) []chipvqa.Model {
+	var models []chipvqa.Model
+	for _, name := range suite.ModelNames() {
+		m, err := suite.Model(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	return models
+}
+
+// reportsDigest hashes every model name, question ID, response and
+// verdict of a report set.
+func reportsDigest(reports []*chipvqa.Report) string {
+	h := sha256.New()
+	for _, r := range reports {
+		_, _ = h.Write([]byte(r.ModelName))
+		for _, q := range r.Results {
+			_, _ = h.Write([]byte{0})
+			_, _ = h.Write([]byte(q.QuestionID))
+			_, _ = h.Write([]byte(q.Response))
+			if q.Correct {
+				_, _ = h.Write([]byte{1})
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // Hot-path micro-benchmarks (DESIGN.md §12): judging every stored
@@ -432,6 +441,47 @@ func BenchmarkExtendedCollection(b *testing.B) {
 	}
 }
 
+// Extension — the overlapped streaming path: a fresh 2,000-question
+// extended fold streamed in 200-question shards through
+// EvaluateShardsContext for all 12 models at 16x downsampling.
+// StreamExtended builds shard k+1 while the pool evaluates shard k, so
+// this times generation and evaluation overlapped. Before timing, the
+// pooled run's digest is checked against a Workers: 1 run.
+func BenchmarkStreamExtendedEval(b *testing.B) {
+	const perCategory, shardSize = 400, 200
+	suite := chipvqa.MustNewSuite()
+	models := zooModels(b, suite)
+	opts := eval.InferenceOptions{DownsampleFactor: 16}
+	run := func(r eval.Runner, reports []*chipvqa.Report) {
+		err := r.EvaluateShardsContext(context.Background(), models, func(yield func(chipvqa.Shard) error) error {
+			return chipvqa.StreamExtended("bench-stream", perCategory, shardSize, yield)
+		}, reports)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	newReports := func() []*chipvqa.Report {
+		reports := make([]*chipvqa.Report, len(models))
+		for i := range reports {
+			reports[i] = &chipvqa.Report{}
+		}
+		return reports
+	}
+	serial, reports := newReports(), newReports()
+	run(eval.Runner{Workers: 1, Opts: opts}, serial)
+	pooled := eval.Runner{Opts: opts}
+	run(pooled, reports)
+	if d, want := reportsDigest(reports), reportsDigest(serial); d != want {
+		b.Fatalf("pooled stream digest %s != serial digest %s", d, want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(pooled, reports)
+	}
+	b.ReportMetric(float64(b.N*len(models)*5*perCategory)/b.Elapsed().Seconds(), "events/s")
+}
+
 // Extension — domain-adaptation learning curve (the paper's future-work
 // VLM-training direction): fine-tune LLaVA-7b on nested folds and
 // evaluate held-out.
@@ -655,8 +705,10 @@ func BenchmarkDownsample(b *testing.B) {
 
 // The same pipeline through the scene cache: after the first iteration
 // every render and downsample is a lookup. The gap to
-// BenchmarkRenderPipeline is the per-question win the evaluation engine
-// gets on repeated sweeps.
+// BenchmarkRenderPipeline is what the cache saves a repeated image
+// request (serve's image endpoint, chipvqa.QuestionImage). Evaluation
+// makes no cache lookups at all: the models' perception stage derives
+// legibility loss in place, without rendering.
 func BenchmarkRenderPipelineCached(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	q := suite.Benchmark.Questions[0]
@@ -668,8 +720,9 @@ func BenchmarkRenderPipelineCached(b *testing.B) {
 	}
 }
 
-// §IV-B sweep at 16x with the scene cache shared across models: the
-// per-scene legibility tables are derived once, not 12 times.
+// §IV-B sweep at 16x over all 12 models. No scene cache is involved:
+// each model's perception stage derives legibility loss in place for
+// every question, so the sweep is 12 independent evaluations.
 func BenchmarkResolutionSweepAllModels(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	suite.Workers = -1

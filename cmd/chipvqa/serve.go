@@ -100,13 +100,28 @@ func loadPackedCollection(path string, shardSize int) (*chipvqa.Benchmark, error
 	return bench, nil
 }
 
+// Connection timeouts of the daemon's HTTP server. A client must send
+// its request header within readHeaderTimeout, and a keep-alive
+// connection with no request in flight closes after idleTimeout, so
+// slow or silent clients cannot pin connections forever. There is
+// deliberately no WriteTimeout: it would cut off long event streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server configuration.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveHTTP runs the listener until ctx is cancelled, then drains.
 func serveHTTP(ctx context.Context, srv *chipvqa.Server, addr string, drainTimeout time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	fmt.Printf("chipvqa serve: listening on http://%s\n", ln.Addr())

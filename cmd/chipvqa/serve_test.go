@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -145,6 +148,105 @@ func TestCmdServeEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(logBytes), `"path":"/v1/questions"`) {
 		t.Errorf("access log missing the browse request:\n%s", logBytes)
+	}
+}
+
+// TestServeTimeoutsDropSlowClients is the slowloris check of the
+// daemon's HTTP server. A client that sends half a request header and
+// then goes silent is disconnected once the header timeout passes,
+// while a streamed run whose client pauses longer than both timeouts
+// still completes: the server sets no WriteTimeout to cut it off.
+func TestServeTimeoutsDropSlowClients(t *testing.T) {
+	httpSrv := newHTTPServer(nil)
+	if httpSrv.ReadHeaderTimeout != readHeaderTimeout || httpSrv.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts header=%v idle=%v, want %v/%v",
+			httpSrv.ReadHeaderTimeout, httpSrv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if httpSrv.WriteTimeout != 0 || httpSrv.ReadTimeout != 0 {
+		t.Fatalf("write=%v read=%v timeouts would cut long streams", httpSrv.WriteTimeout, httpSrv.ReadTimeout)
+	}
+	suite, err := chipvqa.NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := suite.NewServer(chipvqa.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv.Handler = srv.Handler()
+	// The same server with both timeouts shortened, so the test waits
+	// out a timeout in a fraction of a second.
+	const timeout = 100 * time.Millisecond
+	httpSrv.ReadHeaderTimeout, httpSrv.IdleTimeout = timeout, timeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	defer func() {
+		_ = httpSrv.Close()
+		<-errc
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: slowloris\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(20 * timeout)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("slowloris client still connected after %v", time.Since(start))
+		}
+	}
+	if elapsed := time.Since(start); elapsed < timeout {
+		t.Errorf("slowloris client dropped after %v, before the %v header timeout", elapsed, timeout)
+	}
+
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	resp, err := client.Post("http://"+ln.Addr().String()+"/v1/runs", "application/json", strings.NewReader(
+		`{"kind":"extended","seed":"slow-reader","per_category":40,"shard_size":50,"models":["GPT4o"],"session":"slow","stream":"ndjson"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streaming POST = %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	var lines []string
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+		if len(lines) == 1 {
+			time.Sleep(3 * timeout) // quiet for longer than either timeout
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream cut after %d lines: %v", len(lines), err)
+	}
+	var sum struct {
+		Done   bool   `json:"done"`
+		State  string `json:"state"`
+		Events int    `json:"events"`
+	}
+	if len(lines) == 0 {
+		t.Fatal("empty stream")
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || !sum.Done || sum.State != "done" {
+		t.Fatalf("last line %q is not a done summary (err %v)", lines[len(lines)-1], err)
+	}
+	if sum.Events != 5*40 || len(lines) != sum.Events+1 {
+		t.Errorf("stream carried %d lines for %d events, want %d events", len(lines), sum.Events, 5*40)
 	}
 }
 

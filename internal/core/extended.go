@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -46,7 +47,14 @@ func BuildExtended(seed string, perCategory int) (*dataset.Benchmark, error) {
 //
 // yield is called once per shard, in order, on the calling goroutine;
 // returning a non-nil error stops the stream and propagates the error.
-// The shard's Questions slice must not be retained after yield returns.
+// Generation runs one shard ahead: while yield consumes shard k, one
+// goroutine builds shard k+1, which is handed over when yield returns.
+// Every shard gets its own freshly allocated Questions slice, so at
+// most two shards are alive at once (the one yielded and the one being
+// built) unless yield keeps them. A shard's validation error surfaces
+// only after yield has accepted every earlier shard. When yield fails
+// (or panics), the lookahead stops at its next question and is joined
+// before StreamExtended returns: no goroutine outlives the call.
 //
 // ID disjointness needs no global dedup set here: every discipline
 // prefixes its extended IDs with a distinct marker (xd-/xa-/xr-/xm-/
@@ -68,19 +76,48 @@ func StreamExtended(seed string, perCategory, shardSize int, yield func(dataset.
 		return err
 	}
 	total := len(gens) * perCategory
-	for start, idx := 0, 0; start < total; start, idx = start+shardSize, idx+1 {
-		end := min(start+shardSize, total)
+	type built struct {
+		qs  []*dataset.Question
+		err error
+	}
+	var stop atomic.Bool
+	// build generates and validates questions [start, end), giving up
+	// between questions once stop is set.
+	build := func(start, end int) built {
 		qs := make([]*dataset.Question, 0, end-start)
-		for i := start; i < end; i++ {
+		for i := start; i < end && !stop.Load(); i++ {
 			q := gens[i/perCategory].ExtraAt(seed, i%perCategory)
 			if err := q.Validate(); err != nil {
-				return fmt.Errorf("core: shard %d: %w", idx, err)
+				return built{err: err}
 			}
 			qs = append(qs, q)
 		}
-		if err := yield(dataset.Shard{Index: idx, Start: start, Questions: qs}); err != nil {
+		return built{qs: qs}
+	}
+	ahead := make(chan built, 1)
+	inflight := false
+	defer func() {
+		if inflight {
+			stop.Store(true)
+			<-ahead
+		}
+	}()
+	cur := build(0, min(shardSize, total))
+	for start, idx := 0, 0; ; start, idx = start+shardSize, idx+1 {
+		if cur.err != nil {
+			return fmt.Errorf("core: shard %d: %w", idx, cur.err)
+		}
+		next := start + shardSize
+		inflight = next < total
+		if inflight {
+			go func() { ahead <- build(next, min(next+shardSize, total)) }()
+		}
+		if err := yield(dataset.Shard{Index: idx, Start: start, Questions: cur.qs}); err != nil {
 			return err
 		}
+		if !inflight {
+			return nil
+		}
+		cur, inflight = <-ahead, false
 	}
-	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -146,5 +148,85 @@ func TestStreamExtendedStopsOnYieldError(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Errorf("yield called %d times, want 3", calls)
+	}
+}
+
+// TestStreamShardsNeverAlias pins the lookahead's hand-over: shard k+1
+// is built while yield still holds shard k, so every shard must own a
+// fresh Questions slice that nothing touches after it is yielded. Each
+// retained slice is compared against a copy taken at yield time once
+// the whole stream has run.
+func TestStreamShardsNeverAlias(t *testing.T) {
+	const perCategory = 13 // 65 questions
+	for _, shardSize := range []int{1, 9, 65, 100} {
+		var kept, copies [][]*dataset.Question
+		err := StreamExtended("alias", perCategory, shardSize, func(s dataset.Shard) error {
+			kept = append(kept, s.Questions)
+			copies = append(copies, append([]*dataset.Question(nil), s.Questions...))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("shard size %d: %v", shardSize, err)
+		}
+		if want := (5*perCategory + shardSize - 1) / shardSize; len(kept) != want {
+			t.Fatalf("shard size %d: %d shards, want %d", shardSize, len(kept), want)
+		}
+		for k := range kept {
+			if len(kept[k]) != len(copies[k]) {
+				t.Fatalf("shard size %d: shard %d length changed from %d to %d",
+					shardSize, k, len(copies[k]), len(kept[k]))
+			}
+			for i, q := range kept[k] {
+				if q != copies[k][i] {
+					t.Errorf("shard size %d: shard %d question %d rewritten after yield", shardSize, k, i)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamExtendedJoinsLookaheadOnYieldError stops the stream at its
+// first and at a middle shard, each time with the next shard under
+// construction, once more by a panic in yield. The yield error (or
+// panic) must come back unchanged, and the lookahead must already be
+// gone: the goroutine count returns to its value before the call within
+// a few milliseconds, far less than the time building one of these
+// 5,000-question shards takes.
+func TestStreamExtendedJoinsLookaheadOnYieldError(t *testing.T) {
+	sentinel := errors.New("stop here")
+	for _, tc := range []struct {
+		failAt int
+		panics bool
+	}{{0, false}, {1, false}, {1, true}} {
+		before := runtime.NumGoroutine()
+		var err error
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					err = p.(error)
+				}
+			}()
+			err = StreamExtended("join", 3000, 5000, func(s dataset.Shard) error {
+				if s.Index != tc.failAt {
+					return nil
+				}
+				if tc.panics {
+					panic(sentinel)
+				}
+				return sentinel
+			})
+		}()
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("%+v: err = %v, want sentinel", tc, err)
+		}
+		// A joined goroutine may still be executing its last
+		// instructions after its send; allow it that, and no more.
+		deadline := time.Now().Add(25 * time.Millisecond)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%+v: %d goroutines after StreamExtended returned, %d before", tc, after, before)
+		}
 	}
 }

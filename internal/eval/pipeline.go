@@ -22,8 +22,9 @@ import (
 
 // Event is the per-question unit of work flowing through the pipeline.
 // The Source seeds Seq, Model and Question; Inference fills Response;
-// JudgeStage fills Correct; the delivery layer stamps At just before
-// the Sink and Observer see the event.
+// JudgeStage fills Correct; when the pipeline has an Observer, the
+// delivery layer stamps At just before the Sink and Observer see the
+// event.
 type Event struct {
 	// Seq is the event's position in the run's canonical order: the
 	// question index for single-model runs, the flattened model-major
@@ -33,9 +34,10 @@ type Event struct {
 	Question *dataset.Question
 	Response string
 	Correct  bool
-	// At is the delivery timestamp from the pipeline clock seam. It is
-	// observability-only: reports never contain it, so runs stay
-	// byte-identical regardless of wall-clock behaviour.
+	// At is the delivery timestamp from the pipeline clock seam,
+	// stamped only when the pipeline has an Observer (it stays zero
+	// otherwise). It is observability-only: reports never contain it,
+	// so runs stay byte-identical regardless of wall-clock behaviour.
 	At time.Time
 	// Adaptive marks events annotated by an adaptive ItemScheduler:
 	// Ability/AbilitySE carry the model's posterior ability estimate
@@ -111,8 +113,9 @@ type Pipeline struct {
 	Sink      Sink
 	Observer  Observer
 	Workers   int
-	// Clock stamps Event.At at delivery; nil uses the package clock
-	// seam (clock.go). Tests pin it for reproducible timestamps.
+	// Clock stamps Event.At at delivery when Observer is set; nil uses
+	// the package clock seam (clock.go). Tests pin it for reproducible
+	// timestamps.
 	Clock func() time.Time
 }
 
@@ -396,8 +399,9 @@ func (d *delivery) drain() {
 
 // emit delivers ready slots in Seq order until it reaches one not yet
 // ready, returning how many it delivered. The caller holds the drain
-// role; each slot's event is recorded, stamped and handed to the sink
-// and observer in place, then the slot is freed for its next lap.
+// role; each slot's event is recorded, stamped (if an observer
+// listens) and handed to the sink and observer in place, then the slot
+// is freed for its next lap.
 //
 //hot:deliver per-event reorder drain; nothing here may allocate
 func (d *delivery) emit() int {
@@ -420,7 +424,10 @@ func (d *delivery) emit() int {
 		// Seq order — and may annotate the event (ability, stop reason)
 		// before the sink and observer see it.
 		d.sched.Record(&sl.ev)
-		sl.ev.At = d.clock()
+		if d.obs != nil {
+			// Only observers read At; skip the clock read without one.
+			sl.ev.At = d.clock()
+		}
 		if d.sink != nil {
 			d.sink.Consume(sl.ev)
 		}

@@ -221,3 +221,39 @@ func TestObserverTimestampsUseClockSeam(t *testing.T) {
 		}
 	}
 }
+
+// atSink records every event's At as the sink sees it.
+type atSink struct{ stamps []time.Time }
+
+func (s *atSink) Consume(ev Event) { s.stamps = append(s.stamps, ev.At) }
+
+// TestNoClockReadWithoutObserver pins the other half of the clock seam:
+// At is for observers only, so a pipeline without one never reads the
+// clock and its sink sees zero timestamps.
+func TestNoClockReadWithoutObserver(t *testing.T) {
+	b := testBenchmark(6)
+	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
+	sink := &atSink{}
+	p := &Pipeline{
+		Source:  gridSource{models: []Model{m}, questions: b.Questions},
+		Infer:   modelInference{},
+		Judge:   judgeStage{judge: Judge{}},
+		Sink:    sink,
+		Workers: 4,
+		Clock: func() time.Time {
+			t.Error("clock read with no observer attached")
+			return time.Time{}
+		},
+	}
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.stamps) != b.Len() {
+		t.Fatalf("sink saw %d events, want %d", len(sink.stamps), b.Len())
+	}
+	for i, s := range sink.stamps {
+		if !s.IsZero() {
+			t.Fatalf("event %d stamped %v without an observer", i, s)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -277,18 +276,6 @@ func FormatTableII(withChoice, noChoice []*Report) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// WrongQuestions lists IDs the model missed, sorted.
-func (r *Report) WrongQuestions() []string {
-	var out []string
-	for _, q := range r.Results {
-		if !q.Correct {
-			out = append(out, q.QuestionID)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // truncate shortens s to at most n runes. Truncating by bytes could
