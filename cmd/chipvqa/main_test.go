@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,6 +72,35 @@ func TestCmdExportAndRender(t *testing.T) {
 	// Downsampled render.
 	if err := cmdRender(context.Background(), []string{"-dir", renderDir, "-q", "d01", "-factor", "16"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCmdRenderMatchesServedImage checks that `chipvqa render` writes
+// the same PNG bytes the daemon's image endpoint serves.
+func TestCmdRenderMatchesServedImage(t *testing.T) {
+	dir := t.TempDir()
+	if err := cmdRender(context.Background(), []string{"-dir", dir, "-q", "d01", "-factor", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dir, "d01.png"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := chipvqa.NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := suite.NewServer(chipvqa.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/questions/d01/image.png?factor=8", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("image.png = %d (%s)", rec.Code, rec.Body.Bytes())
+	}
+	if !bytes.Equal(written, rec.Body.Bytes()) {
+		t.Errorf("render wrote %d bytes, the endpoint served %d different bytes", len(written), rec.Body.Len())
 	}
 }
 

@@ -30,7 +30,7 @@ var (
 	fixtureErr    error
 )
 
-func fixture(t *testing.T) (*dataset.Benchmark, []eval.Model) {
+func fixture(t testing.TB) (*dataset.Benchmark, []eval.Model) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		b, err := core.BuildBenchmark()
@@ -48,7 +48,7 @@ func fixture(t *testing.T) (*dataset.Benchmark, []eval.Model) {
 }
 
 // testConfig is the baseline server configuration for the suite.
-func testConfig(t *testing.T) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	b, models := fixture(t)
 	return Config{
