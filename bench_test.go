@@ -631,7 +631,8 @@ func BenchmarkAerialOPC(b *testing.B) {
 }
 
 // Supporting micro-benchmarks: the raster pipeline the real benchmark
-// images flow through (render + downsample + patch encoding).
+// images flow through (render + downsample), both frames handed back to
+// the pixel pool.
 func BenchmarkRenderPipeline(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	q := suite.Benchmark.Questions[0]
@@ -639,7 +640,8 @@ func BenchmarkRenderPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		img := visual.Render(q.Visual)
 		small := visual.Downsample(img, 8)
-		_ = visual.EncodePatches(small, 16)
+		visual.ReleaseImage(img)
+		visual.ReleaseImage(small)
 	}
 }
 
@@ -657,29 +659,10 @@ func BenchmarkRenderAllCold(b *testing.B) {
 	}
 }
 
-// The zero-copy read path: QuestionImage returns the cache-shared frame
-// directly, so a warm call is a map lookup.
-func BenchmarkQuestionImageWarm(b *testing.B) {
+// RenderQuestion per call over every question at 8x: a render and a
+// downsample from the pixel pool, the frame handed back each time.
+func BenchmarkRenderQuestion(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	for _, q := range suite.Benchmark.Questions {
-		_ = chipvqa.QuestionImage(q, 8) // prime the cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range suite.Benchmark.Questions {
-			_ = chipvqa.QuestionImage(q, 8)
-		}
-	}
-}
-
-// The cloning read path: RenderQuestion pays a pooled row-copy per call
-// for a mutable frame. The gap to BenchmarkQuestionImageWarm is the
-// price of the private copy.
-func BenchmarkRenderQuestionClone(b *testing.B) {
-	suite := chipvqa.MustNewSuite()
-	for _, q := range suite.Benchmark.Questions {
-		_ = chipvqa.QuestionImage(q, 8)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range suite.Benchmark.Questions {
@@ -700,23 +683,6 @@ func BenchmarkDownsample(b *testing.B) {
 				visual.ReleaseImage(out)
 			}
 		})
-	}
-}
-
-// The same pipeline through the scene cache: after the first iteration
-// every render and downsample is a lookup. The gap to
-// BenchmarkRenderPipeline is what the cache saves a repeated image
-// request (serve's image endpoint, chipvqa.QuestionImage). Evaluation
-// makes no cache lookups at all: the models' perception stage derives
-// legibility loss in place, without rendering.
-func BenchmarkRenderPipelineCached(b *testing.B) {
-	suite := chipvqa.MustNewSuite()
-	q := suite.Benchmark.Questions[0]
-	cache := visual.NewSceneCache()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		small := cache.Downsampled(q.Visual, 8)
-		_ = visual.EncodePatches(small, 16)
 	}
 }
 

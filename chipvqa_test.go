@@ -3,11 +3,14 @@ package chipvqa_test
 import (
 	"bytes"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	chipvqa "repro"
 	"repro/internal/dataset"
+	"repro/internal/visual"
 )
 
 func TestSuiteEndToEnd(t *testing.T) {
@@ -148,22 +151,35 @@ func TestResolutionDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRenderCacheObservability drives the facade's cache knob end to
+// end: SetRenderCacheBudget configures the shared cache behind the
+// daemon's image endpoint, and that cache's counters see the requests.
 func TestRenderCacheObservability(t *testing.T) {
-	chipvqa.ResetRenderCache()
+	visual.Default.Reset()
+	chipvqa.SetRenderCacheBudget(1 << 20)
+	t.Cleanup(func() {
+		chipvqa.SetRenderCacheBudget(0)
+		visual.Default.Reset()
+	})
 	suite := chipvqa.MustNewSuite()
-	q := suite.Benchmark.Questions[0]
-	_ = chipvqa.RenderQuestion(q, 8)
-	_ = chipvqa.RenderQuestion(q, 8)
-	st := chipvqa.RenderCacheStats()
-	if st.Misses == 0 {
-		t.Error("first render should miss")
+	srv, err := suite.NewServer(chipvqa.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Hits == 0 {
-		t.Error("second render should hit")
+	url := "/v1/questions/" + suite.Benchmark.Questions[0].ID + "/image.png?factor=8"
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", url, rec.Code)
+		}
 	}
-	chipvqa.ResetRenderCache()
-	if st := chipvqa.RenderCacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("stats after reset: %+v", st)
+	st := visual.Default.Stats()
+	if st.Budget != 1<<20 {
+		t.Errorf("budget %d, want %d", st.Budget, 1<<20)
+	}
+	if st.Misses != 1 || st.Hits != 1 || st.Bytes == 0 {
+		t.Errorf("two requests for one image: stats %+v, want 1 miss + 1 hit", st)
 	}
 }
 
@@ -212,36 +228,6 @@ func TestRenderQuestion(t *testing.T) {
 	small := chipvqa.RenderQuestion(q, 8)
 	if small.Bounds().Dx()*8 < img.Bounds().Dx() {
 		t.Errorf("downsample dims wrong: %v vs %v", small.Bounds(), img.Bounds())
-	}
-}
-
-func TestQuestionImageShared(t *testing.T) {
-	suite := chipvqa.MustNewSuite()
-	q := suite.Benchmark.Questions[0]
-	// The zero-copy accessor returns the cache-shared frame: two calls
-	// yield the same *image.RGBA.
-	a := chipvqa.QuestionImage(q, 8)
-	b := chipvqa.QuestionImage(q, 8)
-	if a != b {
-		t.Error("QuestionImage returned distinct images for the same (question, factor)")
-	}
-	// RenderQuestion's clone is private: a different image with equal pixels.
-	c := chipvqa.RenderQuestion(q, 8)
-	if c == a {
-		t.Error("RenderQuestion returned the cache-shared image")
-	}
-	if len(c.Pix) != len(a.Pix) {
-		t.Fatalf("clone size mismatch: %d vs %d", len(c.Pix), len(a.Pix))
-	}
-	for i := range c.Pix {
-		if c.Pix[i] != a.Pix[i] {
-			t.Fatalf("clone pixels differ at offset %d", i)
-		}
-	}
-	// Mutating the clone must not leak into the shared frame.
-	c.Pix[0] ^= 0xff
-	if a.Pix[0] == c.Pix[0] {
-		t.Error("mutating the clone changed the cached image")
 	}
 }
 

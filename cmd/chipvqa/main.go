@@ -38,6 +38,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/visual"
 	"repro/internal/vlm"
 )
 
@@ -391,15 +392,14 @@ func cmdRender(ctx context.Context, args []string) error {
 		if *only != "" && q.ID != *only {
 			continue
 		}
-		// PNG encoding only reads pixels, so the shared cached image is
-		// enough — no private clone per question.
-		img := chipvqa.QuestionImage(q, *factor)
 		path := filepath.Join(*dir, fmt.Sprintf("%s.png", q.ID))
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
+		img := chipvqa.RenderQuestion(q, *factor)
 		err = png.Encode(f, img)
+		visual.ReleaseImage(img)
 		if cerr := f.Close(); err == nil {
 			err = cerr // a failed close loses buffered pixels; surface it
 		}

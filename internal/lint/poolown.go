@@ -6,46 +6,25 @@ import (
 )
 
 // PoolOwn machine-checks the pixel-pool ownership contract documented
-// in internal/visual/pool.go:
+// in internal/visual/pool.go. Every image the visual layer returns
+// (Render, Downsample, chipvqa.RenderQuestion) is caller-owned and may
+// be released at most once, so after ReleaseImage(v), v must not be
+// released again, returned, or stored into a field: its Pix is gone.
 //
-//   - Images returned by the scene cache (SceneCache.Render,
-//     SceneCache.Downsampled, CachedRender, CachedDownsample,
-//     chipvqa.QuestionImage) are shared; releasing one hands a live
-//     cached buffer back to the pool and corrupts every later reader.
-//   - Images returned by Render, Downsample, Clone and RenderQuestion
-//     are caller-owned and may be released exactly once.
-//   - Images handed out by SceneCache.AcquireRender and
-//     SceneCache.AcquireDownsampled are cache-owned too: the paired
-//     release func is the only legal way to end the pin, and calling
-//     ReleaseImage on the image would recycle a buffer the cache may
-//     still hand to other readers.
-//   - After ReleaseImage(v), v must not be released again, returned, or
-//     stored into a field — its Pix is gone.
-//
-// The check is an intraprocedural must-analysis: variable states
-// (owned / shared / released) flow through straight-line code, both
-// branches of an if/switch are analyzed and re-joined (a fact must hold
-// on every path to survive the join), and loop bodies are analyzed
-// conservatively without iterating.
+// The check is an intraprocedural must-analysis: the set of released
+// variables flows through straight-line code, both branches of an
+// if/else are analyzed and re-joined (a variable stays released only if
+// it is released on every path), and loop and switch bodies are
+// analyzed conservatively without iterating.
 var PoolOwn = &Analyzer{
 	Name: "poolown",
-	Doc: "enforces the pixel-pool ownership contract: never release cache-shared images, " +
-		"never double-release, never use a released image",
-	Run: runPoolOwn,
+	Doc:  "enforces the pixel-pool ownership contract: never double-release, never use a released image",
+	Run:  runPoolOwn,
 }
 
-// ownState is the per-variable lattice of the poolown analysis.
-type ownState int
-
-const (
-	ownUnknown  ownState = iota
-	ownOwned             // caller-owned pooled image; releasable once
-	ownShared            // cache-shared image; must never be released
-	ownReleased          // already handed back to the pool
-)
-
-// poolEnv maps image variables to their ownership state.
-type poolEnv map[*types.Var]ownState
+// poolEnv is the set of image variables already released on the
+// current path.
+type poolEnv map[*types.Var]bool
 
 func (e poolEnv) clone() poolEnv {
 	c := make(poolEnv, len(e))
@@ -56,14 +35,12 @@ func (e poolEnv) clone() poolEnv {
 }
 
 // join merges two branch environments into the must-intersection:
-// a state survives only if both paths agree on it.
+// a variable stays released only if both paths released it.
 func (e poolEnv) join(a, b poolEnv) {
-	for k := range e {
-		delete(e, k)
-	}
-	for k, va := range a {
-		if vb, ok := b[k]; ok && va == vb {
-			e[k] = va
+	clear(e)
+	for k := range a {
+		if b[k] {
+			e[k] = true
 		}
 	}
 }
@@ -117,11 +94,9 @@ func (w *poolWalker) stmt(env poolEnv, s ast.Stmt) {
 		w.expr(env, s.Call)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			if id, ok := unparen(r).(*ast.Ident); ok {
-				if v := w.varOf(id); v != nil && env[v] == ownReleased {
-					w.pass.Reportf(r.Pos(),
-						"%s escapes via return after ReleaseImage; its pixel buffer is back in the pool", id.Name)
-				}
+			if w.released(env, r) {
+				w.pass.Reportf(r.Pos(),
+					"%s escapes via return after ReleaseImage; its pixel buffer is back in the pool", exprString(r))
 			}
 		}
 	case *ast.BlockStmt:
@@ -180,8 +155,8 @@ func (w *poolWalker) stmt(env poolEnv, s ast.Stmt) {
 	}
 }
 
-// assign classifies RHS producers into variable states and checks
-// field stores of released images.
+// assign tracks released images through assignments and checks field
+// stores of released images.
 func (w *poolWalker) assign(env poolEnv, s *ast.AssignStmt) {
 	for _, r := range s.Rhs {
 		w.expr(env, r)
@@ -189,13 +164,9 @@ func (w *poolWalker) assign(env poolEnv, s *ast.AssignStmt) {
 	for i, lhs := range s.Lhs {
 		if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok {
 			// x.f = v where v was released: escaping dead buffer.
-			if i < len(s.Rhs) {
-				if id, ok := unparen(s.Rhs[i]).(*ast.Ident); ok {
-					if v := w.varOf(id); v != nil && env[v] == ownReleased {
-						w.pass.Reportf(s.Rhs[i].Pos(),
-							"%s escapes via field store %s after ReleaseImage", id.Name, exprString(sel))
-					}
-				}
+			if i < len(s.Rhs) && w.released(env, s.Rhs[i]) {
+				w.pass.Reportf(s.Rhs[i].Pos(),
+					"%s escapes via field store %s after ReleaseImage", exprString(s.Rhs[i]), exprString(sel))
 			}
 			continue
 		}
@@ -203,22 +174,11 @@ func (w *poolWalker) assign(env poolEnv, s *ast.AssignStmt) {
 		if !ok || id.Name == "_" {
 			continue
 		}
-		v := w.varOf(id)
-		if v == nil {
-			continue
-		}
-		switch {
-		case len(s.Lhs) == len(s.Rhs):
-			env[v] = w.classify(env, s.Rhs[i])
-		case i == 0 && len(s.Rhs) == 1 && w.isAcquireCall(s.Rhs[0]):
-			// img, release := c.AcquireRender(s): the image stays
-			// cache-owned; the release func is the only legal path.
-			env[v] = ownShared
-		default:
-			delete(env, v) // multi-value assignment: unknown
-		}
-		if env[v] == ownUnknown {
-			delete(env, v)
+		if v := w.varOf(id); v != nil {
+			// Reassignment clears the released state; aliasing a
+			// released image carries it over. A multi-value
+			// assignment is unknown.
+			w.set(env, v, len(s.Lhs) == len(s.Rhs) && w.released(env, s.Rhs[i]))
 		}
 	}
 }
@@ -227,29 +187,27 @@ func (w *poolWalker) assign(env poolEnv, s *ast.AssignStmt) {
 func (w *poolWalker) bind(env poolEnv, name *ast.Ident, val ast.Expr) {
 	w.expr(env, val)
 	if v := w.varOf(name); v != nil {
-		if st := w.classify(env, val); st != ownUnknown {
-			env[v] = st
-		}
+		w.set(env, v, w.released(env, val))
 	}
 }
 
-// classify determines the ownership state an expression's value carries.
-func (w *poolWalker) classify(env poolEnv, e ast.Expr) ownState {
-	switch e := unparen(e).(type) {
-	case *ast.CallExpr:
-		fn := calleeOf(w.info(), e)
-		switch {
-		case isSharedProducer(fn):
-			return ownShared
-		case isOwnedProducer(fn):
-			return ownOwned
-		}
-	case *ast.Ident:
-		if v := w.varOf(e); v != nil {
-			return env[v] // aliasing propagates the state
-		}
+// set records whether v holds a released image.
+func (w *poolWalker) set(env poolEnv, v *types.Var, released bool) {
+	if released {
+		env[v] = true
+	} else {
+		delete(env, v)
 	}
-	return ownUnknown
+}
+
+// released reports whether e names a variable holding a released image.
+func (w *poolWalker) released(env poolEnv, e ast.Expr) bool {
+	id, ok := unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	v := w.varOf(id)
+	return v != nil && env[v]
 }
 
 // expr scans an expression tree for ReleaseImage calls and applies
@@ -273,30 +231,21 @@ func (w *poolWalker) expr(env poolEnv, e ast.Expr) {
 	})
 }
 
-// release applies ReleaseImage(arg) to the environment and reports
-// contract violations.
+// release applies ReleaseImage(arg) to the environment and reports a
+// double release.
 func (w *poolWalker) release(env poolEnv, arg ast.Expr) {
-	switch arg := unparen(arg).(type) {
-	case *ast.CallExpr:
-		if fn := calleeOf(w.info(), arg); isSharedProducer(fn) {
-			w.pass.Reportf(arg.Pos(),
-				"releasing the shared cached image returned by %s; cache-owned buffers must never be released", fn.Name())
-		}
-	case *ast.Ident:
-		v := w.varOf(arg)
-		if v == nil {
-			return
-		}
-		switch env[v] {
-		case ownShared:
-			w.pass.Reportf(arg.Pos(),
-				"releasing %s, which holds a shared cache-owned image; only Render/Downsample/Clone results may be released", arg.Name)
-		case ownReleased:
-			w.pass.Reportf(arg.Pos(), "double release of %s on this path", arg.Name)
-		default:
-			env[v] = ownReleased
-		}
+	id, ok := unparen(arg).(*ast.Ident)
+	if !ok {
+		return
 	}
+	v := w.varOf(id)
+	if v == nil {
+		return
+	}
+	if env[v] {
+		w.pass.Reportf(arg.Pos(), "double release of %s on this path", id.Name)
+	}
+	env[v] = true
 }
 
 // varOf resolves an identifier to its variable object.
@@ -307,43 +256,4 @@ func (w *poolWalker) varOf(id *ast.Ident) *types.Var {
 	}
 	v, _ := obj.(*types.Var)
 	return v
-}
-
-// isAcquireCall reports whether e calls a pinned-handle producer
-// (SceneCache.AcquireRender / AcquireDownsampled). Their (image,
-// release) results keep the image cache-owned: only the release func
-// may end the pin, never ReleaseImage.
-func (w *poolWalker) isAcquireCall(e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := calleeOf(w.info(), call)
-	return isMethodOn(fn, "internal/visual", "SceneCache", "AcquireRender") ||
-		isMethodOn(fn, "internal/visual", "SceneCache", "AcquireDownsampled")
-}
-
-// isSharedProducer reports whether fn returns a cache-shared image that
-// must never be released (see internal/visual/pool.go's contract).
-func isSharedProducer(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	return isFuncIn(fn, "internal/visual", "CachedRender") ||
-		isFuncIn(fn, "internal/visual", "CachedDownsample") ||
-		isMethodOn(fn, "internal/visual", "SceneCache", "Render") ||
-		isMethodOn(fn, "internal/visual", "SceneCache", "Downsampled") ||
-		(fn.Name() == "QuestionImage" && fn.Pkg() != nil && fn.Pkg().Name() == "chipvqa")
-}
-
-// isOwnedProducer reports whether fn returns a caller-owned pooled
-// image the caller may release exactly once.
-func isOwnedProducer(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	return isFuncIn(fn, "internal/visual", "Render") ||
-		isFuncIn(fn, "internal/visual", "Downsample") ||
-		isFuncIn(fn, "internal/visual", "Clone") ||
-		(fn.Name() == "RenderQuestion" && fn.Pkg() != nil && fn.Pkg().Name() == "chipvqa")
 }

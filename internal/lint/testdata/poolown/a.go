@@ -10,31 +10,6 @@ import (
 	"repro/internal/visual"
 )
 
-func releasesCachedVariable(s *visual.Scene) {
-	img := visual.CachedRender(s)
-	visual.ReleaseImage(img) // want `releasing img, which holds a shared cache-owned image`
-}
-
-func releasesCachedDirect(s *visual.Scene) {
-	visual.ReleaseImage(visual.CachedDownsample(s, 8)) // want `releasing the shared cached image returned by CachedDownsample`
-}
-
-func releasesQuestionImage(q *chipvqa.Question) {
-	img := chipvqa.QuestionImage(q, 8)
-	visual.ReleaseImage(img) // want `releasing img, which holds a shared cache-owned image`
-}
-
-func releasesCacheMethodResult(c *visual.SceneCache, s *visual.Scene) {
-	img := c.Downsampled(s, 16)
-	visual.ReleaseImage(img) // want `releasing img, which holds a shared cache-owned image`
-}
-
-func releasesSharedAlias(s *visual.Scene) {
-	img := visual.CachedRender(s)
-	view := img
-	visual.ReleaseImage(view) // want `releasing view, which holds a shared cache-owned image`
-}
-
 func doubleRelease(s *visual.Scene) {
 	img := visual.Render(s)
 	visual.ReleaseImage(img)
@@ -49,6 +24,19 @@ func doubleReleaseAfterJoin(s *visual.Scene, cond bool) {
 		visual.ReleaseImage(img)
 	}
 	visual.ReleaseImage(img) // want `double release of img on this path`
+}
+
+func doubleReleaseRenderQuestion(q *chipvqa.Question) {
+	img := chipvqa.RenderQuestion(q, 8)
+	visual.ReleaseImage(img)
+	visual.ReleaseImage(img) // want `double release of img on this path`
+}
+
+func releasesReleasedAlias(s *visual.Scene) {
+	img := visual.Render(s)
+	visual.ReleaseImage(img)
+	view := img
+	visual.ReleaseImage(view) // want `double release of view on this path`
 }
 
 func returnsReleased(s *visual.Scene) *image.RGBA {
@@ -66,51 +54,23 @@ func storesReleased(s *visual.Scene, h *frameHolder) {
 }
 
 // legitimateLifecycle exercises every legal pattern: releasing owned
-// render/downsample/clone results exactly once, reassignment clearing
-// the released state, and a single-branch release.
+// render/downsample results exactly once, reassignment clearing the
+// released state, and a single-branch release.
 func legitimateLifecycle(s *visual.Scene, cond bool) *image.RGBA {
 	img := visual.Render(s)
+	small := visual.Downsample(img, 8)
 	visual.ReleaseImage(img)
-	img = visual.Downsample(visual.CachedRender(s), 8)
-	visual.ReleaseImage(img)
-	clone := visual.Clone(visual.CachedRender(s))
+	img = small
 	if cond {
-		visual.ReleaseImage(clone)
+		visual.ReleaseImage(img)
 		return nil
 	}
-	return clone
-}
-
-func releasesAcquiredImage(c *visual.SceneCache, s *visual.Scene) {
-	img, release := c.AcquireRender(s)
-	visual.ReleaseImage(img) // want `releasing img, which holds a shared cache-owned image`
-	release()
-}
-
-func releasesAcquiredDownsample(c *visual.SceneCache, s *visual.Scene) {
-	img, release := c.AcquireDownsampled(s, 8)
-	defer release()
-	visual.ReleaseImage(img) // want `releasing img, which holds a shared cache-owned image`
-}
-
-// acquireLifecycle is the legal pinned-handle pattern under cache
-// eviction pressure: the paired release func — idempotent, safe to call
-// from a defer and again explicitly — is the only path back to the
-// pool; a Clone taken from the pinned image is caller-owned as usual.
-func acquireLifecycle(c *visual.SceneCache, s *visual.Scene) *image.RGBA {
-	img, release := c.AcquireRender(s)
-	defer release()
-	snapshot := visual.Clone(img)
-	visual.ReleaseImage(snapshot)
-	scaled, releaseScaled := c.AcquireDownsampled(s, 8)
-	keep := visual.Clone(scaled)
-	releaseScaled()
-	release()
-	return keep
+	return img
 }
 
 func suppressedRelease(s *visual.Scene) {
-	img := visual.CachedRender(s)
+	img := visual.Render(s)
+	visual.ReleaseImage(img)
 	//lint:ignore poolown corpus case demonstrating an explained suppression
 	visual.ReleaseImage(img)
 }

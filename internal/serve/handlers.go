@@ -239,11 +239,10 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuestionImage is GET /v1/questions/{id}/image.png: the rendered
-// visual, optionally degraded by ?factor=. Encoding reads pixels
-// through a pinned cache handle (EncodedPNG → AcquireDownsampled) and
-// the encoded bytes are themselves budget-charged cache entries, so the
-// LRU invariant PeakBytes <= Budget holds under concurrent image
-// traffic.
+// visual, optionally degraded by ?factor=. The scene cache holds only
+// the encoded bytes, charged to its budget, so the LRU invariant
+// PeakBytes <= Budget holds under concurrent image traffic; the pixels
+// of a miss go back to the pool once encoded.
 func (s *Server) handleQuestionImage(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.lookupQuestion(w, r)
 	if !ok {

@@ -3,8 +3,8 @@
 // question images) and run management (launch, stream, cancel) over a
 // small JSON API. It composes seams that already exist underneath —
 // the in-order eval.Observer for live per-question results, end-to-end
-// context.Context cancellation for client disconnects, pinned
-// SceneCache handles for image serving under a byte budget, and the
+// context.Context cancellation for client disconnects, a byte-budgeted
+// SceneCache of encoded PNGs for image serving, and the
 // weighted-FIFO eval.WorkerPool for fair multi-tenant scheduling — so
 // everything a client observes over the wire inherits the engine's
 // determinism guarantees: for a fixed (spec, seed) the event stream
@@ -72,7 +72,7 @@ type Config struct {
 	// an equal split of the pool across MaxSessions.
 	WorkersPerSession int
 
-	// Cache renders question images; nil uses visual.Default.
+	// Cache holds the encoded question images; nil uses visual.Default.
 	Cache *visual.SceneCache
 
 	// AccessLog, when non-nil, receives one JSON line per request.

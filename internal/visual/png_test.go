@@ -65,9 +65,9 @@ func TestSceneCacheEncodedPNGMemoizedAndDeterministic(t *testing.T) {
 		t.Error("factor 4 and 8 produced identical PNG bytes")
 	}
 
-	// A fresh cache (and the Default-backed helper) must produce the
-	// same bytes — the wire image is a deterministic function of
-	// (scene, factor).
+	// A fresh cache (and the Default cache) must produce the same
+	// bytes — the wire image is a deterministic function of (scene,
+	// factor).
 	again, err := NewSceneCache().EncodedPNG(s, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -75,12 +75,12 @@ func TestSceneCacheEncodedPNGMemoizedAndDeterministic(t *testing.T) {
 	if !bytes.Equal(first, again) {
 		t.Error("EncodedPNG differs across caches for the same scene")
 	}
-	viaDefault, err := CachedPNG(s, 4)
+	viaDefault, err := Default.EncodedPNG(s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, viaDefault) {
-		t.Error("CachedPNG differs from a private cache's encoding")
+		t.Error("the Default cache's encoding differs from a private cache's")
 	}
 }
 

@@ -5,22 +5,20 @@ import (
 	"sync"
 )
 
-// The pixel-buffer pool. Render, Downsample and Clone each allocate a
-// fresh *image.RGBA on cache-miss paths; on a 640x480 canvas that is
-// 1.2MB of garbage per call, and sweeps that re-render (cold caches,
-// cmd render, the bench harness) pay it per scene. The pool recycles
-// those buffers by exact byte length.
+// The pixel-buffer pool. Render and Downsample each allocate a fresh
+// *image.RGBA; on a 640x480 canvas that is 1.2MB of garbage per call,
+// and paths that render per request (the scene cache's misses, cmd
+// render, the bench harness) pay it per scene. The pool recycles those
+// buffers by exact byte length.
 //
 // Lifecycle contract:
 //   - newRGBA returns a buffer whose contents are UNDEFINED (stale
 //     pixels from a prior life). Every consumer overwrites all of it:
 //     NewCanvas re-whitens via Fill, Downsample writes every output
-//     pixel, Clone copies every row.
-//   - ReleaseImage may only be called on images the caller owns — ones
-//     returned by Render, Downsample or Clone that were never handed to
-//     the scene cache. Images returned by SceneCache (CachedRender,
-//     CachedDownsample, chipvqa.QuestionImage) are shared and must
-//     never be released.
+//     pixel.
+//   - Every image this package returns is caller-owned; nothing hands
+//     out a shared image. The owner may call ReleaseImage once, after
+//     its last use of the image.
 //   - Releasing is always optional; an unreleased image is ordinary
 //     garbage, exactly as before the pool existed.
 var pixPools sync.Map // buffer length in bytes -> *sync.Pool of []uint8

@@ -284,64 +284,6 @@ func DownsampleReference(src *image.RGBA, factor int) *image.RGBA {
 	return dst
 }
 
-// EncodePatchesReference is the old per-pixel-accessor patch encoder.
-func EncodePatchesReference(img *image.RGBA, patchSize int) *PatchFeatures {
-	if patchSize < 1 {
-		patchSize = 16
-	}
-	b := img.Bounds()
-	px := (b.Dx() + patchSize - 1) / patchSize
-	py := (b.Dy() + patchSize - 1) / patchSize
-	const dim = 5
-	f := &PatchFeatures{PatchesX: px, PatchesY: py, Dim: dim}
-	f.Vectors = make([][]float64, 0, px*py)
-	for gy := 0; gy < py; gy++ {
-		for gx := 0; gx < px; gx++ {
-			f.Vectors = append(f.Vectors, refPatchVector(img, b, gx*patchSize, gy*patchSize, patchSize))
-		}
-	}
-	return f
-}
-
-func refPatchVector(img *image.RGBA, b image.Rectangle, x0, y0, size int) []float64 {
-	var sum, sumSq, edgeH, edgeV, ink float64
-	var n float64
-	lum := func(x, y int) float64 {
-		i := img.PixOffset(b.Min.X+x, b.Min.Y+y)
-		return 0.299*float64(img.Pix[i]) + 0.587*float64(img.Pix[i+1]) + 0.114*float64(img.Pix[i+2])
-	}
-	for dy := 0; dy < size; dy++ {
-		for dx := 0; dx < size; dx++ {
-			x, y := x0+dx, y0+dy
-			if x >= b.Dx() || y >= b.Dy() {
-				continue
-			}
-			l := lum(x, y)
-			sum += l
-			sumSq += l * l
-			if l < 200 {
-				ink++
-			}
-			if x+1 < b.Dx() {
-				edgeH += math.Abs(lum(x+1, y) - l)
-			}
-			if y+1 < b.Dy() {
-				edgeV += math.Abs(lum(x, y+1) - l)
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return []float64{255, 0, 0, 0, 0}
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return []float64{mean, math.Sqrt(variance), edgeH / n, edgeV / n, ink / n}
-}
-
 // PixEqual reports whether two images have identical bounds and
 // byte-identical pixel rows, returning the first differing offset.
 func PixEqual(a, b *image.RGBA) (bool, int) {
@@ -516,51 +458,6 @@ func TestKernelDifferentialDownsampleSubImage(t *testing.T) {
 		for x := b.Min.X; x < b.Max.X; x++ {
 			if out.RGBAAt(x, y) != sub.RGBAAt(x, y) {
 				t.Fatalf("factor<=1 sub-image copy wrong at (%d,%d)", x, y)
-			}
-		}
-	}
-}
-
-func TestKernelDifferentialEncoder(t *testing.T) {
-	s := NewScene(KindSchematic, "Encoder Differential")
-	s.AddAll(
-		Element{Type: ElemGate, Name: "g", Label: "NAND", X: 100, Y: 100},
-		Element{Type: ElemWire, Name: "w", X: 0, Y: 50, X2: 639, Y2: 50},
-		Element{Type: ElemValue, Name: "v", Label: "t=3ns", X: 500, Y: 400},
-	)
-	img := Render(s)
-	for _, ps := range []int{16, 32, 7, 1} {
-		got := EncodePatches(img, ps)
-		want := EncodePatchesReference(img, ps)
-		if got.PatchesX != want.PatchesX || got.PatchesY != want.PatchesY {
-			t.Fatalf("patch grid mismatch at size %d", ps)
-		}
-		for i := range want.Vectors {
-			for j := range want.Vectors[i] {
-				if got.Vectors[i][j] != want.Vectors[i][j] {
-					t.Fatalf("patch %d feature %d: %v != %v (size %d)",
-						i, j, got.Vectors[i][j], want.Vectors[i][j], ps)
-				}
-			}
-		}
-	}
-	// Also on a downsampled image (the shape the VLM front end sees) and
-	// on a sub-image view.
-	small := Downsample(img, 8)
-	g, w := EncodePatches(small, 16), EncodePatchesReference(small, 16)
-	for i := range w.Vectors {
-		for j := range w.Vectors[i] {
-			if g.Vectors[i][j] != w.Vectors[i][j] {
-				t.Fatalf("downsampled patch %d feature %d differs", i, j)
-			}
-		}
-	}
-	sub := img.SubImage(image.Rect(33, 17, 200, 150)).(*image.RGBA)
-	g, w = EncodePatches(sub, 16), EncodePatchesReference(sub, 16)
-	for i := range w.Vectors {
-		for j := range w.Vectors[i] {
-			if g.Vectors[i][j] != w.Vectors[i][j] {
-				t.Fatalf("sub-image patch %d feature %d differs", i, j)
 			}
 		}
 	}

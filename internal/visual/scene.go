@@ -7,9 +7,9 @@
 //   - the renderers in this package rasterise the scene to a real image
 //     (schematics, waveforms, layouts, plots, tables, ...), which is what
 //     a real VLM would receive; and
-//   - the simulated VLM pipeline in internal/vlm, whose visual encoder
+//   - the simulated VLM pipeline in internal/vlm, whose perception stage
 //     recovers scene elements with a fidelity that depends on the model's
-//     perception capability and the image resolution.
+//     perception capability and the image resolution (LegibilityLoss).
 //
 // Keeping the ground-truth scene next to the rendered pixels is what lets
 // the reproduction run the paper's resolution ablation mechanically: a

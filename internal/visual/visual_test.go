@@ -274,37 +274,6 @@ func TestQuickLegibilityMonotone(t *testing.T) {
 	}
 }
 
-// --- Patch encoder ------------------------------------------------------------
-
-func TestEncodePatches(t *testing.T) {
-	img := Render(sampleScene(KindSchematic))
-	f := EncodePatches(img, 16)
-	if f.PatchesX != 40 || f.PatchesY != 30 {
-		t.Errorf("patch grid %dx%d", f.PatchesX, f.PatchesY)
-	}
-	if len(f.Vectors) != f.PatchesX*f.PatchesY {
-		t.Errorf("vector count %d", len(f.Vectors))
-	}
-	if f.InkFraction() <= 0 {
-		t.Error("rendered scene should have inked patches")
-	}
-	blank := EncodePatches(NewCanvas(64, 64).Image(), 16)
-	if blank.InkFraction() != 0 {
-		t.Error("blank canvas should have zero ink")
-	}
-}
-
-func TestEncodePatchesEdgeEnergy(t *testing.T) {
-	// A vertical edge produces horizontal gradient energy.
-	c := NewCanvas(32, 32)
-	c.FillRect(16, 0, 31, 31, ColorBlack)
-	f := EncodePatches(c.Image(), 32)
-	v := f.Vectors[0]
-	if v[2] <= 0 {
-		t.Errorf("horizontal edge energy %v, want positive", v[2])
-	}
-}
-
 // --- Builders --------------------------------------------------------------
 
 func TestBuilders(t *testing.T) {
