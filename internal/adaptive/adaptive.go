@@ -100,20 +100,31 @@ func gridTheta(k int) float64 {
 
 // Estimator tracks one model's ability posterior under the 2PL model
 // with a standard-normal prior (expected-a-posteriori estimation).
-// The zero value is not ready; use NewEstimator.
+// Observe refreshes the posterior summary once per outcome and keeps
+// it, so Estimate is O(1): callers may read it as often as they like
+// (the tournament's separation test reads every seat's on every
+// recorded outcome) at no exp cost. The zero value is not ready; use
+// NewEstimator.
 type Estimator struct {
-	logpost [gridN]float64
-	n       int
+	logpost     [gridN]float64
+	n           int
+	ability, se float64 // summary of logpost
 }
 
 // NewEstimator returns an estimator holding only the N(0,1) prior.
 func NewEstimator() *Estimator {
 	e := &Estimator{}
+	e.setPrior()
+	return e
+}
+
+// setPrior puts the N(0,1) prior and its summary into a zero-valued e.
+func (e *Estimator) setPrior() {
 	for k := range e.logpost {
 		th := gridTheta(k)
 		e.logpost[k] = -0.5 * th * th
 	}
-	return e
+	e.ability, e.se = e.summary()
 }
 
 // Observe folds one judged outcome into the posterior. The update is
@@ -123,25 +134,50 @@ func NewEstimator() *Estimator {
 // introduce a NaN or infinity into the posterior (FuzzObserve pins
 // this).
 func (e *Estimator) Observe(p ItemParams, correct bool) {
+	var row [gridN]float64
+	fillLogLik(&row, p, correct)
+	e.observeRow(&row)
+}
+
+// observeRow folds one outcome's log-likelihood row (see fillLogLik)
+// into the posterior and refreshes the summary. Callers that see the
+// same (item parameters, outcome) many times fill the row once and
+// reuse it: the posterior is bit-identical to calling Observe each
+// time.
+func (e *Estimator) observeRow(row *[gridN]float64) {
 	for k := range e.logpost {
-		z := clampZ(p.Disc * (gridTheta(k) - p.Diff))
-		if correct {
-			e.logpost[k] += logSigmoid(z)
-		} else {
-			e.logpost[k] += logSigmoid(-z)
-		}
+		e.logpost[k] += row[k]
 	}
 	e.n++
+	e.ability, e.se = e.summary()
+}
+
+// fillLogLik writes the log-likelihood of one outcome on item p at
+// every grid point: the single definition of the posterior update.
+func fillLogLik(row *[gridN]float64, p ItemParams, correct bool) {
+	for k := range row {
+		z := clampZ(p.Disc * (gridTheta(k) - p.Diff))
+		if correct {
+			row[k] = logSigmoid(z)
+		} else {
+			row[k] = logSigmoid(-z)
+		}
+	}
 }
 
 // Observations reports how many outcomes have been folded in.
 func (e *Estimator) Observations() int { return e.n }
 
 // Estimate returns the posterior mean ability and its posterior
-// standard deviation. Both are always finite: the prior bounds the
-// posterior to the grid, and weights are renormalised against the
-// maximum log-posterior before exponentiation.
-func (e *Estimator) Estimate() (ability, se float64) {
+// standard deviation as of the last Observe, in O(1). Both are always
+// finite: the prior bounds the posterior to the grid, and weights are
+// renormalised against the maximum log-posterior before
+// exponentiation.
+func (e *Estimator) Estimate() (ability, se float64) { return e.ability, e.se }
+
+// summary computes the posterior mean and standard deviation from
+// logpost: 81 exp calls, paid once per observation.
+func (e *Estimator) summary() (ability, se float64) {
 	maxLP := e.logpost[0]
 	for _, lp := range e.logpost[1:] {
 		if lp > maxLP {

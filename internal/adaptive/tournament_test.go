@@ -3,6 +3,7 @@ package adaptive
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -107,6 +108,25 @@ func TestNewTournamentValidation(t *testing.T) {
 	broken[4].Question = bank[5].Question
 	if _, err := NewTournament(models, broken, Config{}); err == nil {
 		t.Error("accepted duplicate bank question")
+	}
+	// Non-finite or non-positive parameters would make Information NaN
+	// or meaningless, and a NaN compares neither above nor below the
+	// best candidate, so selection would depend on bank order.
+	for _, p := range []struct{ disc, diff float64 }{
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{0, 0},
+		{-1, 0},
+		{1, math.NaN()},
+		{1, math.Inf(1)},
+		{1, math.Inf(-1)},
+	} {
+		broken = append([]BankItem{}, bank...)
+		broken[3].Params.Disc, broken[3].Params.Diff = p.disc, p.diff
+		if _, err := NewTournament(models, broken, Config{}); err == nil {
+			t.Errorf("accepted item params disc %v diff %v", p.disc, p.diff)
+		}
 	}
 }
 

@@ -174,10 +174,11 @@ func TestServeSessionCapRejects(t *testing.T) {
 }
 
 // TestServeImageHammerHoldsBudget hammers the image endpoint from many
-// goroutines against a tightly budgeted scene cache, concurrently with
-// streaming eval runs, and asserts the cache's high-water mark never
-// exceeded its budget — the pinned-handle render path must uphold the
-// LRU invariant under multi-tenant load.
+// goroutines against a tightly budgeted scene cache, while an eval run
+// streams alongside, and asserts the cache's high-water mark never
+// exceeded its budget: caching encoded PNG bytes must uphold the LRU
+// invariant under multi-tenant load. Evaluation itself makes no cache
+// lookups; the concurrent run only adds load on the server.
 func TestServeImageHammerHoldsBudget(t *testing.T) {
 	const budget = 1 << 20
 	cache := visual.NewSceneCache()
@@ -223,7 +224,8 @@ func TestServeImageHammerHoldsBudget(t *testing.T) {
 			}
 		}()
 	}
-	// Eval runs render through the same cache at the same time.
+	// An eval run streams at the same time; it competes for the
+	// server, not for the cache.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
