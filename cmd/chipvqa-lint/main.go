@@ -1,6 +1,7 @@
-// Command chipvqa-lint runs the repo's determinism and buffer-lifecycle
-// analyzers (internal/lint) over every package in the module and prints
-// file:line:col: [analyzer] diagnostics, exiting non-zero on findings.
+// Command chipvqa-lint runs the repo's determinism, buffer-lifecycle,
+// concurrency and reachability analyzers (internal/lint) over every
+// package in the module and prints file:line:col: [analyzer]
+// diagnostics, exiting non-zero on findings.
 //
 // It is part of the tier-1 verify gate:
 //
@@ -19,6 +20,16 @@
 // CI artifact). Suppress a single finding with an in-source directive:
 //
 //	//lint:ignore <analyzer> <reason>
+//
+// The unreachable analyzer reports functions and methods that no root
+// reaches. Roots are func main and func init of every main package
+// (cmd/, examples/ and the nested benchmark/ module), package-level
+// variable initializers and the exported API of the root package,
+// including every exported method reachable from it through aliases,
+// signatures and exported fields. A function that only a test or
+// benchmark calls is kept with
+// `//lint:ignore unreachable <the test or benchmark that calls it>` as
+// the last line of its doc comment; that also keeps what it calls.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
@@ -48,7 +59,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}

@@ -100,22 +100,14 @@ func gridTheta(k int) float64 {
 
 // Estimator tracks one model's ability posterior under the 2PL model
 // with a standard-normal prior (expected-a-posteriori estimation).
-// Observe refreshes the posterior summary once per outcome and keeps
+// observeRow refreshes the posterior summary once per outcome and keeps
 // it, so Estimate is O(1): callers may read it as often as they like
 // (the tournament's separation test reads every seat's on every
-// recorded outcome) at no exp cost. The zero value is not ready; use
-// NewEstimator.
+// recorded outcome) at no exp cost. The zero value is not ready;
+// setPrior readies it.
 type Estimator struct {
 	logpost     [gridN]float64
-	n           int
 	ability, se float64 // summary of logpost
-}
-
-// NewEstimator returns an estimator holding only the N(0,1) prior.
-func NewEstimator() *Estimator {
-	e := &Estimator{}
-	e.setPrior()
-	return e
 }
 
 // setPrior puts the N(0,1) prior and its summary into a zero-valued e.
@@ -127,28 +119,15 @@ func (e *Estimator) setPrior() {
 	e.ability, e.se = e.summary()
 }
 
-// Observe folds one judged outcome into the posterior. The update is
-// numerically hardened: the logistic exponent is clamped before
-// exponentiation and the log-likelihood terms are computed in log
-// space, so extreme or even non-finite item parameters can never
-// introduce a NaN or infinity into the posterior (FuzzObserve pins
-// this).
-func (e *Estimator) Observe(p ItemParams, correct bool) {
-	var row [gridN]float64
-	fillLogLik(&row, p, correct)
-	e.observeRow(&row)
-}
-
 // observeRow folds one outcome's log-likelihood row (see fillLogLik)
 // into the posterior and refreshes the summary. Callers that see the
 // same (item parameters, outcome) many times fill the row once and
-// reuse it: the posterior is bit-identical to calling Observe each
-// time.
+// reuse it: the posterior is bit-identical to filling a fresh row for
+// each outcome.
 func (e *Estimator) observeRow(row *[gridN]float64) {
 	for k := range e.logpost {
 		e.logpost[k] += row[k]
 	}
-	e.n++
 	e.ability, e.se = e.summary()
 }
 
@@ -165,11 +144,8 @@ func fillLogLik(row *[gridN]float64, p ItemParams, correct bool) {
 	}
 }
 
-// Observations reports how many outcomes have been folded in.
-func (e *Estimator) Observations() int { return e.n }
-
 // Estimate returns the posterior mean ability and its posterior
-// standard deviation as of the last Observe, in O(1). Both are always
+// standard deviation as of the last observation, in O(1). Both are always
 // finite: the prior bounds the posterior to the grid, and weights are
 // renormalised against the maximum log-posterior before
 // exponentiation.

@@ -61,12 +61,6 @@ func (c *Circuit) C(name, plus, minus string, farads float64) *Circuit {
 	return c
 }
 
-// L adds an inductor.
-func (c *Circuit) L(name, plus, minus string, henries float64) *Circuit {
-	c.Elements = append(c.Elements, Element{Kind: KindInductor, Name: name, Plus: plus, Minus: minus, Value: henries})
-	return c
-}
-
 // V adds an independent voltage source (value in volts, AC magnitude).
 func (c *Circuit) V(name, plus, minus string, volts float64) *Circuit {
 	c.Elements = append(c.Elements, Element{Kind: KindVSource, Name: name, Plus: plus, Minus: minus, Value: volts})
@@ -78,13 +72,6 @@ func (c *Circuit) V(name, plus, minus string, volts float64) *Circuit {
 // flows from Minus to Plus inside the source.
 func (c *Circuit) I(name, plus, minus string, amps float64) *Circuit {
 	c.Elements = append(c.Elements, Element{Kind: KindISource, Name: name, Plus: plus, Minus: minus, Value: amps})
-	return c
-}
-
-// VCVS adds a voltage-controlled voltage source with the given gain.
-func (c *Circuit) VCVS(name, plus, minus, ctrlPlus, ctrlMinus string, gain float64) *Circuit {
-	c.Elements = append(c.Elements, Element{Kind: KindVCVS, Name: name, Plus: plus, Minus: minus,
-		CtrlPlus: ctrlPlus, CtrlMinus: ctrlMinus, Value: gain})
 	return c
 }
 

@@ -303,3 +303,20 @@ func TestNonInvertingOpAmpFromVCVS(t *testing.T) {
 		t.Errorf("VCVS non-inverting gain %v, ideal %v", gain, want)
 	}
 }
+
+// L and VCVS build the inductor and E elements whose MNA stamps the
+// tests above exercise; no question generator builds either, so the
+// builders live here.
+
+// L adds an inductor.
+func (c *Circuit) L(name, plus, minus string, henries float64) *Circuit {
+	c.Elements = append(c.Elements, Element{Kind: KindInductor, Name: name, Plus: plus, Minus: minus, Value: henries})
+	return c
+}
+
+// VCVS adds a voltage-controlled voltage source with the given gain.
+func (c *Circuit) VCVS(name, plus, minus, ctrlPlus, ctrlMinus string, gain float64) *Circuit {
+	c.Elements = append(c.Elements, Element{Kind: KindVCVS, Name: name, Plus: plus, Minus: minus,
+		CtrlPlus: ctrlPlus, CtrlMinus: ctrlMinus, Value: gain})
+	return c
+}

@@ -13,12 +13,6 @@ func TestGmRoFromBias(t *testing.T) {
 	if gm := GmFromBias(1e-3, 0); gm != 0 {
 		t.Errorf("gm with zero Vov = %v", gm)
 	}
-	if ro := RoFromLambda(0.1, 1e-3); math.Abs(ro-10000) > 1e-6 {
-		t.Errorf("ro = %v, want 10k", ro)
-	}
-	if ro := RoFromLambda(0, 1e-3); !math.IsInf(ro, 1) {
-		t.Errorf("ro with lambda=0 = %v", ro)
-	}
 }
 
 func TestQuickCommonSourceMatchesMNA(t *testing.T) {
@@ -111,15 +105,6 @@ func TestFeedbackRelations(t *testing.T) {
 	acl := ClosedLoopGain(1e6, 0.01)
 	if math.Abs(acl-100) > 0.2 {
 		t.Errorf("closed loop %v, want ~100", acl)
-	}
-	if lg := LoopGain(1000, 0.01); lg != 10 {
-		t.Errorf("loop gain %v", lg)
-	}
-	// Gain-bandwidth conservation: closed-loop bandwidth extends by
-	// 1 + T.
-	bw := ClosedLoopBandwidth(1e3, 1000, 0.01)
-	if math.Abs(bw-1e3*11) > 1 {
-		t.Errorf("closed-loop bandwidth %v", bw)
 	}
 	if gbw := GainBandwidthProduct(1000, 1e3); gbw != 1e6 {
 		t.Errorf("GBW %v", gbw)

@@ -32,6 +32,8 @@ func (p Poly) Degree() int {
 
 // Roots finds all complex roots with the Durand–Kerner iteration,
 // adequate for the low-order transfer functions the benchmark uses.
+//
+//lint:ignore unreachable called only by TestRootsKnown, TestRootsComplexPair and TestQuickRootsSatisfyPolynomial
 func (p Poly) Roots() []complex128 {
 	deg := p.Degree()
 	if deg == 0 {
@@ -105,12 +107,6 @@ func (h TransferFunction) DCGain() float64 {
 	}
 	return h.Num[0] / h.Den[0]
 }
-
-// Poles returns the roots of the denominator.
-func (h TransferFunction) Poles() []complex128 { return h.Den.Roots() }
-
-// Zeros returns the roots of the numerator.
-func (h TransferFunction) Zeros() []complex128 { return h.Num.Roots() }
 
 // MagnitudeDB returns 20*log10 |H(j omega)|.
 func (h TransferFunction) MagnitudeDB(omega float64) float64 {

@@ -75,11 +75,6 @@ func TestSinglePoleProperties(t *testing.T) {
 	if dc := h.DCGain(); math.Abs(dc-100) > 1e-9 {
 		t.Errorf("DC gain %v", dc)
 	}
-	// Pole location.
-	poles := h.Poles()
-	if len(poles) != 1 || math.Abs(real(poles[0])+1e4) > 1 {
-		t.Errorf("poles %v, want -1e4", poles)
-	}
 	// -3 dB at the pole.
 	if db := h.MagnitudeDB(1e4) - h.MagnitudeDB(1); math.Abs(db+3.01) > 0.05 {
 		t.Errorf("relative gain at pole %v dB, want -3.01", db)

@@ -22,17 +22,6 @@ type CacheConfig struct {
 // Sets returns the number of sets.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.BlockSize * c.Ways) }
 
-// IndexBits returns log2(sets).
-func (c CacheConfig) IndexBits() int { return log2i(c.Sets()) }
-
-// OffsetBits returns log2(block size).
-func (c CacheConfig) OffsetBits() int { return log2i(c.BlockSize) }
-
-// TagBits returns the tag width for the given address width.
-func (c CacheConfig) TagBits(addrBits int) int {
-	return addrBits - c.IndexBits() - c.OffsetBits()
-}
-
 func log2i(v int) int {
 	b := 0
 	for v > 1 {
@@ -120,15 +109,6 @@ func (c *Cache) Run(trace []uint64) (hits, misses int) {
 	return c.Hits - h0, c.Misses - m0
 }
 
-// MissRate returns the running miss rate.
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
-}
-
 // AMAT computes average memory access time from hit time, miss penalty
 // and miss rate — the standard formula.
 func AMAT(hitTime, missPenalty, missRate float64) float64 {
@@ -136,7 +116,9 @@ func AMAT(hitTime, missPenalty, missRate float64) float64 {
 }
 
 // StrideTrace generates n accesses starting at base with the given byte
-// stride — the array-walk workloads cache questions use.
+// stride: an array walk.
+//
+//lint:ignore unreachable called only by TestStrideTrace
 func StrideTrace(base uint64, stride int, n int) []uint64 {
 	out := make([]uint64, n)
 	for i := range out {

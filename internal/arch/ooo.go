@@ -61,6 +61,8 @@ type OoOResult struct {
 }
 
 // IPC returns instructions per cycle.
+//
+//lint:ignore unreachable kept for BenchmarkOoOvsInOrder in bench_test.go
 func (r OoOResult) IPC() float64 {
 	if r.Cycles == 0 {
 		return 0
@@ -166,6 +168,8 @@ func SimulateOoO(prog []Instr, cfg OoOConfig) (OoOResult, error) {
 // strictly in-order single issue: instruction i cannot start before
 // instruction i-1 has started. The gap to SimulateOoO quantifies the ILP
 // an out-of-order window exposes.
+//
+//lint:ignore unreachable kept for BenchmarkOoOvsInOrder in bench_test.go
 func InOrderBaselineCycles(prog []Instr, cfg OoOConfig) (int, error) {
 	inOrder := cfg
 	inOrder.IssueWidth = 1

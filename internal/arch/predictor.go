@@ -1,56 +1,5 @@
 package arch
 
-// Predictor is a branch direction predictor simulated over an outcome
-// stream (true = taken).
-type Predictor interface {
-	// Predict returns the predicted direction for a branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc uint64, taken bool)
-	// Name identifies the scheme.
-	Name() string
-}
-
-// StaticPredictor always predicts the same direction.
-type StaticPredictor struct{ Taken bool }
-
-// Predict implements Predictor.
-func (p *StaticPredictor) Predict(uint64) bool { return p.Taken }
-
-// Update implements Predictor.
-func (p *StaticPredictor) Update(uint64, bool) {}
-
-// Name implements Predictor.
-func (p *StaticPredictor) Name() string {
-	if p.Taken {
-		return "static taken"
-	}
-	return "static not-taken"
-}
-
-// OneBitPredictor is a last-outcome predictor with a direct-mapped table.
-type OneBitPredictor struct {
-	table []bool
-}
-
-// NewOneBit returns a 1-bit predictor with 2^bits entries.
-func NewOneBit(bits int) *OneBitPredictor {
-	return &OneBitPredictor{table: make([]bool, 1<<bits)}
-}
-
-// Predict implements Predictor.
-func (p *OneBitPredictor) Predict(pc uint64) bool {
-	return p.table[pc%uint64(len(p.table))]
-}
-
-// Update implements Predictor.
-func (p *OneBitPredictor) Update(pc uint64, taken bool) {
-	p.table[pc%uint64(len(p.table))] = taken
-}
-
-// Name implements Predictor.
-func (p *OneBitPredictor) Name() string { return "1-bit" }
-
 // TwoBitPredictor uses saturating 2-bit counters (0,1 predict not taken;
 // 2,3 predict taken), initialised weakly not-taken.
 type TwoBitPredictor struct {
@@ -66,12 +15,12 @@ func NewTwoBit(bits int) *TwoBitPredictor {
 	return t
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for a branch at pc.
 func (p *TwoBitPredictor) Predict(pc uint64) bool {
 	return p.table[pc%uint64(len(p.table))] >= 2
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the actual outcome.
 func (p *TwoBitPredictor) Update(pc uint64, taken bool) {
 	i := pc % uint64(len(p.table))
 	if taken {
@@ -83,57 +32,9 @@ func (p *TwoBitPredictor) Update(pc uint64, taken bool) {
 	}
 }
 
-// Name implements Predictor.
-func (p *TwoBitPredictor) Name() string { return "2-bit saturating" }
-
-// GsharePredictor XORs a global history register with the pc to index a
-// 2-bit counter table.
-type GsharePredictor struct {
-	table   []uint8
-	history uint64
-	bits    int
-}
-
-// NewGshare returns a gshare predictor with 2^bits counters and a
-// history register of the same width.
-func NewGshare(bits int) *GsharePredictor {
-	g := &GsharePredictor{table: make([]uint8, 1<<bits), bits: bits}
-	for i := range g.table {
-		g.table[i] = 1
-	}
-	return g
-}
-
-func (p *GsharePredictor) index(pc uint64) uint64 {
-	mask := uint64(len(p.table) - 1)
-	return (pc ^ p.history) & mask
-}
-
-// Predict implements Predictor.
-func (p *GsharePredictor) Predict(pc uint64) bool { return p.table[p.index(pc)] >= 2 }
-
-// Update implements Predictor.
-func (p *GsharePredictor) Update(pc uint64, taken bool) {
-	i := p.index(pc)
-	if taken {
-		if p.table[i] < 3 {
-			p.table[i]++
-		}
-	} else if p.table[i] > 0 {
-		p.table[i]--
-	}
-	p.history = (p.history << 1) & uint64(len(p.table)-1)
-	if taken {
-		p.history |= 1
-	}
-}
-
-// Name implements Predictor.
-func (p *GsharePredictor) Name() string { return "gshare" }
-
 // RunPredictor feeds an outcome stream for a single branch pc and
 // returns the misprediction count.
-func RunPredictor(p Predictor, pc uint64, outcomes []bool) int {
+func RunPredictor(p *TwoBitPredictor, pc uint64, outcomes []bool) int {
 	miss := 0
 	for _, taken := range outcomes {
 		if p.Predict(pc) != taken {

@@ -128,7 +128,9 @@ func BuildBenchmark() (*dataset.Benchmark, error) {
 	return b, nil
 }
 
-// MustBuild builds the benchmark or panics; for examples and benches.
+// MustBuild builds the benchmark or panics; a test fixture.
+//
+//lint:ignore unreachable called only by core's and vlm's tests (TestBenchmarkDeterministic, TestFineTuneImprovesWeakModel)
 func MustBuild() *dataset.Benchmark {
 	b, err := BuildBenchmark()
 	if err != nil {

@@ -362,7 +362,6 @@ func (a *packAlloc) strings(n int) []string {
 type PackReader struct {
 	r     *bufio.Reader
 	tab   []string
-	name  string
 	buf   []byte
 	sum   uint32
 	read  uint64
@@ -370,7 +369,8 @@ type PackReader struct {
 	alloc packAlloc
 }
 
-// NewPackReader validates the stream header and positions the reader at
+// NewPackReader validates the stream header, skips the benchmark name
+// and positions the reader at
 // the first record.
 func NewPackReader(r io.Reader) (*PackReader, error) {
 	pr := &PackReader{r: bufio.NewReaderSize(r, 1<<16)}
@@ -395,19 +395,11 @@ func NewPackReader(r io.Reader) (*PackReader, error) {
 	if nameLen > packMaxPayload {
 		return nil, fmt.Errorf("dataset: pack: implausible name length %d", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(pr.r, name); err != nil {
+	if _, err := io.ReadFull(pr.r, make([]byte, nameLen)); err != nil {
 		return nil, fmt.Errorf("dataset: pack: reading name: %w", err)
 	}
-	pr.name = string(name)
 	return pr, nil
 }
-
-// Name returns the benchmark name from the header.
-func (pr *PackReader) Name() string { return pr.name }
-
-// Count returns the number of questions decoded so far.
-func (pr *PackReader) Count() int { return int(pr.read) }
 
 // nextPayload returns the next question-record payload (without its
 // leading type byte) as a string, folding every record into the
@@ -857,6 +849,8 @@ func WritePack(w io.Writer, b *Benchmark) error {
 // question records — which never mutate the intern table — decode on
 // one goroutine per CPU, partitioned by index range so the result is
 // identical regardless of parallelism.
+//
+//lint:ignore unreachable called only by tests (internal/core's TestPackRoundTripByteIdentical) and BenchmarkReadPack10k
 func ReadPack(r io.Reader) (*Benchmark, error) {
 	data, err := slurp(r)
 	if err != nil {

@@ -376,14 +376,6 @@ func TestSAConstructors(t *testing.T) {
 	if ph.Golden.Kind != AnswerPhrase || len(ph.Golden.Accept) != 1 {
 		t.Errorf("golden %+v", ph.Golden)
 	}
-
-	ex := NewSAExpression("se1", Digital, "t", "derive F", scene, "A + B", 0.6)
-	if err := ex.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Golden.Kind != AnswerExpression {
-		t.Errorf("golden %+v", ex.Golden)
-	}
 }
 
 func TestDistinctOptions(t *testing.T) {

@@ -77,6 +77,8 @@ func (b *Benchmark) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON parses a benchmark previously written with WriteJSON.
+//
+//lint:ignore unreachable called only by tests (TestJSONRoundTrip, the facade's TestSuiteStatsAndExport)
 func ReadJSON(r io.Reader) (*Benchmark, error) {
 	var in struct {
 		Name      string         `json:"name"`

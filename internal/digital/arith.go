@@ -4,6 +4,8 @@ import "fmt"
 
 // ToTwosComplement encodes a signed value in an n-bit two's-complement
 // word, reporting overflow when the value does not fit.
+//
+//lint:ignore unreachable called only by TestTwosComplementKnown, TestTwosComplementOverflow and TestQuickTwosComplementRoundTrip
 func ToTwosComplement(value, bits int) (word int, err error) {
 	min := -(1 << (bits - 1))
 	max := 1<<(bits-1) - 1
@@ -54,16 +56,11 @@ func Add(a, b, bits int, carryIn bool) AddResult {
 }
 
 // Sub computes a-b in n bits via two's complement (a + ~b + 1).
+//
+//lint:ignore unreachable called only by TestSub
 func Sub(a, b, bits int) AddResult {
 	mask := 1<<bits - 1
 	return Add(a, ^b&mask, bits, true)
-}
-
-// FullAdderOutputs returns (sum, carry) of a one-bit full adder.
-func FullAdderOutputs(a, b, cin bool) (sum, carry bool) {
-	sum = a != b != cin
-	carry = a && b || cin && (a != b)
-	return sum, carry
 }
 
 // BitString renders the low n bits of a word, MSB first.
@@ -79,39 +76,13 @@ func BitString(word, bits int) string {
 	return string(out)
 }
 
-// ParseBits parses an MSB-first bit string to a word.
-func ParseBits(s string) (int, error) {
-	v := 0
-	for _, r := range s {
-		switch r {
-		case '0':
-			v <<= 1
-		case '1':
-			v = v<<1 | 1
-		case ' ', '_':
-			// grouping allowed
-		default:
-			return 0, fmt.Errorf("digital: bad bit %q in %q", r, s)
-		}
-	}
-	return v, nil
-}
-
 // GrayEncode converts binary to Gray code.
 func GrayEncode(v int) int { return v ^ v>>1 }
 
-// GrayDecode converts Gray code back to binary.
-func GrayDecode(g int) int {
-	v := 0
-	for g != 0 {
-		v ^= g
-		g >>= 1
-	}
-	return v
-}
-
 // Parity returns the even-parity bit of the low n bits of word (1 when
 // the count of ones is odd, making the total even).
+//
+//lint:ignore unreachable called only by TestParity
 func Parity(word, bits int) int {
 	p := 0
 	for i := 0; i < bits; i++ {
@@ -121,6 +92,8 @@ func Parity(word, bits int) int {
 }
 
 // SignExtend widens an n-bit two's-complement word to m bits.
+//
+//lint:ignore unreachable called only by TestSignExtend
 func SignExtend(word, fromBits, toBits int) int {
 	return FromTwosComplement(word, fromBits) & (1<<toBits - 1)
 }

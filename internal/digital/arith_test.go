@@ -132,13 +132,6 @@ func TestBitStringParse(t *testing.T) {
 	if s := BitString(0b1011, 4); s != "1011" {
 		t.Errorf("BitString = %q", s)
 	}
-	v, err := ParseBits("10 11")
-	if err != nil || v != 0b1011 {
-		t.Errorf("ParseBits = %d, %v", v, err)
-	}
-	if _, err := ParseBits("10x1"); err == nil {
-		t.Error("bad bit accepted")
-	}
 }
 
 func TestQuickGrayRoundTrip(t *testing.T) {
@@ -180,4 +173,25 @@ func TestSignExtend(t *testing.T) {
 	if got := SignExtend(0b0101, 4, 8); got != 0b0101 {
 		t.Errorf("SignExtend positive = %08b", got)
 	}
+}
+
+// The helpers below check the live arithmetic from the other side (a
+// bit-level adder, the Gray-code inverse); no question generator uses
+// them.
+
+// FullAdderOutputs returns (sum, carry) of a one-bit full adder.
+func FullAdderOutputs(a, b, cin bool) (sum, carry bool) {
+	sum = a != b != cin
+	carry = a && b || cin && (a != b)
+	return sum, carry
+}
+
+// GrayDecode converts Gray code back to binary.
+func GrayDecode(g int) int {
+	v := 0
+	for g != 0 {
+		v ^= g
+		g >>= 1
+	}
+	return v
 }

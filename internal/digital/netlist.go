@@ -97,12 +97,6 @@ func (n *Netlist) AddGate(kind GateKind, name, output string, inputs ...string) 
 	return n
 }
 
-// AddDFF registers a D flip-flop with output q fed by net d.
-func (n *Netlist) AddDFF(q, d string) *Netlist {
-	n.DFFs[q] = d
-	return n
-}
-
 // PrimaryInputs lists nets that no gate or flop drives, sorted.
 func (n *Netlist) PrimaryInputs() []string {
 	driven := make(map[string]bool)
@@ -176,20 +170,6 @@ func (n *Netlist) Eval(inputs map[string]bool, state map[string]bool) (map[strin
 		remaining = still
 	}
 	return values, nil
-}
-
-// Clock settles the logic then advances every flip-flop, returning the
-// next flop state.
-func (n *Netlist) Clock(inputs, state map[string]bool) (map[string]bool, error) {
-	values, err := n.Eval(inputs, state)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[string]bool, len(n.DFFs))
-	for q, d := range n.DFFs {
-		next[q] = values[d]
-	}
-	return next, nil
 }
 
 // Depth returns the longest gate chain from any primary input or flop

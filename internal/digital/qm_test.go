@@ -163,3 +163,17 @@ func TestLiteralCount(t *testing.T) {
 		}
 	}
 }
+
+// LiteralCount is the cost metric the minimiser tests compare with.
+
+// LiteralCount counts variable literals in a rendered SOP expression —
+// the cost metric minimisation questions compare.
+func LiteralCount(e Expr) int {
+	count := 0
+	for _, r := range e.String() {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' {
+			count++
+		}
+	}
+	return count
+}

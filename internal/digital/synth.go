@@ -78,40 +78,6 @@ func SynthesizeDFF(st *StateTable) (*SynthesizedFSM, error) {
 	return fsm, nil
 }
 
-// Step runs one clock of the synthesized machine: given the current
-// state code and input bit, it evaluates the D equations (and output).
-func (f *SynthesizedFSM) Step(state, input int) (next int, output int) {
-	assign := make(map[string]bool, f.StateBits+1)
-	for i := 0; i < f.StateBits; i++ {
-		assign[fmt.Sprintf("Q%d", i)] = state&(1<<i) != 0
-	}
-	assign["X"] = input != 0
-	for b, e := range f.Next {
-		if e.Eval(assign) {
-			next |= 1 << b
-		}
-	}
-	if f.Output != nil && f.Output.Eval(assign) {
-		output = 1
-	}
-	return next, output
-}
-
-// Run replays an input sequence from a start state, returning the
-// visited states (including the start) and outputs — directly comparable
-// to StateTable.Step.
-func (f *SynthesizedFSM) Run(start int, inputs []int) (states, outputs []int) {
-	states = append(states, start)
-	s := start
-	for _, in := range inputs {
-		var out int
-		s, out = f.Step(s, in)
-		states = append(states, s)
-		outputs = append(outputs, out)
-	}
-	return states, outputs
-}
-
 // Equations renders the synthesis result as the textbook equation list.
 func (f *SynthesizedFSM) Equations() []string {
 	out := make([]string, 0, f.StateBits+1)

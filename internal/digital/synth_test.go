@@ -1,6 +1,7 @@
 package digital
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,4 +146,41 @@ func TestEquationsRender(t *testing.T) {
 			t.Error("empty equation")
 		}
 	}
+}
+
+// Step and Run simulate a synthesized machine so the tests can compare
+// it with its state table.
+
+// Step runs one clock of the synthesized machine: given the current
+// state code and input bit, it evaluates the D equations (and output).
+func (f *SynthesizedFSM) Step(state, input int) (next int, output int) {
+	assign := make(map[string]bool, f.StateBits+1)
+	for i := 0; i < f.StateBits; i++ {
+		assign[fmt.Sprintf("Q%d", i)] = state&(1<<i) != 0
+	}
+	assign["X"] = input != 0
+	for b, e := range f.Next {
+		if e.Eval(assign) {
+			next |= 1 << b
+		}
+	}
+	if f.Output != nil && f.Output.Eval(assign) {
+		output = 1
+	}
+	return next, output
+}
+
+// Run replays an input sequence from a start state, returning the
+// visited states (including the start) and outputs — directly comparable
+// to StateTable.Step.
+func (f *SynthesizedFSM) Run(start int, inputs []int) (states, outputs []int) {
+	states = append(states, start)
+	s := start
+	for _, in := range inputs {
+		var out int
+		s, out = f.Step(s, in)
+		states = append(states, s)
+		outputs = append(outputs, out)
+	}
+	return states, outputs
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -109,5 +110,31 @@ func TestEvaluateAllIntoReuse(t *testing.T) {
 	}
 	if err := r.EvaluateAllInto(context.Background(), models, b, reps[:1]); err == nil {
 		t.Error("length mismatch not rejected")
+	}
+}
+
+// containsPhrase is the string-operand oracle for the judge's
+// containsPhraseBytes.
+func containsPhrase(haystack, needle string) bool {
+	if needle == "" {
+		return false
+	}
+	if len(needle) < 2 {
+		return haystack == needle
+	}
+	idx := 0
+	for {
+		i := strings.Index(haystack[idx:], needle)
+		if i < 0 {
+			return false
+		}
+		start := idx + i
+		end := start + len(needle)
+		beforeOK := start == 0 || !isWordChar(haystack[start-1])
+		afterOK := end == len(haystack) || !isWordChar(haystack[end])
+		if beforeOK && afterOK {
+			return true
+		}
+		idx = start + 1
 	}
 }

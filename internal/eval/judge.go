@@ -261,36 +261,11 @@ func (j Judge) correctPhrase(g dataset.Answer, response string, sc *Scratch) boo
 	return false
 }
 
-// containsPhrase reports whether haystack contains needle as a
+// containsPhraseBytes reports whether haystack contains needle as a
 // word-boundary-aligned phrase (so "standard" never matches the golden
-// "and"). Single-character needles only match the exact whole response.
-func containsPhrase(haystack, needle string) bool {
-	if needle == "" {
-		return false
-	}
-	if len(needle) < 2 {
-		return haystack == needle
-	}
-	idx := 0
-	for {
-		i := strings.Index(haystack[idx:], needle)
-		if i < 0 {
-			return false
-		}
-		start := idx + i
-		end := start + len(needle)
-		beforeOK := start == 0 || !isWordChar(haystack[start-1])
-		afterOK := end == len(haystack) || !isWordChar(haystack[end])
-		if beforeOK && afterOK {
-			return true
-		}
-		idx = start + 1
-	}
-}
-
-// containsPhraseBytes is containsPhrase over scratch-buffer operands;
-// TestContainsPhraseBytesMatchesString pins the two implementations
-// together.
+// "and"); single-character needles only match the exact whole response.
+// TestContainsPhraseBytesMatchesString pins it to the string oracle
+// containsPhrase.
 //
 //hot:judge phrase containment over scratch buffers
 func containsPhraseBytes(haystack, needle []byte) bool {

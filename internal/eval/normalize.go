@@ -19,6 +19,7 @@ import (
 // time and for re-normalising a previous Normalize result.
 //
 //hot:normalize per-event judge path (DESIGN.md §12); canonical inputs must not allocate
+//lint:ignore unreachable kept for BenchmarkNormalizeCanonical in bench_test.go
 func Normalize(s string) string {
 	if isNormalized(s) {
 		return s

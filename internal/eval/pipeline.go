@@ -21,10 +21,11 @@ import (
 // graceful partial results.
 
 // Event is the per-question unit of work flowing through the pipeline.
-// The Source seeds Seq, Model and Question; Inference fills Response;
-// JudgeStage fills Correct; when the pipeline has an Observer, the
-// delivery layer stamps At just before the Sink and Observer see the
-// event.
+// The ItemScheduler's Next seeds Seq, Model and Question in every run
+// (a Pipeline.Source is wrapped in a scheduler too); Inference fills
+// Response; JudgeStage fills Correct; when the pipeline has an
+// Observer, the delivery layer stamps At just before the Sink and
+// Observer see the event.
 type Event struct {
 	// Seq is the event's position in the run's canonical order: the
 	// question index for single-model runs, the flattened model-major

@@ -30,6 +30,10 @@ type FuncFacts struct {
 // table for functions declared outside the module (stdlib).
 type Facts struct {
 	funcs map[*types.Func]FuncFacts
+	pkgs  []*Package
+	// live holds the functions reachable from the program's roots (see
+	// Unreachable); reachable computes it on first use.
+	live map[*types.Func]bool
 }
 
 // Of returns the facts for a module-declared function. The zero value
@@ -61,10 +65,13 @@ func (f *Facts) MayBlock(fn *types.Func) (string, bool) {
 	return blockingRoot(fn)
 }
 
-// Spawns reports whether fn is a module-declared function whose body
-// spawns goroutines.
-func (f *Facts) Spawns(fn *types.Func) bool {
-	return f.Of(fn).Spawns
+// reachable reports whether fn is reachable from the program's roots or
+// kept by a directive (see Unreachable).
+func (f *Facts) reachable(fn *types.Func) bool {
+	if f.live == nil {
+		f.live = liveFuncs(f.pkgs)
+	}
+	return f.live[fn]
 }
 
 // ComputeFacts builds the module call graph and propagates may-block
@@ -72,7 +79,7 @@ func (f *Facts) Spawns(fn *types.Func) bool {
 // in (package, file, declaration) order and the worklist is FIFO.
 func ComputeFacts(pkgs []*Package) *Facts {
 	g := buildCallGraph(pkgs)
-	facts := &Facts{funcs: make(map[*types.Func]FuncFacts, len(g.order))}
+	facts := &Facts{funcs: make(map[*types.Func]FuncFacts, len(g.order)), pkgs: pkgs}
 
 	// callers[f] lists the nodes that synchronously call f, in
 	// deterministic discovery order.

@@ -8,7 +8,8 @@
 // wall clock or map-iteration order reaches report output, and pooled
 // pixel buffers obey the ownership contract of internal/visual/pool.go.
 // The analyzers here turn those conventions into compile-time checks run
-// by cmd/chipvqa-lint on every build (tier-1 verify).
+// by cmd/chipvqa-lint on every build (tier-1 verify), alongside a
+// reachability check that keeps code nothing calls from piling up.
 //
 // The framework is deliberately minimal: a type-checked package loader
 // (load.go) built on go/parser + go/types with a source-mode stdlib
@@ -94,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns every shipped analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, MapOrder, PoolOwn, ErrDrop, HotAlloc, CtxFlow, GoLeak, LockSafe}
+	return []*Analyzer{NoDeterm, MapOrder, PoolOwn, ErrDrop, HotAlloc, CtxFlow, GoLeak, LockSafe, Unreachable}
 }
 
 // Run executes the analyzers over the packages and returns all findings

@@ -18,6 +18,9 @@ import (
 type Package struct {
 	// Path is the import path ("repro/internal/eval").
 	Path string
+	// Module is the path of the module the package was loaded from
+	// ("repro"); the package whose Path equals it is the module's root.
+	Module string
 	// Dir is the absolute directory the files came from.
 	Dir string
 	// Fset is the file set shared by every package of one Loader.
@@ -68,9 +71,6 @@ func NewLoader(dir string) (*Loader, error) {
 		loading: make(map[string]bool),
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Root returns the absolute module root directory.
 func (l *Loader) Root() string { return l.root }
@@ -258,7 +258,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Module: l.modPath, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -111,7 +111,9 @@ func LineInGrating(cd, pitch float64, n int) ([]MaskFeature, float64) {
 }
 
 // ProximityError returns printed-minus-drawn CD for the centre line of a
-// grating: the dense-vs-iso proximity effect RET questions reason about.
+// grating: the dense-vs-iso proximity effect bias OPC corrects.
+//
+//lint:ignore unreachable kept for BenchmarkAerialOPC in bench_test.go
 func (a *AerialSimulator) ProximityError(cd, pitch float64, lines int) float64 {
 	features, x0 := LineInGrating(cd, pitch, lines)
 	return a.PrintedCD(features, x0) - cd
@@ -121,6 +123,8 @@ func (a *AerialSimulator) ProximityError(cd, pitch float64, lines int) float64 {
 // width) that makes the centre line print at the target CD, via
 // bisection over [-cd/2, +cd]. ok is false when no bias in range
 // achieves the target within the simulation grid (2 nm).
+//
+//lint:ignore unreachable kept for BenchmarkAerialOPC in bench_test.go
 func (a *AerialSimulator) ApplyBiasOPC(cd, pitch float64, lines int) (bias float64, ok bool) {
 	printAt := func(b float64) float64 {
 		features, x0 := LineInGrating(cd+b, pitch, lines)
@@ -147,6 +151,8 @@ func (a *AerialSimulator) ApplyBiasOPC(cd, pitch float64, lines int) (bias float
 // ImageLogSlope returns the normalised image log slope (NILS) at the
 // nominal line edge — the standard lithographic-quality metric; higher
 // is better, and it collapses as pitch approaches the resolution limit.
+//
+//lint:ignore unreachable called only by TestNILSCollapsesAtTightPitch
 func (a *AerialSimulator) ImageLogSlope(cd, pitch float64, lines int) float64 {
 	features, x0 := LineInGrating(cd, pitch, lines)
 	edge := x0 + cd/2

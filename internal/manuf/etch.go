@@ -57,12 +57,6 @@ func (p EtchProcess) SubstrateLoss(overEtchMinutes float64) float64 {
 	return p.Rate / p.Selectivity * overEtchMinutes
 }
 
-// EtchBias returns the CD change of a line after an isotropic component
-// undercuts both edges.
-func (p EtchProcess) EtchBias(minutes float64) float64 {
-	return 2 * p.LateralEtch(minutes)
-}
-
 // String renders the process like a recipe line.
 func (p EtchProcess) String() string {
 	return fmt.Sprintf("%s: %.0f nm/min, selectivity %.0f:1, anisotropy %.1f",
@@ -82,6 +76,8 @@ type Film struct {
 
 // TotalEtchTime returns the minutes to clear the whole stack given a
 // per-material rate table; unknown materials yield an error.
+//
+//lint:ignore unreachable called only by TestFilmStack
 func (s FilmStack) TotalEtchTime(rates map[string]float64) (float64, error) {
 	total := 0.0
 	for _, f := range s.Layers {

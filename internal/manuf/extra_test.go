@@ -36,12 +36,6 @@ func TestGenerateExtraSmoke(t *testing.T) {
 }
 
 func TestMiscHelpers(t *testing.T) {
-	if (DiffusionStep{D: 1e-13, TimeS: 3600}).DiffusionLength() <= 0 {
-		t.Error("diffusion length")
-	}
-	if IonImplantPeakDepth(100, 1.2) != 120 {
-		t.Error("implant depth")
-	}
 	if BOE5to1().String() == "" || EUV().String() == "" {
 		t.Error("empty descriptions")
 	}

@@ -10,6 +10,8 @@ func PoissonYield(areaCM2, defectDensity float64) float64 {
 
 // MurphyYield returns the die yield under Murphy's model:
 // Y = ((1 - exp(-A*D)) / (A*D))^2.
+//
+//lint:ignore unreachable called only by TestYieldModels and TestQuickYieldOrdering
 func MurphyYield(areaCM2, defectDensity float64) float64 {
 	ad := areaCM2 * defectDensity
 	if ad == 0 {
@@ -21,6 +23,8 @@ func MurphyYield(areaCM2, defectDensity float64) float64 {
 
 // SeedsYield returns Y = 1/(1 + A*D), the Seeds (exponential defect
 // distribution) model.
+//
+//lint:ignore unreachable called only by TestQuickYieldOrdering
 func SeedsYield(areaCM2, defectDensity float64) float64 {
 	return 1 / (1 + areaCM2*defectDensity)
 }
@@ -75,24 +79,6 @@ func (d DefectClass) String() string {
 		return "center spot"
 	default:
 		return "unknown"
-	}
-}
-
-// Signature describes how the class looks on a wafer map.
-func (d DefectClass) Signature() string {
-	switch d {
-	case DefectRandom:
-		return "failing dies scattered uniformly across the wafer"
-	case DefectCluster:
-		return "a tight blob of failing dies in one region"
-	case DefectScratch:
-		return "a thin straight or arc-shaped line of failing dies"
-	case DefectEdgeRing:
-		return "failing dies concentrated in an annulus at the wafer edge"
-	case DefectCenter:
-		return "failing dies concentrated at the wafer center"
-	default:
-		return ""
 	}
 }
 

@@ -101,6 +101,8 @@ func ParsePolish(expr []string, blocks map[string]Block) (*SlicingNode, error) {
 }
 
 // AspectRatio returns w/h of the subtree.
+//
+//lint:ignore unreachable called only by TestAspectRatio
 func (n *SlicingNode) AspectRatio() float64 {
 	w, h := n.Shape()
 	if h == 0 {

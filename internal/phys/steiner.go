@@ -213,16 +213,6 @@ func StarCost(pts []Pt, hub Pt) int {
 	return total
 }
 
-// PathCost returns the total rectilinear length of a chain topology
-// visiting the points in order.
-func PathCost(pts []Pt) int {
-	total := 0
-	for i := 1; i < len(pts); i++ {
-		total += Manhattan(pts[i-1], pts[i])
-	}
-	return total
-}
-
 // FormatPts renders coordinates like "(2,3) (5,1)".
 func FormatPts(pts []Pt) string {
 	s := ""

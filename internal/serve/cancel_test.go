@@ -207,7 +207,7 @@ func TestServeDrainGraceful(t *testing.T) {
 	if forced := s.Drain(dctx); forced != 0 {
 		t.Fatalf("graceful drain force-cancelled %d runs", forced)
 	}
-	if !s.Draining() {
+	if !s.reg.isDraining() {
 		t.Error("server not marked draining")
 	}
 

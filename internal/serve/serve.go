@@ -256,9 +256,6 @@ func (s *Server) Handler() http.Handler {
 	return s.logged(s.mux)
 }
 
-// Draining reports whether graceful drain has begun.
-func (s *Server) Draining() bool { return s.reg.isDraining() }
-
 // Drain performs graceful shutdown: stop admitting runs, wait for
 // in-flight runs to finish until ctx is done, then force-cancel the
 // stragglers and wait for them to unwind (bounded, because every run's

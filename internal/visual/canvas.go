@@ -64,12 +64,6 @@ func NewCanvas(w, h int) *Canvas {
 // Image exposes the underlying RGBA image.
 func (c *Canvas) Image() *image.RGBA { return c.img }
 
-// Size returns the canvas dimensions.
-func (c *Canvas) Size() (w, h int) {
-	b := c.img.Bounds()
-	return b.Dx(), b.Dy()
-}
-
 // rowSpan returns the raw bytes of row y covering columns [x0, x1).
 // Callers must pass in-bounds coordinates.
 func (c *Canvas) rowSpan(x0, x1, y int) []uint8 {
@@ -196,6 +190,8 @@ func (c *Canvas) bresenham(x0, y0, x1, y1 int, col color.RGBA) {
 }
 
 // ThickLine draws a line of the given pixel thickness.
+//
+//lint:ignore unreachable called only by TestThickLineAndAddAll and TestKernelDifferentialPrimitives
 func (c *Canvas) ThickLine(x0, y0, x1, y1, thickness int, col color.RGBA) {
 	if thickness <= 1 {
 		c.Line(x0, y0, x1, y1, col)

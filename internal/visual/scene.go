@@ -164,7 +164,7 @@ func (s *Scene) AddAll(es ...Element) *Scene {
 	return s
 }
 
-// Critical returns the critical elements of the scene.
+// CriticalElements returns the critical elements of the scene.
 func (s *Scene) CriticalElements() []Element {
 	var out []Element
 	for _, e := range s.Elements {

@@ -83,9 +83,9 @@ func TestCanvasText(t *testing.T) {
 
 func TestCanvasMinimumSize(t *testing.T) {
 	c := NewCanvas(0, -5)
-	w, h := c.Size()
-	if w < 1 || h < 1 {
-		t.Errorf("size %dx%d", w, h)
+	b := c.Image().Bounds()
+	if w, h := b.Dx(), b.Dy(); w < 1 || h < 1 {
+		t.Errorf("size %dx%d", b.Dx(), b.Dy())
 	}
 }
 

@@ -61,13 +61,15 @@ func (m *SimulatedVLM) Name() string { return m.profile.Name }
 func (m *SimulatedVLM) Profile() Profile { return m.profile }
 
 // SetPerception overrides the perception policy (ablations).
+//
+//lint:ignore unreachable kept for BenchmarkAblationBottleneck in bench_test.go
 func (m *SimulatedVLM) SetPerception(p PerceptionPolicy) { m.perception = p }
 
 // Answer implements eval.Model: it runs the simulated Fig. 2 pipeline —
 // perception over the scene graph at the requested resolution, then the
 // calibrated solve stage — and emits the model's textual response. The
-// simulation reads the question directly, so it never assembles the
-// text prompt BuildPrompt documents.
+// simulation reads the question directly, so it assembles no §IV text
+// prompt.
 func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) string {
 	if !m.perceives(q, opts.DownsampleFactor) {
 		return m.perceptionFailureResponse(q)
@@ -85,18 +87,6 @@ func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) s
 	default:
 		return m.wrongShortAnswer(q)
 	}
-}
-
-// BuildPrompt assembles the text prompt as §IV describes: models without
-// system-prompt support get the instructions folded into the user turn.
-func (m *SimulatedVLM) BuildPrompt(q *dataset.Question) string {
-	system := "You are a chip design expert. Answer the question about the attached figure. " +
-		"For multiple choice respond with the option letter; for short answer respond concisely."
-	user := q.FormatPrompt()
-	if m.profile.SupportsSystemPrompt {
-		return "[system] " + system + "\n[user] " + user
-	}
-	return "[user] " + system + " " + user
 }
 
 // perceives runs the perception stage: at full resolution the scene

@@ -198,29 +198,3 @@ func roundCount(rate float64, n int) int {
 	}
 	return k
 }
-
-// CorrectSet returns the IDs a model answers correctly in the given run
-// (standard = MC plus native SA; challenge = everything as SA) — the
-// agent study builds on the GPT-4o sets.
-func (m *SimulatedVLM) CorrectSet(challengeRun bool) map[string]bool {
-	out := make(map[string]bool)
-	if challengeRun {
-		for id, d := range m.sa {
-			if d == decSolve {
-				out[id] = true
-			}
-		}
-		return out
-	}
-	for id, d := range m.mc {
-		if d == decSolve || d == decGuessCorrect {
-			out[id] = true
-		}
-	}
-	for id, d := range m.saStd {
-		if d == decSolve {
-			out[id] = true
-		}
-	}
-	return out
-}
