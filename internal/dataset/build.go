@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/visual"
@@ -22,10 +24,10 @@ func NewMC(id string, cat Category, topic, prompt string, scene *visual.Scene,
 		Visual:     scene,
 		Difficulty: difficulty,
 	}
-	options := []string{correct, distractors[0], distractors[1], distractors[2]}
-	order := rng.New("shuffle", id).Perm(4)
-	q.Choices = make([]string, 4)
-	for pos, src := range order {
+	options := [4]string{correct, distractors[0], distractors[1], distractors[2]}
+	r := rng.NewStream("shuffle", id)
+	q.Choices = make([]string, len(options))
+	for pos, src := range r.Perm(len(options)) {
 		q.Choices[pos] = options[src]
 		if src == 0 {
 			q.Golden.Choice = pos
@@ -72,9 +74,17 @@ func NewSANumber(id string, cat Category, topic, prompt string, scene *visual.Sc
 			Number:    value,
 			Unit:      unit,
 			Tolerance: tol,
-			Text:      fmt.Sprintf("%g %s", value, unit),
+			Text:      numberText(value, unit),
 		},
 	}
+}
+
+// numberText renders a numeric golden answer as "<%g value> <unit>".
+func numberText(value float64, unit string) string {
+	var buf [40]byte
+	b := strconv.AppendFloat(buf[:0], value, 'g', -1, 64)
+	b = append(b, ' ')
+	return string(append(b, unit...))
 }
 
 // NewSAPhrase assembles a short-answer question whose golden answer is a
@@ -100,21 +110,22 @@ func NewSAPhrase(id string, cat Category, topic, prompt string, scene *visual.Sc
 // generator bug.
 func DistinctOptions(golden string, candidates ...string) [3]string {
 	var out [3]string
-	seen := map[string]bool{golden: true}
 	i := 0
 	for _, c := range candidates {
 		if i >= 3 {
 			break
 		}
-		if c == "" || seen[c] {
+		if c == "" || c == golden || slices.Contains(out[:i], c) {
 			continue
 		}
-		seen[c] = true
 		out[i] = c
 		i++
 	}
 	if i < 3 {
-		panic(fmt.Sprintf("dataset: only %d distinct distractors for golden %q in %v", i, golden, candidates))
+		// Cloning keeps candidates itself from escaping, so callers'
+		// variadic arguments stay on their stacks.
+		panic(fmt.Sprintf("dataset: only %d distinct distractors for golden %q in %v",
+			i, golden, slices.Clone(candidates)))
 	}
 	return out
 }

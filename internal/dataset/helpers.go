@@ -1,5 +1,7 @@
 package dataset
 
+import "strconv"
+
 // Small slice helpers shared by the discipline generators. These used
 // to be copy-pasted per package; they live here because every
 // generator already imports dataset and their behaviour is part of the
@@ -45,4 +47,24 @@ func PickOthers(answer string, pool []string) [3]string {
 		}
 	}
 	return out
+}
+
+// ExtraKeys returns the ID and the instance key of the i-th extended
+// question of fold seed, as "<prefix><seed>-<i, zero-padded to two
+// digits>" and "<seed>-<i>". Both share one allocation.
+func ExtraKeys(prefix, seed string, i int) (id, inst string) {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, seed...)
+	b = append(b, '-')
+	if i >= 0 && i < 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(i), 10)
+	n := len(b)
+	b = append(b, seed...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(i), 10)
+	s := string(b)
+	return s[:n], s[n:]
 }

@@ -101,53 +101,72 @@ func (c *Const) String() string {
 }
 
 // String implements Expr.
-func (n *Not) String() string {
-	switch x := n.X.(type) {
+func (n *Not) String() string { return exprString(n) }
+
+// String implements Expr.
+func (x *And) String() string { return exprString(x) }
+
+// String implements Expr.
+func (x *Or) String() string { return exprString(x) }
+
+// String implements Expr.
+func (x *Xor) String() string { return exprString(x) }
+
+// exprString renders e with a single allocation for the result.
+func exprString(e Expr) string {
+	var buf [64]byte
+	return string(appendExpr(buf[:0], e))
+}
+
+// appendExpr appends the rendering of e to dst. A complement wraps
+// anything but a variable or constant in parentheses, an AND
+// parenthesises OR and XOR operands, and an XOR parenthesises OR
+// operands, so every rendering reparses with the same structure ('+'
+// binds looser than '^', which binds looser than juxtaposition).
+func appendExpr(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
 	case *Var:
-		return x.Name + "'"
+		return append(dst, x.Name...)
 	case *Const:
-		return x.String() + "'"
-	default:
-		return "(" + n.X.String() + ")'"
-	}
-}
-
-// String implements Expr.
-func (x *And) String() string {
-	parts := make([]string, len(x.Xs))
-	for i, e := range x.Xs {
-		if _, isOr := e.(*Or); isOr {
-			parts[i] = "(" + e.String() + ")"
-		} else if _, isXor := e.(*Xor); isXor {
-			parts[i] = "(" + e.String() + ")"
-		} else {
-			parts[i] = e.String()
+		return append(dst, x.String()...)
+	case *Not:
+		switch x.X.(type) {
+		case *Var, *Const:
+			return append(appendExpr(dst, x.X), '\'')
+		default:
+			return append(appendExpr(append(dst, '('), x.X), ")'"...)
 		}
+	case *And:
+		for _, op := range x.Xs {
+			switch op.(type) {
+			case *Or, *Xor:
+				dst = append(appendExpr(append(dst, '('), op), ')')
+			default:
+				dst = appendExpr(dst, op)
+			}
+		}
+		return dst
+	case *Or:
+		for i, op := range x.Xs {
+			if i > 0 {
+				dst = append(dst, " + "...)
+			}
+			dst = appendExpr(dst, op)
+		}
+		return dst
+	case *Xor:
+		dst = appendXorOperand(dst, x.A)
+		return appendXorOperand(append(dst, " ^ "...), x.B)
+	default:
+		panic(fmt.Sprintf("digital: unknown expression node %T", e))
 	}
-	return strings.Join(parts, "")
 }
 
-// String implements Expr.
-func (x *Or) String() string {
-	parts := make([]string, len(x.Xs))
-	for i, e := range x.Xs {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, " + ")
-}
-
-// String implements Expr.
-func (x *Xor) String() string {
-	return xorOperand(x.A) + " ^ " + xorOperand(x.B)
-}
-
-// xorOperand parenthesises OR operands of an XOR so the rendering
-// reparses with the same structure ('+' binds looser than '^').
-func xorOperand(e Expr) string {
+func appendXorOperand(dst []byte, e Expr) []byte {
 	if _, isOr := e.(*Or); isOr {
-		return "(" + e.String() + ")"
+		return append(appendExpr(append(dst, '('), e), ')')
 	}
-	return e.String()
+	return appendExpr(dst, e)
 }
 
 // Vars returns the sorted variable names appearing in the expression.

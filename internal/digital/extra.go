@@ -1,7 +1,7 @@
 package digital
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
@@ -12,8 +12,7 @@ import (
 // cycling through the package's templates; the "xd-" ID prefix keeps it
 // clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	inst := fmt.Sprintf("%s-%d", seed, i)
-	id := fmt.Sprintf("xd-%s-%02d", seed, i)
+	id, inst := dataset.ExtraKeys("xd-", seed, i)
 	switch i % 6 {
 	case 0:
 		return extraTruthTable(id, inst)
@@ -31,128 +30,135 @@ func ExtraAt(seed string, i int) *dataset.Question {
 }
 
 func extraTruthTable(id, inst string) *dataset.Question {
-	r := rng.New("digital-extra-tt", inst)
+	r := rng.NewStream("digital-extra-tt", inst)
 	vars := []string{"A", "B", "C"}
 	count := 2 + r.IntN(4)
 	minterms := randomMinterms("x"+inst, 3, count)
-	tt := FromMinterms(vars, minterms)
-	golden := Minimize(vars, minterms, nil)
-	scene := TruthTableScene(tt, "F", "Truth table")
+	scene := TruthTableScene(FromMinterms(vars, minterms), "F", "Truth table")
+	golden, others := expressionChoices("x"+id, vars, minterms, "F")
 	return dataset.NewMC(id, dataset.Digital, "tt-derive",
 		"Derive the minimal sum-of-products function F for the truth table shown in the figure.",
-		scene, "F = "+golden.String(),
-		expressionDistractors("x"+id, vars, minterms, "F"), 0.5)
+		scene, golden, others, 0.5)
 }
 
 func extraCircuit(id, inst string) *dataset.Question {
-	r := rng.New("digital-extra-circuit", inst)
+	r := rng.NewStream("digital-extra-circuit", inst)
 	depth := 2 + r.IntN(2)
-	n, _ := randomCircuit("x"+inst, depth)
+	n := randomCircuit("x"+inst, depth)
 	tt, err := n.TruthTable("F")
 	if err != nil {
 		panic(err)
 	}
-	golden := Minimize(tt.Vars, tt.Minterms(), nil)
 	scene := CircuitScene(n, "Logic circuit", nil)
+	golden, others := expressionChoices("x"+id, tt.Vars, tt.Minterms(), "F")
 	return dataset.NewMC(id, dataset.Digital, "gate-analysis",
 		"The figure shows a logic circuit built from basic gates. Which expression "+
 			"describes the output F?",
-		scene, "F = "+golden.String(),
-		expressionDistractors("x"+id, tt.Vars, tt.Minterms(), "F"), 0.5)
+		scene, golden, others, 0.5)
 }
 
 func extraCounter(id, inst string) *dataset.Question {
-	r := rng.New("digital-extra-counter", inst)
+	r := rng.NewStream("digital-extra-counter", inst)
 	bits := 3 + r.IntN(2)
 	state := r.IntN(1 << bits)
-	seq := Counter(bits, state, 1)
-	golden := BitString(seq[1], bits)
+	next := Counter(bits, state, 1)[1]
+	cur, golden := BitString(state, bits), BitString(next, bits)
 	scene := counterScene(bits, "Binary counter", "binary")
 	mask := 1<<bits - 1
 	others := dataset.DistinctOptions(golden,
-		BitString(seq[1]^1, bits),
-		BitString(state, bits),
+		BitString(next^1, bits),
+		cur,
 		BitString((state+2)&mask, bits),
-		BitString(seq[1]^2, bits),
+		BitString(next^2, bits),
 		BitString((state+3)&mask, bits))
 	return dataset.NewMC(id, dataset.Digital, "counter-next",
-		fmt.Sprintf("A %d-bit synchronous binary up-counter shown in the figure is in "+
-			"state %s. What is its state after the next clock edge?", bits, BitString(state, bits)),
+		"A "+strconv.Itoa(bits)+"-bit synchronous binary up-counter shown in the figure is in "+
+			"state "+cur+". What is its state after the next clock edge?",
 		scene, golden, others, 0.4)
 }
 
 func extraTwosComplement(id, inst string) *dataset.Question {
-	r := rng.New("digital-extra-tc", inst)
+	r := rng.NewStream("digital-extra-tc", inst)
 	word := r.IntN(256)
 	if word < 128 {
 		word += 128 // force a negative value for interest
 	}
 	val := FromTwosComplement(word, 8)
 	scene := RegisterScene(word, 8, "8-bit register")
-	others := dataset.DistinctOptions(fmt.Sprint(val),
-		fmt.Sprint(word), fmt.Sprint(-val), fmt.Sprint(val+128), fmt.Sprint(val-1))
+	golden := strconv.Itoa(val)
+	others := dataset.DistinctOptions(golden,
+		strconv.Itoa(word), strconv.Itoa(-val), strconv.Itoa(val+128), strconv.Itoa(val-1))
 	return dataset.NewMCNumeric(id, dataset.Digital, "twos-complement",
 		"The 8-bit register in the figure holds the bit pattern shown. Interpreted as a "+
 			"two's-complement signed integer, what is its decimal value?",
 		scene, float64(val), "", 0,
-		fmt.Sprint(val), others, 0.45)
+		golden, others, 0.45)
 }
 
 func extraDetector(id, inst string) *dataset.Question {
-	r := rng.New("digital-extra-det", inst)
-	patterns := [][]int{{1, 0, 1}, {1, 1, 0}, {0, 1, 1}, {1, 0, 0}}
+	r := rng.NewStream("digital-extra-det", inst)
+	patterns := [...][3]int{{1, 0, 1}, {1, 1, 0}, {0, 1, 1}, {1, 0, 0}}
 	pattern := patterns[r.IntN(len(patterns))]
-	st, err := SequenceDetectorTable(pattern)
+	st, err := SequenceDetectorTable(pattern[:])
 	if err != nil {
 		panic(err)
 	}
-	stream := make([]int, 6)
+	var stream [6]int
 	for i := range stream {
 		stream[i] = r.IntN(2)
 	}
-	_, outs, err := st.Step(0, stream)
-	if err != nil {
-		panic(err)
-	}
+	// Run the Mealy machine from state 0, counting output assertions.
 	detections := 0
-	for _, o := range outs {
-		detections += o
+	for s, i := 0, 0; i < len(stream); i++ {
+		detections += st.Output[s][stream[i]]
+		s = st.Next[s][stream[i]]
 	}
 	fsm, err := SynthesizeDFF(st)
 	if err != nil {
 		panic(err)
 	}
-	scene := EquationsScene(append([]string{
-		fmt.Sprintf("overlapping detector for pattern %v", pattern)},
-		fsm.Equations()...), "Sequence detector synthesis")
-	golden := fmt.Sprintf("%d detections", detections)
+	var caption [48]byte
+	lines := append(make([]string, 0, fsm.StateBits+2), string(appendInts(
+		append(caption[:0], "overlapping detector for pattern "...), pattern[:])))
+	scene := EquationsScene(append(lines, fsm.Equations()...), "Sequence detector synthesis")
+	count := func(n int) string { return strconv.Itoa(n) + " detections" }
+	golden := count(detections)
 	others := dataset.DistinctOptions(golden,
-		fmt.Sprintf("%d detections", detections+1),
-		fmt.Sprintf("%d detections", detections+2),
-		fmt.Sprintf("%d detections", maxInt(0, detections-1)),
-		fmt.Sprintf("%d detections", detections+3))
+		count(detections+1),
+		count(detections+2),
+		count(max(0, detections-1)),
+		count(detections+3))
+	prompt := append(make([]byte, 0, 320), "The figure lists the synthesized next-state and output equations of "+
+		"an overlapping sequence detector for the pattern "...)
+	prompt = appendInts(prompt, pattern[:])
+	prompt = append(prompt, " (state in Q bits, input X, "+
+		"output Z). Starting from state 0, how many times does Z assert over the input "+
+		"stream "...)
+	prompt = append(appendInts(prompt, stream[:]), '?')
 	return dataset.NewMC(id, dataset.Digital, "sequence-detector",
-		fmt.Sprintf("The figure lists the synthesized next-state and output equations of "+
-			"an overlapping sequence detector for the pattern %v (state in Q bits, input X, "+
-			"output Z). Starting from state 0, how many times does Z assert over the input "+
-			"stream %v?", pattern, stream),
-		scene, golden, others, 0.75)
+		string(prompt), scene, golden, others, 0.75)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// appendInts appends xs the way fmt's %v prints an []int: "[1 0 1]".
+func appendInts(dst []byte, xs []int) []byte {
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
 	}
-	return b
+	return append(dst, ']')
 }
 
 func extraGray(id, inst string) *dataset.Question {
-	r := rng.New("digital-extra-gray", inst)
+	r := rng.NewStream("digital-extra-gray", inst)
 	v := r.IntN(7)
 	g := GrayEncode(v)
 	gNext := GrayEncode(v + 1)
 	scene := RegisterScene(g, 3, "Gray-code register")
-	others := dataset.DistinctOptions(BitString(gNext, 3),
+	golden := BitString(gNext, 3)
+	others := dataset.DistinctOptions(golden,
 		BitString((g+1)&7, 3),
 		BitString((v+1)&7, 3),
 		BitString(gNext^0b111, 3),
@@ -162,5 +168,5 @@ func extraGray(id, inst string) *dataset.Question {
 	return dataset.NewMC(id, dataset.Digital, "gray-code",
 		"The register in the figure holds a 3-bit Gray-code value. What is the next "+
 			"codeword in the Gray sequence?",
-		scene, BitString(gNext, 3), others, 0.55)
+		scene, golden, others, 0.55)
 }

@@ -1,16 +1,39 @@
 package digital
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+)
 
 // implicant is a product term over n variables: value holds the fixed
 // bits, mask holds 1 for positions that are don't-care within the term.
-type implicant struct {
-	value, mask int
-	covers      []int // minterm indices covered
+// value is zero under mask, so the term covers m when m&^mask == value.
+type implicant struct{ value, mask int }
+
+func (im implicant) covers(m int) bool { return m&^im.mask == im.value }
+
+// Row kinds of a function under minimisation: one per truth-table row.
+const (
+	rowOff uint8 = iota
+	rowOn
+	rowDontCare
+)
+
+// term is a chosen implicant with its rendering, key[lo:hi] of the qm.
+type term struct {
+	implicant
+	lo, hi int
 }
 
-func (im implicant) covered(m int) bool {
-	return m&^im.mask == im.value&^im.mask
+// qm is the scratch of Quine–McCluskey minimisation. The zero value is
+// ready, and one qm reused across calls allocates its buffers once: the
+// distractor search minimises several perturbed functions in a row.
+type qm struct {
+	cur, next, primes []implicant
+	used, taken       []bool
+	covered           []bool
+	cover             []term
+	key               []byte
 }
 
 // Minimize performs Quine–McCluskey two-level minimisation of the
@@ -19,60 +42,87 @@ func (im implicant) covered(m int) bool {
 // Constant functions return Const nodes. The variable order matches
 // TruthTable/Minterms: the first variable is the most significant bit.
 func Minimize(vars []string, minterms, dontCares []int) Expr {
-	n := len(vars)
-	size := 1 << n
-	onSet := make(map[int]bool)
-	for _, m := range minterms {
-		if m >= 0 && m < size {
-			onSet[m] = true
-		}
-	}
-	if len(onSet) == 0 {
-		return &Const{Value: false}
-	}
-	if len(onSet) == size {
-		return &Const{Value: true}
-	}
-	careSet := make(map[int]bool)
-	for m := range onSet {
-		careSet[m] = true
-	}
-	for _, m := range dontCares {
-		if m >= 0 && m < size && !onSet[m] {
-			careSet[m] = true
-		}
-	}
-
-	primes := primeImplicants(careSet, n)
-	chosen := coverMinterms(primes, onSet)
-
-	// Build the SOP expression.
-	terms := make([]Expr, 0, len(chosen))
-	for _, im := range chosen {
-		terms = append(terms, implicantExpr(im, vars, n))
-	}
-	if len(terms) == 1 {
-		return terms[0]
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].String() < terms[j].String() })
-	return &Or{Xs: terms}
+	var q qm
+	return q.expr(vars, minimizeRows(vars, minterms, dontCares, nil))
 }
 
-func primeImplicants(careSet map[int]bool, n int) []implicant {
-	current := make([]implicant, 0, len(careSet))
-	for m := range careSet {
-		current = append(current, implicant{value: m})
+// minimizeRows lays minterms and dontCares out as the 1<<len(vars) row
+// kinds qm.minimize takes, reusing rows' storage; out-of-range indices
+// are ignored and a row both on and don't-care is on.
+func minimizeRows(vars []string, minterms, dontCares []int, rows []uint8) []uint8 {
+	rows = resize(rows, 1<<len(vars))
+	for _, m := range dontCares {
+		if m >= 0 && m < len(rows) {
+			rows[m] = rowDontCare
+		}
 	}
-	sort.Slice(current, func(i, j int) bool { return current[i].value < current[j].value })
+	for _, m := range minterms {
+		if m >= 0 && m < len(rows) {
+			rows[m] = rowOn
+		}
+	}
+	return rows
+}
 
-	var primes []implicant
-	for len(current) > 0 {
-		combined := make(map[[2]int]bool) // dedupe next generation
-		used := make([]bool, len(current))
-		var next []implicant
-		for i := 0; i < len(current); i++ {
-			for j := i + 1; j < len(current); j++ {
-				a, b := current[i], current[j]
+// resize returns s cleared to length n, reusing its storage when it
+// is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// minimize chooses the minimal cover of rows (1<<len(vars) row kinds)
+// into q.cover, in the order the SOP lists its terms: lexicographic by
+// rendered term. It returns the number of on rows; with none, or all,
+// the function is constant and q.cover is empty.
+func (q *qm) minimize(vars []string, rows []uint8) int {
+	on := 0
+	for _, r := range rows {
+		if r == rowOn {
+			on++
+		}
+	}
+	q.cover = q.cover[:0]
+	if on == 0 || on == len(rows) {
+		return on
+	}
+	q.primeImplicants(rows)
+	q.coverOn(rows)
+	q.key = q.key[:0]
+	for i := range q.cover {
+		t := &q.cover[i]
+		t.lo = len(q.key)
+		q.key = appendTerm(q.key, t.implicant, vars)
+		t.hi = len(q.key)
+	}
+	key := q.key
+	slices.SortFunc(q.cover, func(a, b term) int {
+		return bytes.Compare(key[a.lo:a.hi], key[b.lo:b.hi])
+	})
+	return on
+}
+
+// primeImplicants fills q.primes with the prime implicants of the on
+// and don't-care rows: each generation merges pairs of equal-mask terms
+// that differ in one fixed bit, first discovery first, and a term no
+// merge used is prime.
+func (q *qm) primeImplicants(rows []uint8) {
+	cur, next, primes := q.cur[:0], q.next[:0], q.primes[:0]
+	for m, r := range rows {
+		if r != rowOff {
+			cur = append(cur, implicant{value: m})
+		}
+	}
+	for len(cur) > 0 {
+		next = next[:0]
+		q.used = resize(q.used, len(cur))
+		for i := range cur {
+			for j := i + 1; j < len(cur); j++ {
+				a, b := cur[i], cur[j]
 				if a.mask != b.mask {
 					continue
 				}
@@ -80,81 +130,65 @@ func primeImplicants(careSet map[int]bool, n int) []implicant {
 				if diff == 0 || diff&(diff-1) != 0 {
 					continue // must differ in exactly one non-masked bit
 				}
-				nv := a.value &^ diff
 				nm := a.mask | diff
-				key := [2]int{nv &^ nm, nm}
-				used[i], used[j] = true, true
-				if !combined[key] {
-					combined[key] = true
-					next = append(next, implicant{value: nv &^ nm, mask: nm})
+				merged := implicant{value: a.value &^ nm, mask: nm}
+				q.used[i], q.used[j] = true, true
+				if !slices.Contains(next, merged) {
+					next = append(next, merged)
 				}
 			}
 		}
-		for i, im := range current {
-			if !used[i] {
+		for i, im := range cur {
+			if !q.used[i] {
 				primes = append(primes, im)
 			}
 		}
-		current = next
+		cur, next = next, cur
 	}
-	return primes
+	q.cur, q.next, q.primes = cur, next, primes
 }
 
-// coverMinterms picks a small set of primes covering all onSet minterms:
-// essential primes first, then greedy set cover (largest uncovered gain,
-// ties by fewest literals then lexicographic), which matches the minimal
-// cover on all the K-map-sized functions the benchmark generates.
-func coverMinterms(primes []implicant, onSet map[int]bool) []implicant {
-	minterms := make([]int, 0, len(onSet))
-	for m := range onSet {
-		minterms = append(minterms, m)
-	}
-	sort.Ints(minterms)
-
-	coveredBy := make(map[int][]int) // minterm -> prime indices
-	for pi, p := range primes {
-		for _, m := range minterms {
-			if p.covered(m) {
-				coveredBy[m] = append(coveredBy[m], pi)
+// coverOn picks a small set of q.primes covering every on row into
+// q.cover, in prime order: essential primes first, then greedy set
+// cover (largest uncovered gain, ties by fewest literals then earliest
+// prime), which matches the minimal cover on all the K-map-sized
+// functions the benchmark generates.
+func (q *qm) coverOn(rows []uint8) {
+	q.taken = resize(q.taken, len(q.primes))
+	q.covered = resize(q.covered, len(rows))
+	take := func(pi int) {
+		q.taken[pi] = true
+		for m, r := range rows {
+			if r == rowOn && q.primes[pi].covers(m) {
+				q.covered[m] = true
 			}
 		}
 	}
-
-	chosen := make(map[int]bool)
-	covered := make(map[int]bool)
 	// Essential primes.
-	for _, m := range minterms {
-		if len(coveredBy[m]) == 1 {
-			pi := coveredBy[m][0]
-			if !chosen[pi] {
-				chosen[pi] = true
-				for _, mm := range minterms {
-					if primes[pi].covered(mm) {
-						covered[mm] = true
-					}
-				}
+	for m, r := range rows {
+		if r != rowOn {
+			continue
+		}
+		only, n := -1, 0
+		for pi, p := range q.primes {
+			if p.covers(m) {
+				only, n = pi, n+1
 			}
+		}
+		if n == 1 && !q.taken[only] {
+			take(only)
 		}
 	}
 	// Greedy cover for the rest.
-	for {
-		remaining := 0
-		for _, m := range minterms {
-			if !covered[m] {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			break
-		}
+	for q.uncovered(rows) {
 		best, bestGain, bestBits := -1, -1, -1
-		for pi, p := range primes {
-			if chosen[pi] {
+		for pi, p := range q.primes {
+			if q.taken[pi] {
 				continue
 			}
 			gain := 0
-			for _, m := range minterms {
-				if !covered[m] && p.covered(m) {
+			for m, r := range rows {
+				if r == rowOn && !q.covered[m] && p.covers(m) {
 					gain++
 				}
 			}
@@ -166,37 +200,95 @@ func coverMinterms(primes []implicant, onSet map[int]bool) []implicant {
 		if best < 0 || bestGain == 0 {
 			break // unreachable for consistent inputs
 		}
-		chosen[best] = true
-		for _, m := range minterms {
-			if primes[best].covered(m) {
-				covered[m] = true
-			}
+		take(best)
+	}
+	for pi, p := range q.primes {
+		if q.taken[pi] {
+			q.cover = append(q.cover, term{implicant: p})
 		}
 	}
-
-	out := make([]implicant, 0, len(chosen))
-	idxs := make([]int, 0, len(chosen))
-	for pi := range chosen {
-		idxs = append(idxs, pi)
-	}
-	sort.Ints(idxs)
-	for _, pi := range idxs {
-		out = append(out, primes[pi])
-	}
-	return out
 }
 
-func implicantExpr(im implicant, vars []string, n int) Expr {
-	var lits []Expr
-	for i := 0; i < n; i++ {
+// uncovered reports whether some on row is still outside q.cover.
+func (q *qm) uncovered(rows []uint8) bool {
+	for m, r := range rows {
+		if r == rowOn && !q.covered[m] {
+			return true
+		}
+	}
+	return false
+}
+
+// appendTerm renders a product term the way its Expr prints: the
+// fixed variables in order, complemented ones primed, and "1" for the
+// term with no literal.
+func appendTerm(dst []byte, im implicant, vars []string) []byte {
+	n := len(vars)
+	if im.mask == 1<<n-1 {
+		return append(dst, '1')
+	}
+	for i, v := range vars {
+		bit := 1 << (n - 1 - i)
+		if im.mask&bit != 0 {
+			continue
+		}
+		dst = append(dst, v...)
+		if im.value&bit == 0 {
+			dst = append(dst, '\'')
+		}
+	}
+	return dst
+}
+
+// appendSOP renders the function q.minimize last chose with on rows of
+// size: byte-identical to the String of the Expr q.expr builds.
+func (q *qm) appendSOP(dst []byte, on, size int) []byte {
+	switch on {
+	case 0:
+		return append(dst, '0')
+	case size:
+		return append(dst, '1')
+	}
+	for i, t := range q.cover {
+		if i > 0 {
+			dst = append(dst, " + "...)
+		}
+		dst = append(dst, q.key[t.lo:t.hi]...)
+	}
+	return dst
+}
+
+// expr minimises rows and builds the resulting sum of products.
+func (q *qm) expr(vars []string, rows []uint8) Expr {
+	switch on := q.minimize(vars, rows); on {
+	case 0:
+		return &Const{Value: false}
+	case len(rows):
+		return &Const{Value: true}
+	}
+	if len(q.cover) == 1 {
+		return implicantExpr(q.cover[0].implicant, vars)
+	}
+	terms := make([]Expr, len(q.cover))
+	for i, t := range q.cover {
+		terms[i] = implicantExpr(t.implicant, vars)
+	}
+	return &Or{Xs: terms}
+}
+
+// implicantExpr builds the product term im as an expression tree.
+func implicantExpr(im implicant, vars []string) Expr {
+	n := len(vars)
+	lits := make([]Expr, 0, n-popcount(im.mask))
+	for i, v := range vars {
 		bit := 1 << (n - 1 - i)
 		if im.mask&bit != 0 {
 			continue
 		}
 		if im.value&bit != 0 {
-			lits = append(lits, &Var{Name: vars[i]})
+			lits = append(lits, &Var{Name: v})
 		} else {
-			lits = append(lits, &Not{X: &Var{Name: vars[i]}})
+			lits = append(lits, &Not{X: &Var{Name: v}})
 		}
 	}
 	switch len(lits) {

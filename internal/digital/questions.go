@@ -2,6 +2,7 @@ package digital
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
@@ -28,19 +29,17 @@ func Generate() []*dataset.Question {
 		{"d01", "alpha", 2}, {"d02", "beta", 2}, {"d03", "gamma", 3}, {"d04", "delta", 3},
 	}
 	for _, spec := range circuitSpecs {
-		n, _ := randomCircuit(spec.seed, spec.depth)
+		n := randomCircuit(spec.seed, spec.depth)
 		tt, err := n.TruthTable("F")
 		if err != nil {
 			panic(err)
 		}
-		golden := Minimize(tt.Vars, tt.Minterms(), nil)
+		golden, others := expressionChoices(spec.id, tt.Vars, tt.Minterms(), "F")
 		scene := CircuitScene(n, "Logic circuit", nil)
 		add(dataset.NewMC(spec.id, dataset.Digital, "gate-analysis",
 			"The figure shows a logic circuit built from basic gates with inputs "+
 				joinVars(tt.Vars)+". Which expression describes the output F of the circuit?",
-			scene, "F = "+golden.String(),
-			expressionDistractors(spec.id, tt.Vars, tt.Minterms(), "F"),
-			0.45+0.05*float64(spec.depth)))
+			scene, golden, others, 0.45+0.05*float64(spec.depth)))
 	}
 
 	// d05, d06: NAND-NAND implementation.
@@ -48,14 +47,13 @@ func Generate() []*dataset.Question {
 		id := fmt.Sprintf("d%02d", 5+i)
 		vars := []string{"A", "B", "C"}
 		minterms := randomMinterms(seed, 3, 3+i)
-		golden := Minimize(vars, minterms, nil)
-		n := nandNandNetlist(golden, vars)
+		n := nandNandNetlist(Minimize(vars, minterms, nil), vars)
 		scene := CircuitScene(n, "NAND-only circuit", nil)
+		golden, others := expressionChoices(id, vars, minterms, "F")
 		add(dataset.NewMC(id, dataset.Digital, "nand-nand",
 			"The circuit in the figure is built exclusively from NAND gates in a "+
 				"two-level NAND-NAND structure. Which sum-of-products function does it implement?",
-			scene, "F = "+golden.String(),
-			expressionDistractors(id, vars, minterms, "F"), 0.55))
+			scene, golden, others, 0.55))
 	}
 
 	// d07, d08: 4:1 multiplexer with data inputs tied to constants or C.
@@ -69,13 +67,13 @@ func Generate() []*dataset.Question {
 	for _, mc := range muxCases {
 		golden := muxFunction(mc.data)
 		scene := muxScene(mc.data)
+		vars := []string{"C", "S0", "S1"}
+		_, others := expressionChoices(mc.id, vars, Minterms(golden, vars), "F")
 		add(dataset.NewMC(mc.id, dataset.Digital, "mux",
 			"A 4:1 multiplexer has select inputs S1 (MSB) and S0, and its four data "+
 				"inputs D0..D3 are tied to the constants and signals shown in the figure. "+
 				"Which function F(S1, S0, C) does the circuit realize?",
-			scene, "F = "+golden.String(),
-			expressionDistractors(mc.id, []string{"C", "S0", "S1"},
-				Minterms(golden, []string{"C", "S0", "S1"}), "F"), 0.6))
+			scene, "F = "+golden.String(), others, 0.6))
 	}
 
 	// d09, d10: circuit recognition (half adder, full adder).
@@ -239,16 +237,15 @@ func Generate() []*dataset.Question {
 		vars := []string{"A", "B", "C"}
 		minterms := randomMinterms(seed, 3, 4)
 		tt := FromMinterms(vars, minterms)
-		golden := Minimize(vars, minterms, nil)
 		scene, err := KMapScene(tt, "F", "Karnaugh map")
 		if err != nil {
 			panic(err)
 		}
+		golden, others := expressionChoices(id, vars, minterms, "F")
 		add(dataset.NewMC(id, dataset.Digital, "kmap-derive",
 			"Derive the minimal sum-of-products function F for the Karnaugh map shown "+
 				"in the figure (rows and columns are Gray-coded).",
-			scene, "F = "+golden.String(),
-			expressionDistractors(id, vars, minterms, "F"), 0.5))
+			scene, golden, others, 0.5))
 	}
 	// d23: parity recognition.
 	{
@@ -314,12 +311,11 @@ func Generate() []*dataset.Question {
 		tt := NewTruthTable(maj, vars)
 		minterms := tt.Minterms()
 		scene := TruthTableScene(tt, "F", "Voting circuit table")
-		golden := Minimize(vars, minterms, nil)
+		golden, others := expressionChoices("d26", vars, minterms, "F")
 		add(dataset.NewMC("d26", dataset.Digital, "majority",
 			"The truth table in the figure describes a 3-input voting circuit. "+
 				"Which minimal sum-of-products expression implements it?",
-			scene, "F = "+golden.String(),
-			expressionDistractors("d26", vars, minterms, "F"), 0.5))
+			scene, golden, others, 0.5))
 	}
 
 	// --- Diagrams ---------------------------------------------------
@@ -356,7 +352,7 @@ func Generate() []*dataset.Question {
 	}
 	// d29: critical path depth.
 	{
-		n, _ := randomCircuit("depth", 4)
+		n := randomCircuit("depth", 4)
 		d, err := n.Depth("F")
 		if err != nil {
 			panic(err)
@@ -412,13 +408,12 @@ func Generate() []*dataset.Question {
 		raw := "AB'C + ABC + A'BC + ABC'"
 		e := MustParse(raw)
 		vars := Vars(e)
-		golden := Minimize(vars, Minterms(e, vars), nil)
 		scene := EquationsScene([]string{"F = " + raw}, "Simplify the function")
+		golden, others := expressionChoices("d33", vars, Minterms(e, vars), "F")
 		add(dataset.NewMC("d33", dataset.Digital, "simplify",
 			"Simplify the sum-of-products function shown in the figure to a minimal "+
 				"sum-of-products form.",
-			scene, "F = "+golden.String(),
-			expressionDistractors("d33", vars, Minterms(e, vars), "F"), 0.55))
+			scene, golden, others, 0.55))
 	}
 	// d34: De Morgan equivalence.
 	{
@@ -446,9 +441,9 @@ func Generate() []*dataset.Question {
 
 // randomCircuit builds a deterministic pseudo-random combinational
 // circuit over A, B, C with the requested depth, output net F.
-func randomCircuit(seed string, depth int) (*Netlist, []string) {
-	r := rng.New("digital-circuit", seed)
-	kinds := []GateKind{GateAnd, GateOr, GateNand, GateNor, GateXor}
+func randomCircuit(seed string, depth int) *Netlist {
+	r := rng.NewStream("digital-circuit", seed)
+	kinds := [...]GateKind{GateAnd, GateOr, GateNand, GateNor, GateXor}
 	n := NewNetlist()
 	level := []string{"A", "B", "C"}
 	gi := 0
@@ -457,12 +452,12 @@ func randomCircuit(seed string, depth int) (*Netlist, []string) {
 		if d == depth {
 			width = 1
 		}
-		var next []string
+		next := make([]string, 0, width+1)
 		for w := 0; w < width; w++ {
 			gi++
-			out := fmt.Sprintf("n%d", gi)
-			if d == depth {
-				out = "F"
+			out := "F"
+			if d != depth {
+				out = "n" + strconv.Itoa(gi)
 			}
 			k := kinds[r.IntN(len(kinds))]
 			a := level[r.IntN(len(level))]
@@ -470,68 +465,61 @@ func randomCircuit(seed string, depth int) (*Netlist, []string) {
 			if b == a {
 				b = level[(dataset.IndexOf(level, a)+1)%len(level)]
 			}
-			n.AddGate(k, fmt.Sprintf("G%d", gi), out, a, b)
+			n.AddGate(k, "G"+strconv.Itoa(gi), out, a, b)
 			next = append(next, out)
 		}
 		// Keep one input visible to deeper levels for variety.
 		next = append(next, level[r.IntN(len(level))])
 		level = next
 	}
-	return n, []string{"A", "B", "C"}
+	return n
 }
 
 // randomMinterms picks count distinct minterms over n variables.
 func randomMinterms(seed string, vars, count int) []int {
-	r := rng.New("digital-minterms", seed)
-	perm := r.Perm(1 << vars)
-	ms := append([]int{}, perm[:count]...)
+	r := rng.NewStream("digital-minterms", seed)
+	ms := r.Perm(1 << vars)[:count]
 	dataset.SortInts(ms)
 	return ms
 }
 
-// expressionDistractors derives three plausible but non-equivalent
-// expressions by perturbing the minterm set and re-minimising, so the
-// distractors look syntactically similar to the golden answer — the
-// property §III-B1 demands of answer options.
-func expressionDistractors(seed string, vars []string, minterms []int, lhs string) [3]string {
-	golden := Minimize(vars, minterms, nil)
-	r := rng.New("digital-distract", seed)
-	var out [3]string
-	seen := map[string]bool{golden.String(): true}
-	size := 1 << len(vars)
+// expressionChoices returns the golden option "lhs = SOP", the minimal
+// sum of products of minterms over vars, and three plausible but
+// non-equivalent distractors: each flips one or two rows of the truth
+// table and re-minimises, so the distractors look syntactically
+// similar to the golden answer — the property §III-B1 demands of
+// answer options. A flip that restores the original rows renders the
+// golden SOP again, so the string checks alone reject equivalent
+// candidates.
+func expressionChoices(seed string, vars []string, minterms []int, lhs string) (golden string, others [3]string) {
+	var q qm
+	rows := minimizeRows(vars, minterms, nil, nil)
+	size := len(rows)
+	buf := append(make([]byte, 0, 64), lhs...)
+	buf = append(buf, " = "...)
+	prefix := len(buf)
+	buf = q.appendSOP(buf, q.minimize(vars, rows), size)
+	golden = string(buf)
+	r := rng.NewStream("digital-distract", seed)
+	cand := make([]uint8, size)
 	for i := 0; i < 3; {
-		// Flip one or two rows of the truth table.
-		set := make(map[int]bool)
-		for _, m := range minterms {
-			set[m] = true
-		}
+		copy(cand, rows)
 		flips := 1 + r.IntN(2)
 		for f := 0; f < flips; f++ {
-			m := r.IntN(size)
-			if set[m] {
-				delete(set, m)
-			} else {
-				set[m] = true
-			}
+			cand[r.IntN(size)] ^= rowOn
 		}
-		if len(set) == 0 || len(set) == size {
+		on := q.minimize(vars, cand)
+		if on == 0 || on == size {
 			continue
 		}
-		var ms []int
-		for m := range set {
-			ms = append(ms, m)
-		}
-		dataset.SortInts(ms)
-		cand := Minimize(vars, ms, nil)
-		cs := cand.String()
-		if seen[cs] || Equivalent(cand, golden) {
+		buf = q.appendSOP(buf[:prefix], on, size)
+		if string(buf) == golden || string(buf) == others[0] || string(buf) == others[1] {
 			continue
 		}
-		seen[cs] = true
-		out[i] = lhs + " = " + cs
+		others[i] = string(buf)
 		i++
 	}
-	return out
+	return golden, others
 }
 
 // gateValueAnswer evaluates the two-gate network with A, B fixed and C

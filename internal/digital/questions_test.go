@@ -106,7 +106,7 @@ func TestGoldenExpressionsMatchCircuits(t *testing.T) {
 		seed  string
 		depth int
 	}{{"alpha", 2}, {"beta", 2}, {"gamma", 3}, {"delta", 3}} {
-		n, _ := randomCircuit(spec.seed, spec.depth)
+		n := randomCircuit(spec.seed, spec.depth)
 		tt, err := n.TruthTable("F")
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,9 @@
 package digital
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // SynthesizedFSM is the result of classical sequential synthesis: one
 // minimised D-flip-flop input equation per state bit plus the output
@@ -39,41 +42,45 @@ func SynthesizeDFF(st *StateTable) (*SynthesizedFSM, error) {
 	// TruthTable convention.
 	vars := make([]string, 0, bits+1)
 	for i := bits - 1; i >= 0; i-- {
-		vars = append(vars, fmt.Sprintf("Q%d", i))
+		vars = append(vars, "Q"+strconv.Itoa(i))
 	}
 	vars = append(vars, "X")
 
+	// Row m of every equation is (state m>>1, input m&1); unused state
+	// codes are don't-cares.
 	size := 1 << (bits + 1)
-	var dontCares []int
-	onSets := make([][]int, bits)
-	var outOn []int
-	for m := 0; m < size; m++ {
-		state := m >> 1
-		input := m & 1
-		if state >= st.NumStates {
-			dontCares = append(dontCares, m)
-			continue
-		}
-		next := st.Next[state][input]
-		if next < 0 || next >= st.NumStates {
+	for m := 0; m < size && m>>1 < st.NumStates; m++ {
+		state, input := m>>1, m&1
+		if next := st.Next[state][input]; next < 0 || next >= st.NumStates {
 			return nil, fmt.Errorf("digital: state %d input %d transitions to invalid state %d",
 				state, input, next)
 		}
-		for b := 0; b < bits; b++ {
-			if next&(1<<b) != 0 {
-				onSets[b] = append(onSets[b], m)
+	}
+	rows := make([]uint8, size)
+	fill := func(on func(state, input int) bool) []uint8 {
+		for m := range rows {
+			switch state, input := m>>1, m&1; {
+			case state >= st.NumStates:
+				rows[m] = rowDontCare
+			case on(state, input):
+				rows[m] = rowOn
+			default:
+				rows[m] = rowOff
 			}
 		}
-		if st.Output != nil && st.Output[state][input] != 0 {
-			outOn = append(outOn, m)
-		}
+		return rows
 	}
+	var q qm
 	fsm := &SynthesizedFSM{StateBits: bits, Vars: vars, Next: make([]Expr, bits)}
 	for b := 0; b < bits; b++ {
-		fsm.Next[b] = Minimize(vars, onSets[b], dontCares)
+		fsm.Next[b] = q.expr(vars, fill(func(state, input int) bool {
+			return st.Next[state][input]&(1<<b) != 0
+		}))
 	}
 	if st.Output != nil {
-		fsm.Output = Minimize(vars, outOn, dontCares)
+		fsm.Output = q.expr(vars, fill(func(state, input int) bool {
+			return st.Output[state][input] != 0
+		}))
 	}
 	return fsm, nil
 }
@@ -81,11 +88,13 @@ func SynthesizeDFF(st *StateTable) (*SynthesizedFSM, error) {
 // Equations renders the synthesis result as the textbook equation list.
 func (f *SynthesizedFSM) Equations() []string {
 	out := make([]string, 0, f.StateBits+1)
+	var buf [64]byte
 	for b := f.StateBits - 1; b >= 0; b-- {
-		out = append(out, fmt.Sprintf("D%d = %s", b, f.Next[b].String()))
+		line := append(strconv.AppendInt(append(buf[:0], 'D'), int64(b), 10), " = "...)
+		out = append(out, string(appendExpr(line, f.Next[b])))
 	}
 	if f.Output != nil {
-		out = append(out, "Z = "+f.Output.String())
+		out = append(out, string(appendExpr(append(buf[:0], "Z = "...), f.Output)))
 	}
 	return out
 }

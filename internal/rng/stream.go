@@ -93,6 +93,21 @@ func (p *Stream) Float64() float64 {
 	return float64(p.Uint64()<<11>>11) / (1 << 53)
 }
 
+// Perm returns a pseudo-random permutation of [0, n), matching
+// rand.Rand.Perm draw-for-draw: the identity shuffled by Fisher–Yates
+// from the top index down, each swap partner drawn by Uint64N.
+func (p *Stream) Perm(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := int(p.Uint64N(uint64(i + 1)))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm
+}
+
 // fnv-1a constants, matching hash/fnv's 64-bit variant.
 const (
 	fnvOffset64 = 14695981039346656037

@@ -3,13 +3,14 @@ package rng
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
 // TestStreamMatchesRand pins the inline Stream implementation against
 // math/rand/v2 draw-for-draw: raw Uint64, the power-of-two mask path,
 // the Lemire reduction (including bounds large enough to exercise the
-// rejection loop), and Float64. If the standard library's PCG or
+// rejection loop), Perm and Float64. If the standard library's PCG or
 // bounded reduction ever changes, this fails before any golden hash
 // does.
 func TestStreamMatchesRand(t *testing.T) {
@@ -36,6 +37,15 @@ func TestStreamMatchesRand(t *testing.T) {
 			for i := 0; i < 256; i++ {
 				if got, want := st.Uint64N(n), ref.Uint64N(n); got != want {
 					t.Fatalf("seed %d n=%d draw %d: Uint64N = %d, rand = %d", seedCase, n, i, got, want)
+				}
+			}
+		}
+		for _, n := range []int{0, 1, 2, 4, 8, 13, 142} {
+			ref := New(append(parts, "perm", fmt.Sprint(n))...)
+			st := NewStream(append(parts, "perm", fmt.Sprint(n))...)
+			for i := 0; i < 16; i++ {
+				if got, want := st.Perm(n), ref.Perm(n); !slices.Equal(got, want) {
+					t.Fatalf("seed %d n=%d draw %d: Perm = %v, rand = %v", seedCase, n, i, got, want)
 				}
 			}
 		}
