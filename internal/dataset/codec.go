@@ -44,6 +44,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/visual"
 )
@@ -307,6 +308,12 @@ type packAlloc struct {
 	attrs map[string]map[string]string
 	elems map[string][]visual.Element
 	kv    []string // scratch for one block's keys and values
+
+	// scenes sizes elems up front when the decoder knows how many
+	// records it will see: about half of a generated fold's element
+	// sections are distinct, and regrowing the table cost a tenth of a
+	// cold load.
+	scenes int
 }
 
 const packSlabLen = 512
@@ -746,7 +753,7 @@ func (d *packDecoder) elementBlock(mark, ne int) ([]visual.Element, error) {
 		return shared, nil
 	}
 	if d.alloc.elems == nil {
-		d.alloc.elems = make(map[string][]visual.Element)
+		d.alloc.elems = make(map[string][]visual.Element, d.alloc.scenes)
 	}
 	d.alloc.elems[block] = w
 	return w, nil
@@ -910,8 +917,7 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 	// payload spans, and verifies count and checksum before any
 	// question decodes.
 	var tab []string
-	type span struct{ lo, hi int }
-	var spans []span
+	var spans []packSpan
 	var sum uint32
 	for {
 		n, err := sd.uvarint()
@@ -937,7 +943,7 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 			}
 			tab = append(tab, img[lo+1:hi])
 		case recQuest:
-			spans = append(spans, span{lo + 1, hi})
+			spans = append(spans, packSpan{lo + 1, hi})
 		default:
 			return nil, fmt.Errorf("dataset: pack: unknown record type %#x", img[lo])
 		}
@@ -961,44 +967,59 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 
 	// Pass 2: decode question records.
 	b.Questions = make([]*Question, len(spans))
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	if workers <= 1 {
-		var alloc packAlloc
-		for i, sp := range spans {
-			if b.Questions[i], err = decodeQuestion(img[sp.lo:sp.hi], tab, &alloc); err != nil {
-				return nil, err
-			}
-		}
+	if workers > 1 && decodeParallel(b.Questions, img, spans, tab, workers) {
 		return b, nil
 	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := len(spans)*w/workers, len(spans)*(w+1)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var alloc packAlloc
-			for i := lo; i < hi; i++ {
-				sp := spans[i]
-				q, err := decodeQuestion(img[sp.lo:sp.hi], tab, &alloc)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				b.Questions[i] = q
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	// Sequential decode. It also reruns a failed parallel pass, so the
+	// error reported is always the first bad record's.
+	alloc := packAlloc{scenes: len(spans)}
+	for i, sp := range spans {
+		if b.Questions[i], err = decodeQuestion(img[sp.lo:sp.hi], tab, &alloc); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// packSpan locates one question record's payload in a pack image.
+type packSpan struct{ lo, hi int }
+
+// decodeChunk is how many records a parallel decode worker claims at a
+// time: large enough to keep slab locality, small enough that a fold
+// whose disciplines differ in decode cost still splits evenly.
+const decodeChunk = 256
+
+// decodeParallel decodes the records of spans into qs on up to workers
+// goroutines, which claim chunks of records in order. It reports
+// whether every record decoded; on false, qs is partly filled.
+func decodeParallel(qs []*Question, img string, spans []packSpan, tab []string, workers int) bool {
+	workers = min(workers, (len(spans)+decodeChunk-1)/decodeChunk)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			alloc := packAlloc{scenes: len(spans) / workers}
+			for !failed.Load() {
+				lo := int(next.Add(decodeChunk)) - decodeChunk
+				if lo >= len(spans) {
+					return
+				}
+				for i := lo; i < min(lo+decodeChunk, len(spans)); i++ {
+					q, err := decodeQuestion(img[spans[i].lo:spans[i].hi], tab, &alloc)
+					if err != nil {
+						failed.Store(true)
+						return
+					}
+					qs[i] = q
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return !failed.Load()
 }
 
 // StreamPack reads a pack stream and delivers it as shards of at most

@@ -229,8 +229,8 @@ func (t *TruthTable) Format(outName string) string {
 	}
 	sb.WriteString(fmt.Sprintf(" |%3s\n", outName))
 	for m := range t.Out {
-		for _, b := range t.Row(m) {
-			sb.WriteString(fmt.Sprintf("%3d", boolBit(b)))
+		for i := range t.Vars {
+			sb.WriteString(fmt.Sprintf("%3d", (m>>(len(t.Vars)-1-i))&1))
 		}
 		sb.WriteString(fmt.Sprintf(" |%3d\n", boolBit(t.Out[m])))
 	}

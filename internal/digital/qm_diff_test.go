@@ -72,6 +72,18 @@ func TestMinimizeMatchesOracleRandom4(t *testing.T) {
 	}
 }
 
+// TestStringMatchesOracle checks the single-buffer renderer against the
+// per-node one on random trees of every node kind.
+func TestStringMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		e := randomExpr(r, 1+i%5)
+		if got, want := e.String(), oracleString(e); got != want {
+			t.Fatalf("String() = %q, oracle %q", got, want)
+		}
+	}
+}
+
 // TestExpressionChoicesMatchOracle checks the golden option and the
 // three distractors, in order, against the pre-rewrite distractor
 // search over a few hundred seeds and minterm sets.

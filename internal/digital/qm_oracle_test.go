@@ -1,12 +1,14 @@
 package digital
 
-// The Quine–McCluskey minimiser and the expression-distractor search as
-// they stood before both moved to flat row sets and a reusable scratch,
-// kept verbatim as oracles: qm_diff_test.go asserts the rewrite renders
-// the same strings, term order included.
+// The Quine–McCluskey minimiser, the expression-distractor search and
+// the expression renderer as they stood before the minimiser moved to
+// flat row sets and rendering to a single buffer, kept verbatim as
+// oracles: qm_diff_test.go asserts the rewrite renders the same
+// strings, term order included.
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
@@ -271,4 +273,54 @@ func oracleExpressionDistractors(seed string, vars []string, minterms []int, lhs
 		i++
 	}
 	return out
+}
+
+// oracleString is the per-node String rendering, one string per node.
+func oracleString(e Expr) string {
+	switch x := e.(type) {
+	case *Var:
+		return x.Name
+	case *Const:
+		if x.Value {
+			return "1"
+		}
+		return "0"
+	case *Not:
+		switch y := x.X.(type) {
+		case *Var:
+			return y.Name + "'"
+		case *Const:
+			return oracleString(y) + "'"
+		default:
+			return "(" + oracleString(x.X) + ")'"
+		}
+	case *And:
+		parts := make([]string, len(x.Xs))
+		for i, e := range x.Xs {
+			if _, isOr := e.(*Or); isOr {
+				parts[i] = "(" + oracleString(e) + ")"
+			} else if _, isXor := e.(*Xor); isXor {
+				parts[i] = "(" + oracleString(e) + ")"
+			} else {
+				parts[i] = oracleString(e)
+			}
+		}
+		return strings.Join(parts, "")
+	case *Or:
+		parts := make([]string, len(x.Xs))
+		for i, e := range x.Xs {
+			parts[i] = oracleString(e)
+		}
+		return strings.Join(parts, " + ")
+	case *Xor:
+		return oracleXorOperand(x.A) + " ^ " + oracleXorOperand(x.B)
+	}
+	panic("unknown node")
+}
+
+func oracleXorOperand(e Expr) string {
+	if _, isOr := e.(*Or); isOr {
+		return "(" + oracleString(e) + ")"
+	}
+	return oracleString(e)
 }

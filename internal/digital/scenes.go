@@ -3,6 +3,7 @@ package digital
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/visual"
 )
@@ -88,35 +89,41 @@ func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visua
 // TruthTableScene draws a truth table; the output-column cells are the
 // critical content.
 func TruthTableScene(t *TruthTable, outName, title string) *visual.Scene {
-	s := visual.NewScene(visual.KindTable, title)
+	n := len(t.Vars)
+	cols := n + 1
+	s := visual.NewScene(visual.KindTable, title).Grow(cols * (len(t.Out) + 1))
 	const cw, ch = 46, 24
 	x0, y0 := 60.0, 50.0
-	cols := len(t.Vars) + 1
 	// Header row.
-	headers := append(append([]string{}, t.Vars...), outName)
 	for c := 0; c < cols; c++ {
+		label := outName
+		if c < n {
+			label = t.Vars[c]
+		}
+		col := strconv.Itoa(c)
 		s.Add(visual.Element{
-			Type: visual.ElemCell, Name: fmt.Sprintf("h%d", c), Label: headers[c],
+			Type: visual.ElemCell, Name: "h" + col, Label: label,
 			X: x0 + float64(c)*cw, Y: y0, X2: x0 + float64(c+1)*cw, Y2: y0 + ch,
-			Attrs: map[string]string{"row": "h", "col": fmt.Sprint(c)}, Salience: 0.9,
+			Attrs: map[string]string{"row": "h", "col": col}, Salience: 0.9,
 		})
 	}
-	for m := range t.Out {
+	for m, out := range t.Out {
 		y := y0 + float64(m+1)*ch
-		bits := t.Row(m)
-		for c, b := range bits {
+		row := strconv.Itoa(m)
+		for c := 0; c < n; c++ {
+			col := strconv.Itoa(c)
 			s.Add(visual.Element{
-				Type: visual.ElemCell, Name: fmt.Sprintf("c%d-%d", m, c),
-				Label: fmt.Sprint(boolBit(b)),
+				Type: visual.ElemCell, Name: "c" + row + "-" + col,
+				Label: strconv.Itoa((m >> (n - 1 - c)) & 1),
 				X:     x0 + float64(c)*cw, Y: y, X2: x0 + float64(c+1)*cw, Y2: y + ch,
-				Attrs: map[string]string{"row": fmt.Sprint(m), "col": fmt.Sprint(c)},
+				Attrs: map[string]string{"row": row, "col": col},
 			})
 		}
 		s.Add(visual.Element{
-			Type: visual.ElemCell, Name: fmt.Sprintf("out%d", m),
-			Label: fmt.Sprint(boolBit(t.Out[m])),
+			Type: visual.ElemCell, Name: "out" + row,
+			Label: strconv.Itoa(boolBit(out)),
 			X:     x0 + float64(cols-1)*cw, Y: y, X2: x0 + float64(cols)*cw, Y2: y + ch,
-			Attrs:    map[string]string{"row": fmt.Sprint(m), "col": "out"},
+			Attrs:    map[string]string{"row": row, "col": "out"},
 			Salience: 0.7, Critical: true,
 		})
 	}
@@ -128,21 +135,22 @@ func TruthTableScene(t *TruthTable, outName, title string) *visual.Scene {
 // used by data-representation questions where the bits are the critical
 // content.
 func RegisterScene(word, bits int, title string) *visual.Scene {
-	s := visual.NewScene(visual.KindDiagram, title)
+	s := visual.NewScene(visual.KindDiagram, title).Grow(2 * bits)
 	const cw, ch = 40, 40
 	x0, y0 := 80.0, 120.0
 	for i := 0; i < bits; i++ {
 		bit := (word >> (bits - 1 - i)) & 1
+		col := strconv.Itoa(i)
 		s.Add(visual.Element{
-			Type: visual.ElemCell, Name: fmt.Sprintf("bit%d", i),
-			Label: fmt.Sprint(bit),
+			Type: visual.ElemCell, Name: "bit" + col,
+			Label: strconv.Itoa(bit),
 			X:     x0 + float64(i)*cw, Y: y0, X2: x0 + float64(i+1)*cw, Y2: y0 + ch,
-			Attrs:    map[string]string{"row": "0", "col": fmt.Sprint(i)},
+			Attrs:    map[string]string{"row": "0", "col": col},
 			Salience: 0.75, Critical: true,
 		})
 		s.Add(visual.Element{
-			Type: visual.ElemValue, Name: fmt.Sprintf("idx%d", i),
-			Label: fmt.Sprint(bits - 1 - i),
+			Type: visual.ElemValue, Name: "idx" + col,
+			Label: strconv.Itoa(bits - 1 - i),
 			X:     x0 + float64(i)*cw + 14, Y: y0 - 16,
 		})
 	}
@@ -152,18 +160,18 @@ func RegisterScene(word, bits int, title string) *visual.Scene {
 // BlockChainScene draws a left-to-right chain of labelled blocks joined
 // by arrows (shift registers, simple datapaths).
 func BlockChainScene(labels []string, title string, critical bool) *visual.Scene {
-	s := visual.NewScene(visual.KindDiagram, title)
+	s := visual.NewScene(visual.KindDiagram, title).Grow(2 * len(labels))
 	const bw, bh = 80, 46
 	x0, y0 := 50.0, 150.0
 	for i, l := range labels {
 		x := x0 + float64(i)*(bw+40)
 		s.Add(visual.Element{
-			Type: visual.ElemBox, Name: fmt.Sprintf("blk%d", i), Label: l,
+			Type: visual.ElemBox, Name: "blk" + strconv.Itoa(i), Label: l,
 			X: x, Y: y0, X2: x + bw, Y2: y0 + bh, Critical: critical,
 		})
 		if i > 0 {
 			s.Add(visual.Element{
-				Type: visual.ElemArrow, Name: fmt.Sprintf("ar%d", i),
+				Type: visual.ElemArrow, Name: "ar" + strconv.Itoa(i),
 				X: x - 40, Y: y0 + bh/2, X2: x, Y2: y0 + bh/2,
 			})
 		}
@@ -174,10 +182,10 @@ func BlockChainScene(labels []string, title string, critical bool) *visual.Scene
 // EquationsScene draws a list of equations as text; each line is
 // critical.
 func EquationsScene(lines []string, title string) *visual.Scene {
-	s := visual.NewScene(visual.KindEquations, title)
+	s := visual.NewScene(visual.KindEquations, title).Grow(len(lines))
 	for i, l := range lines {
 		s.Add(visual.Element{
-			Type: visual.ElemEquationText, Name: fmt.Sprintf("eq%d", i), Label: l,
+			Type: visual.ElemEquationText, Name: "eq" + strconv.Itoa(i), Label: l,
 			X: 60, Y: 80 + float64(i)*50, Salience: 0.8, Critical: true,
 		})
 	}

@@ -37,23 +37,19 @@ func FromMinterms(vars []string, minterms []int) *TruthTable {
 
 // Minterms returns the sorted indices of true rows.
 func (t *TruthTable) Minterms() []int {
-	var out []int
+	n := 0
+	for _, v := range t.Out {
+		if v {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
 	for m, v := range t.Out {
 		if v {
 			out = append(out, m)
 		}
 	}
 	return out
-}
-
-// Row returns the input bits of row m in variable order.
-func (t *TruthTable) Row(m int) []bool {
-	n := len(t.Vars)
-	bits := make([]bool, n)
-	for i := 0; i < n; i++ {
-		bits[i] = m&(1<<(n-1-i)) != 0
-	}
-	return bits
 }
 
 func boolBit(b bool) int {

@@ -17,7 +17,10 @@
 // elements, which lowers Pass@1 exactly the way §IV-B reports.
 package visual
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind enumerates the 12 visual content types of ChipVQA Table I.
 type Kind int
@@ -153,6 +156,13 @@ func (s *Scene) Add(e Element) *Scene {
 		e.Salience = defaultSalience(e.Type)
 	}
 	s.Elements = append(s.Elements, e)
+	return s
+}
+
+// Grow reserves room for n more elements, so a builder that knows its
+// element count fills the slice without regrowing it.
+func (s *Scene) Grow(n int) *Scene {
+	s.Elements = slices.Grow(s.Elements, n)
 	return s
 }
 
