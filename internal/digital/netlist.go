@@ -2,6 +2,7 @@ package digital
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -175,44 +176,61 @@ func (n *Netlist) Eval(inputs map[string]bool, state map[string]bool) (map[strin
 // Depth returns the longest gate chain from any primary input or flop
 // output to net target — the unit-delay critical path length.
 func (n *Netlist) Depth(target string) (int, error) {
-	byOutput := make(map[string]*Gate, len(n.Gates))
+	return newDepthMemo(n).depth(target)
+}
+
+// depthMemo answers Depth queries over one netlist, remembering every
+// net it settles, so asking for each gate's depth walks each net once.
+// A query that meets a combinational cycle fails without memoising
+// anything on its path, so every answer equals a fresh Depth call's.
+type depthMemo struct {
+	byOutput map[string]*Gate
+	memo     map[string]int
+	visiting map[string]bool
+}
+
+func newDepthMemo(n *Netlist) *depthMemo {
+	d := &depthMemo{
+		byOutput: make(map[string]*Gate, len(n.Gates)),
+		memo:     make(map[string]int, len(n.Gates)),
+		visiting: make(map[string]bool),
+	}
 	for _, g := range n.Gates {
-		byOutput[g.Output] = g
+		d.byOutput[g.Output] = g
 	}
-	memo := make(map[string]int)
-	visiting := make(map[string]bool)
-	var depth func(net string) (int, error)
-	depth = func(net string) (int, error) {
-		if d, ok := memo[net]; ok {
-			return d, nil
-		}
-		g, ok := byOutput[net]
-		if !ok {
-			return 0, nil // primary input or flop output
-		}
-		if visiting[net] {
-			return 0, fmt.Errorf("digital: combinational cycle through %s", net)
-		}
-		visiting[net] = true
-		defer delete(visiting, net)
-		maxIn := 0
-		for _, in := range g.Inputs {
-			d, err := depth(in)
-			if err != nil {
-				return 0, err
-			}
-			if d > maxIn {
-				maxIn = d
-			}
-		}
-		memo[net] = maxIn + 1
-		return maxIn + 1, nil
+	return d
+}
+
+func (d *depthMemo) depth(net string) (int, error) {
+	if v, ok := d.memo[net]; ok {
+		return v, nil
 	}
-	return depth(target)
+	g, ok := d.byOutput[net]
+	if !ok {
+		return 0, nil // primary input or flop output
+	}
+	if d.visiting[net] {
+		return 0, fmt.Errorf("digital: combinational cycle through %s", net)
+	}
+	d.visiting[net] = true
+	defer delete(d.visiting, net)
+	maxIn := 0
+	for _, in := range g.Inputs {
+		v, err := d.depth(in)
+		if err != nil {
+			return 0, err
+		}
+		maxIn = max(maxIn, v)
+	}
+	d.memo[net] = maxIn + 1
+	return maxIn + 1, nil
 }
 
 // TruthTable exhaustively simulates a purely combinational netlist and
 // returns the truth table of the target net over the primary inputs.
+// Which gates Eval can settle on each pass depends only on which nets
+// are known, never on their values, so the settling order is found
+// once, the way Eval finds it, and every row replays it on flat slots.
 func (n *Netlist) TruthTable(target string) (*TruthTable, error) {
 	if len(n.DFFs) > 0 {
 		return nil, fmt.Errorf("digital: truth table requires a combinational netlist")
@@ -221,21 +239,67 @@ func (n *Netlist) TruthTable(target string) (*TruthTable, error) {
 	if len(ins) > 16 {
 		return nil, fmt.Errorf("digital: too many inputs (%d) for exhaustive simulation", len(ins))
 	}
+	slot := make(map[string]int, len(ins)+len(n.Gates))
+	for i, in := range ins {
+		slot[in] = i
+	}
+	// order lists the gates as they settle; args holds each settled
+	// gate's input slots followed by its output slot.
+	order := make([]*Gate, 0, len(n.Gates))
+	var args []int
+	ready := func(g *Gate) bool {
+		for _, in := range g.Inputs {
+			if _, ok := slot[in]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	remaining := slices.Clone(n.Gates)
+	for len(remaining) > 0 {
+		still := remaining[:0]
+		for _, g := range remaining {
+			if !ready(g) {
+				still = append(still, g)
+				continue
+			}
+			for _, in := range g.Inputs {
+				args = append(args, slot[in])
+			}
+			out, ok := slot[g.Output]
+			if !ok {
+				out = len(slot)
+				slot[g.Output] = out
+			}
+			args = append(args, out)
+			order = append(order, g)
+		}
+		if len(still) == len(remaining) {
+			return nil, fmt.Errorf("digital: combinational cycle or undriven input among %d gates", len(still))
+		}
+		remaining = still
+	}
+	out, ok := slot[target]
+	if !ok {
+		return nil, fmt.Errorf("digital: net %q not driven", target)
+	}
 	t := &TruthTable{Vars: ins, Out: make([]bool, 1<<len(ins))}
-	for m := 0; m < 1<<len(ins); m++ {
-		assign := make(map[string]bool, len(ins))
-		for i, v := range ins {
-			assign[v] = m&(1<<(len(ins)-1-i)) != 0
+	vals := make([]bool, len(slot))
+	var in []bool
+	for m := range t.Out {
+		for i := range ins {
+			vals[i] = m&(1<<(len(ins)-1-i)) != 0
 		}
-		values, err := n.Eval(assign, nil)
-		if err != nil {
-			return nil, err
+		a := args
+		for _, g := range order {
+			in = in[:0]
+			for _, s := range a[:len(g.Inputs)] {
+				in = append(in, vals[s])
+			}
+			vals[a[len(g.Inputs)]] = g.Eval(in)
+			a = a[len(g.Inputs)+1:]
 		}
-		out, ok := values[target]
-		if !ok {
-			return nil, fmt.Errorf("digital: net %q not driven", target)
-		}
-		t.Out[m] = out
+		t.Out[m] = vals[out]
 	}
 	return t, nil
 }

@@ -2,6 +2,7 @@ package digital
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,40 @@ func TestNetlistTruthTable(t *testing.T) {
 	want := NewTruthTable(MustParse("AB + C"), []string{"A", "B", "C"})
 	if !tt.Equal(want) {
 		t.Errorf("netlist truth table disagrees with AB + C:\n%s", tt.Format("F"))
+	}
+}
+
+// TestTruthTableMatchesEval checks the replayed settling order against
+// row-by-row Eval on random circuits, and that a cyclic netlist fails
+// with Eval's error.
+func TestTruthTableMatchesEval(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		n := randomCircuit("tt-eval-"+strconv.Itoa(i), 2+i%3)
+		tt, err := n.TruthTable("F")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, got := range tt.Out {
+			assign := make(map[string]bool, len(tt.Vars))
+			for j, v := range tt.Vars {
+				assign[v] = m&(1<<(len(tt.Vars)-1-j)) != 0
+			}
+			values, err := n.Eval(assign, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if values["F"] != got {
+				t.Fatalf("circuit %d row %d: TruthTable %v, Eval %v", i, m, got, values["F"])
+			}
+		}
+	}
+	cyclic := NewNetlist().
+		AddGate(GateAnd, "G1", "x", "y", "A").
+		AddGate(GateOr, "G2", "y", "x", "B").
+		AddGate(GateNot, "G3", "F", "A")
+	_, evalErr := cyclic.Eval(map[string]bool{"A": true, "B": true}, nil)
+	if _, err := cyclic.TruthTable("F"); err == nil || evalErr == nil || err.Error() != evalErr.Error() {
+		t.Errorf("cyclic netlist: TruthTable error %v, Eval error %v", err, evalErr)
 	}
 }
 

@@ -698,7 +698,7 @@ func muxScene(data [4]string) *visual.Scene {
 func counterScene(bits int, title, kind string) *visual.Scene {
 	labels := make([]string, bits)
 	for i := range labels {
-		labels[i] = fmt.Sprintf("FF%d", bits-1-i)
+		labels[i] = "FF" + strconv.Itoa(bits-1-i)
 	}
 	s := BlockChainScene(labels, title, true)
 	s.Kind = visual.KindSchematic

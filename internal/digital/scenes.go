@@ -13,21 +13,21 @@ import (
 // their connectivity are the critical content of circuit-analysis
 // questions.
 func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visual.Scene {
-	s := visual.NewScene(visual.KindSchematic, title)
-
-	depthOf := make(map[string]int)
-	for _, g := range n.Gates {
-		d, err := n.Depth(g.Output)
-		if err != nil {
-			d = 1
-		}
-		depthOf[g.Output] = d
+	ins := n.PrimaryInputs()
+	var flopOuts []string
+	for q := range n.DFFs {
+		flopOuts = append(flopOuts, q)
 	}
+	sort.Strings(flopOuts)
+	wires := 0
+	for _, g := range n.Gates {
+		wires += len(g.Inputs)
+	}
+	s := visual.NewScene(visual.KindSchematic, title).Grow(len(ins) + len(flopOuts) + len(n.Gates) + wires)
+
 	// Column layout: inputs at depth 0.
 	colX := func(d int) float64 { return 70 + float64(d)*130 }
-	pos := make(map[string]visual.Point) // net -> source position
-
-	ins := n.PrimaryInputs()
+	pos := make(map[string]visual.Point, len(ins)+len(flopOuts)+len(n.Gates)) // net -> source position
 	for i, in := range ins {
 		y := 80 + float64(i)*70
 		pos[in] = visual.Point{X: colX(0), Y: y}
@@ -37,11 +37,6 @@ func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visua
 		})
 	}
 	// Flop outputs also act as sources.
-	var flopOuts []string
-	for q := range n.DFFs {
-		flopOuts = append(flopOuts, q)
-	}
-	sort.Strings(flopOuts)
 	for i, q := range flopOuts {
 		y := 80 + float64(len(ins)+i)*70
 		pos[q] = visual.Point{X: colX(0), Y: y}
@@ -51,16 +46,20 @@ func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visua
 		})
 	}
 
-	// Row counters per column.
-	rowInCol := make(map[int]int)
-	gateAt := make(map[string]visual.Point)
-	for _, g := range n.Gates {
-		d := depthOf[g.Output]
+	// Gates go in the column of their depth, one row per gate.
+	depths := newDepthMemo(n)
+	rowInCol := make([]int, len(n.Gates)+1)
+	gateAt := make([]visual.Point, len(n.Gates))
+	for gi, g := range n.Gates {
+		d, err := depths.depth(g.Output)
+		if err != nil {
+			d = 1
+		}
 		row := rowInCol[d]
 		rowInCol[d]++
 		x := colX(d)
 		y := 70 + float64(row)*85
-		gateAt[g.Output] = visual.Point{X: x, Y: y + 15}
+		gateAt[gi] = visual.Point{X: x, Y: y + 15}
 		pos[g.Output] = visual.Point{X: x + 45, Y: y + 15}
 		s.Add(visual.Element{
 			Type: visual.ElemGate, Name: g.Name, Label: g.Kind.String(),
@@ -68,8 +67,8 @@ func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visua
 		})
 	}
 	// Wires from each input source to each consuming gate.
-	for _, g := range n.Gates {
-		to := gateAt[g.Output]
+	for gi, g := range n.Gates {
+		to := gateAt[gi]
 		for k, in := range g.Inputs {
 			from, ok := pos[in]
 			if !ok {
@@ -77,7 +76,7 @@ func CircuitScene(n *Netlist, title string, criticalNets map[string]bool) *visua
 			}
 			s.Add(visual.Element{
 				Type: visual.ElemWire,
-				Name: fmt.Sprintf("w-%s-%s-%d", in, g.Name, k),
+				Name: "w-" + in + "-" + g.Name + "-" + strconv.Itoa(k),
 				X:    from.X, Y: from.Y,
 				X2: to.X, Y2: to.Y + float64(k*8-8),
 			})

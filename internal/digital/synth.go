@@ -118,24 +118,26 @@ func SequenceDetectorTable(pattern []int) (*StateTable, error) {
 		Next:      make([][2]int, n),
 		Output:    make([][2]int, n),
 	}
-	// nextPrefix(s, bit): longest prefix of pattern that is a suffix of
-	// (matched prefix of length s) + bit.
+	// nextPrefix(s, bit): longest proper prefix of pattern that is a
+	// suffix of seq = (matched prefix of length s) + bit. A full match
+	// is skipped: its overlap state is the longest proper prefix that
+	// is also a suffix.
 	nextPrefix := func(s, bit int) int {
-		seq := append(append([]int{}, pattern[:s]...), bit)
-		for l := min(n, len(seq)); l > 0; l-- {
+		seq := func(k int) int { // seq[k], k <= s
+			if k == s {
+				return bit
+			}
+			return pattern[k]
+		}
+		for l := min(n-1, s+1); l > 0; l-- {
 			match := true
 			for i := 0; i < l; i++ {
-				if seq[len(seq)-l+i] != pattern[i] {
+				if seq(s+1-l+i) != pattern[i] {
 					match = false
 					break
 				}
 			}
 			if match {
-				if l == n {
-					// Full match: overlap state is the longest proper
-					// prefix that is also a suffix.
-					continue
-				}
 				return l
 			}
 		}
