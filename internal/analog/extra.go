@@ -12,8 +12,7 @@ import (
 // cycling through the package's templates; the "xa-" ID prefix keeps
 // it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	inst := fmt.Sprintf("%s-%d", seed, i)
-	id := fmt.Sprintf("xa-%s-%02d", seed, i)
+	id, inst := dataset.ExtraKeys("xa-", seed, i)
 	switch i % 5 {
 	case 0:
 		return extraLadder(id, inst)
@@ -29,15 +28,15 @@ func ExtraAt(seed string, i int) *dataset.Question {
 }
 
 // resistorE24 picks a plausible resistor value.
-func resistorE24(r interface{ IntN(int) int }) float64 {
-	bases := []float64{1.0, 1.5, 2.2, 3.3, 4.7, 6.8}
-	scales := []float64{100, 1000, 10000}
+func resistorE24(r *rng.Stream) float64 {
+	bases := [...]float64{1.0, 1.5, 2.2, 3.3, 4.7, 6.8}
+	scales := [...]float64{100, 1000, 10000}
 	return bases[r.IntN(len(bases))] * scales[r.IntN(len(scales))]
 }
 
 func extraLadder(id, inst string) *dataset.Question {
-	r := rng.New("analog-extra-ladder", inst)
-	r1, r2, r3 := resistorE24(r), resistorE24(r), resistorE24(r)
+	r := rng.NewStream("analog-extra-ladder", inst)
+	r1, r2, r3 := resistorE24(&r), resistorE24(&r), resistorE24(&r)
 	c := NewCircuit()
 	c.R("R1", "a", "b", r1).R("R2", "b", Ground, r2).R("R3", "b", Ground, r3)
 	req, err := c.EquivalentResistance("a", Ground)
@@ -54,9 +53,9 @@ func extraLadder(id, inst string) *dataset.Question {
 }
 
 func extraDivider(id, inst string) *dataset.Question {
-	r := rng.New("analog-extra-div", inst)
+	r := rng.NewStream("analog-extra-div", inst)
 	vs := []float64{3.3, 5, 9, 12}[r.IntN(4)]
-	r1, r2, rl := resistorE24(r), resistorE24(r), resistorE24(r)
+	r1, r2, rl := resistorE24(&r), resistorE24(&r), resistorE24(&r)
 	c := NewCircuit()
 	c.V("Vs", "in", Ground, vs).R("R1", "in", "mid", r1).
 		R("R2", "mid", Ground, r2).R("RL", "mid", Ground, rl)
@@ -76,9 +75,9 @@ func extraDivider(id, inst string) *dataset.Question {
 }
 
 func extraCSGain(id, inst string) *dataset.Question {
-	r := rng.New("analog-extra-cs", inst)
+	r := rng.NewStream("analog-extra-cs", inst)
 	gm := float64(1+r.IntN(8)) * 1e-3
-	rd := resistorE24(r)
+	rd := resistorE24(&r)
 	m := MOSFET{Gm: gm, Ro: math.Inf(1)}
 	gain := CommonSourceGain(m, rd)
 	format := func(v float64) string { return FormatPlain(round3(v), "V/V") }
@@ -92,8 +91,8 @@ func extraCSGain(id, inst string) *dataset.Question {
 }
 
 func extraRCCutoff(id, inst string) *dataset.Question {
-	r := rng.New("analog-extra-rc", inst)
-	res := resistorE24(r)
+	r := rng.NewStream("analog-extra-rc", inst)
+	res := resistorE24(&r)
 	cap := []float64{1e-9, 10e-9, 100e-9, 1e-6}[r.IntN(4)]
 	fc := RCLowPassCutoffHz(res, cap)
 	format := func(v float64) string { return FormatSI(v, "Hz") }
@@ -106,7 +105,7 @@ func extraRCCutoff(id, inst string) *dataset.Question {
 }
 
 func extraClosedLoop(id, inst string) *dataset.Question {
-	r := rng.New("analog-extra-cl", inst)
+	r := rng.NewStream("analog-extra-cl", inst)
 	a0 := []float64{1e3, 1e4, 1e5}[r.IntN(3)]
 	beta := []float64{0.001, 0.01, 0.1}[r.IntN(3)]
 	acl := ClosedLoopGain(a0, beta)

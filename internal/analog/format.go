@@ -1,8 +1,9 @@
 package analog
 
 import (
-	"fmt"
 	"math"
+	"slices"
+	"strconv"
 )
 
 // FormatSI renders a value with an SI prefix and unit, e.g. 2200 Ohm ->
@@ -12,43 +13,49 @@ func FormatSI(v float64, unit string) string {
 	if v == 0 {
 		return "0 " + unit
 	}
-	type prefix struct {
+	prefixes := [...]struct {
 		mult float64
 		sym  string
-	}
-	prefixes := []prefix{
+	}{
 		{1e9, "G"}, {1e6, "M"}, {1e3, "k"}, {1, ""},
 		{1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"},
 	}
+	p := prefixes[len(prefixes)-1]
 	av := math.Abs(v)
-	for _, p := range prefixes {
-		if av >= p.mult*0.9999 {
-			return trimNum(v/p.mult) + " " + p.sym + unit
+	for _, q := range prefixes {
+		if av >= q.mult*0.9999 {
+			p = q
+			break
 		}
 	}
-	last := prefixes[len(prefixes)-1]
-	return trimNum(v/last.mult) + " " + last.sym + unit
+	var buf [48]byte
+	b := append(appendTrimmed(buf[:0], v/p.mult), ' ')
+	b = append(b, p.sym...)
+	return string(append(b, unit...))
 }
 
 // FormatPlain renders a value without SI scaling.
 func FormatPlain(v float64, unit string) string {
-	s := trimNum(v)
-	if unit == "" {
-		return s
+	var buf [48]byte
+	b := appendTrimmed(buf[:0], v)
+	if unit != "" {
+		b = append(append(b, ' '), unit...)
 	}
-	return s + " " + unit
+	return string(b)
 }
 
-func trimNum(v float64) string {
-	s := fmt.Sprintf("%.3f", v)
-	// Trim trailing zeros and a dangling decimal point.
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+// appendTrimmed appends v with three decimals, then trims trailing
+// zeros and a dangling decimal point.
+func appendTrimmed(dst []byte, v float64) []byte {
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, v, 'f', 3, 64)
+	for len(dst) > start && dst[len(dst)-1] == '0' {
+		dst = dst[:len(dst)-1]
 	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
+	if len(dst) > start && dst[len(dst)-1] == '.' {
+		dst = dst[:len(dst)-1]
 	}
-	return s
+	return dst
 }
 
 // NumericDistractors builds three plausible wrong numeric options near
@@ -56,22 +63,20 @@ func trimNum(v float64) string {
 // are the classic unit/sign/factor slips students make.
 func NumericDistractors(golden float64, format func(float64) string) [3]string {
 	goldenStr := format(golden)
-	cands := []float64{
+	cands := [...]float64{
 		golden * 2, golden / 2, -golden, golden * 10, golden / 10,
 		golden * 1.5, golden + 1, golden - 1, golden * 3,
 	}
 	var out [3]string
-	seen := map[string]bool{goldenStr: true}
 	i := 0
 	for _, c := range cands {
 		if i >= 3 {
 			break
 		}
 		s := format(c)
-		if seen[s] {
+		if s == goldenStr || slices.Contains(out[:i], s) {
 			continue
 		}
-		seen[s] = true
 		out[i] = s
 		i++
 	}

@@ -147,8 +147,9 @@ func (c *Circuit) SolveAC(omega float64) (*Solution, error) {
 		return &Solution{Voltages: map[string]complex128{}, BranchCurrents: map[string]complex128{}}, nil
 	}
 	A := make([][]complex128, size)
+	cells := make([]complex128, size*(size+1)) // augmented rows, one backing array
 	for i := range A {
-		A[i] = make([]complex128, size+1) // augmented
+		A[i] = cells[i*(size+1) : (i+1)*(size+1) : (i+1)*(size+1)]
 	}
 	at := func(node string) int {
 		if node == Ground {

@@ -3,6 +3,7 @@ package analog
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/visual"
 )
@@ -10,7 +11,7 @@ import (
 // ResistorNetworkScene draws a ladder of labelled resistors with a
 // driving source; the value annotations are the critical content.
 func ResistorNetworkScene(title string, source string, labels []string) *visual.Scene {
-	s := visual.NewScene(visual.KindSchematic, title)
+	s := visual.NewScene(visual.KindSchematic, title).Grow(len(labels) + 2)
 	s.Add(visual.Element{
 		Type: visual.ElemSource, Name: "Vs", Label: source,
 		X: 80, Y: 240, Attrs: map[string]string{"kind": "voltage"},
@@ -21,14 +22,14 @@ func ResistorNetworkScene(title string, source string, labels []string) *visual.
 		horizontal := i%2 == 0
 		if horizontal {
 			s.Add(visual.Element{
-				Type: visual.ElemResistor, Name: fmt.Sprintf("R%d", i+1), Label: l,
+				Type: visual.ElemResistor, Name: "R" + strconv.Itoa(i+1), Label: l,
 				X: x, Y: 160, X2: x + 90, Y2: 160,
 				Salience: 0.68, Critical: true,
 			})
 			x += 110
 		} else {
 			s.Add(visual.Element{
-				Type: visual.ElemResistor, Name: fmt.Sprintf("R%d", i+1), Label: l,
+				Type: visual.ElemResistor, Name: "R" + strconv.Itoa(i+1), Label: l,
 				X: x, Y: 160, X2: x, Y2: 280,
 				Salience: 0.68, Critical: true,
 			})
@@ -44,7 +45,7 @@ func ResistorNetworkScene(title string, source string, labels []string) *visual.
 // AmplifierScene draws a single-transistor amplifier stage with its bias
 // elements and annotated device parameters.
 func AmplifierScene(title, topology string, params []string) *visual.Scene {
-	s := visual.NewScene(visual.KindSchematic, title)
+	s := visual.NewScene(visual.KindSchematic, title).Grow(len(params) + 5)
 	s.Add(visual.Element{
 		Type: visual.ElemTransistor, Name: "M1",
 		X: 300, Y: 220, Attrs: map[string]string{"polarity": "nmos"},
@@ -67,7 +68,7 @@ func AmplifierScene(title, topology string, params []string) *visual.Scene {
 	})
 	for i, p := range params {
 		s.Add(visual.Element{
-			Type: visual.ElemValue, Name: fmt.Sprintf("param%d", i), Label: p,
+			Type: visual.ElemValue, Name: "param" + strconv.Itoa(i), Label: p,
 			X: 440, Y: 140 + float64(i)*26, Salience: 0.65, Critical: true,
 		})
 	}
@@ -153,25 +154,25 @@ func BodeScene(title string, pts []BodePoint, annotations []string) *visual.Scen
 // BlockDiagramScene draws labelled blocks left to right with arrows; used
 // for feedback loops, ADC pipelines and PLLs.
 func BlockDiagramScene(title string, blocks []string, annotations []string) *visual.Scene {
-	s := visual.NewScene(visual.KindDiagram, title)
+	s := visual.NewScene(visual.KindDiagram, title).Grow(2*len(blocks) + len(annotations))
 	const bw, bh = 100, 50
 	x0, y0 := 60.0, 180.0
 	for i, b := range blocks {
 		x := x0 + float64(i)*(bw+50)
 		s.Add(visual.Element{
-			Type: visual.ElemBox, Name: fmt.Sprintf("b%d", i), Label: b,
+			Type: visual.ElemBox, Name: "b" + strconv.Itoa(i), Label: b,
 			X: x, Y: y0, X2: x + bw, Y2: y0 + bh, Critical: true,
 		})
 		if i > 0 {
 			s.Add(visual.Element{
-				Type: visual.ElemArrow, Name: fmt.Sprintf("a%d", i),
+				Type: visual.ElemArrow, Name: "a" + strconv.Itoa(i),
 				X: x - 50, Y: y0 + bh/2, X2: x, Y2: y0 + bh/2,
 			})
 		}
 	}
 	for i, a := range annotations {
 		s.Add(visual.Element{
-			Type: visual.ElemValue, Name: fmt.Sprintf("ann%d", i), Label: a,
+			Type: visual.ElemValue, Name: "ann" + strconv.Itoa(i), Label: a,
 			X: 80, Y: 300 + float64(i)*26, Salience: 0.65, Critical: true,
 		})
 	}

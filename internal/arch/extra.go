@@ -12,8 +12,7 @@ import (
 // cycling through the package's templates; the "xr-" ID prefix keeps
 // it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	inst := fmt.Sprintf("%s-%d", seed, i)
-	id := fmt.Sprintf("xr-%s-%02d", seed, i)
+	id, inst := dataset.ExtraKeys("xr-", seed, i)
 	switch i % 6 {
 	case 0:
 		return extraCacheSets(id, inst)
@@ -31,7 +30,7 @@ func ExtraAt(seed string, i int) *dataset.Question {
 }
 
 func extraCacheSets(id, inst string) *dataset.Question {
-	r := rng.New("arch-extra-cache", inst)
+	r := rng.NewStream("arch-extra-cache", inst)
 	sizeKiB := []int{8, 16, 32, 64}[r.IntN(4)]
 	block := []int{32, 64}[r.IntN(2)]
 	ways := []int{1, 2, 4, 8}[r.IntN(4)]
@@ -51,7 +50,7 @@ func extraCacheSets(id, inst string) *dataset.Question {
 }
 
 func extraAMAT(id, inst string) *dataset.Question {
-	r := rng.New("arch-extra-amat", inst)
+	r := rng.NewStream("arch-extra-amat", inst)
 	hit := float64(1 + r.IntN(3))
 	missRate := float64(1+r.IntN(10)) / 100
 	penalty := float64(50 + 10*r.IntN(10))
@@ -68,7 +67,7 @@ func extraAMAT(id, inst string) *dataset.Question {
 }
 
 func extraMeshHops(id, inst string) *dataset.Question {
-	r := rng.New("arch-extra-mesh", inst)
+	r := rng.NewStream("arch-extra-mesh", inst)
 	const side = 5
 	x0, y0 := r.IntN(side), r.IntN(side)
 	x1, y1 := r.IntN(side), r.IntN(side)
@@ -85,7 +84,7 @@ func extraMeshHops(id, inst string) *dataset.Question {
 }
 
 func extraPipelineCPI(id, inst string) *dataset.Question {
-	r := rng.New("arch-extra-cpi", inst)
+	r := rng.NewStream("arch-extra-cpi", inst)
 	n := 4 + r.IntN(4)
 	prog := make([]Instr, n)
 	for i := range prog {
@@ -110,7 +109,7 @@ func extraPipelineCPI(id, inst string) *dataset.Question {
 }
 
 func extraOoO(id, inst string) *dataset.Question {
-	r := rng.New("arch-extra-ooo", inst)
+	r := rng.NewStream("arch-extra-ooo", inst)
 	n := 4 + r.IntN(5)
 	prog := make([]Instr, n)
 	for i := range prog {
@@ -139,7 +138,7 @@ func extraOoO(id, inst string) *dataset.Question {
 }
 
 func extraPredictor(id, inst string) *dataset.Question {
-	r := rng.New("arch-extra-pred", inst)
+	r := rng.NewStream("arch-extra-pred", inst)
 	iters := 3 + r.IntN(4)
 	reps := 2 + r.IntN(3)
 	outcomes := LoopOutcomes(iters, reps)

@@ -45,6 +45,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/visual"
 )
@@ -854,8 +855,9 @@ func WritePack(w io.Writer, b *Benchmark) error {
 // what lets inline strings alias the image instead of being copied
 // record by record. The frame scan verifies the trailer first, then
 // question records — which never mutate the intern table — decode on
-// one goroutine per CPU, partitioned by index range so the result is
-// identical regardless of parallelism.
+// one goroutine per CPU, each claiming chunks of records in order; every
+// record decodes on its own, so the result is identical regardless of
+// parallelism.
 //
 //lint:ignore unreachable called only by tests (internal/core's TestPackRoundTripByteIdentical) and BenchmarkReadPack10k
 func ReadPack(r io.Reader) (*Benchmark, error) {
@@ -868,7 +870,9 @@ func ReadPack(r io.Reader) (*Benchmark, error) {
 
 // ReadPackBytes decodes a pack image already held in memory — the
 // fastest cold-load path when the caller has the file bytes (e.g. from
-// os.ReadFile), since it skips the stream copy ReadPack must make.
+// os.ReadFile), since it skips the stream copy ReadPack must make. The
+// decoded questions alias data without copying it, so the caller hands
+// data over: it must not be modified afterwards.
 func ReadPackBytes(data []byte) (*Benchmark, error) {
 	return parsePack(data, runtime.GOMAXPROCS(0))
 }
@@ -888,11 +892,13 @@ func slurp(r io.Reader) ([]byte, error) {
 }
 
 // parsePack decodes a whole pack image with the given decode
-// parallelism (workers <= 1 means sequential).
+// parallelism (workers <= 1 means sequential). The decoded questions
+// alias data, so it must not change afterwards.
 func parsePack(data []byte, workers int) (*Benchmark, error) {
-	// The one unavoidable copy: a string image lets every inline string
-	// and table entry alias it for free.
-	img := string(data)
+	// A string view of the image lets every inline string and table
+	// entry alias it for free; copying it instead would cost a fifth of
+	// a cold load. Callers hand data over for good (see ReadPackBytes).
+	img := unsafe.String(unsafe.SliceData(data), len(data))
 	pos := 0
 	if len(img) < len(packMagic) || img[:len(packMagic)] != packMagic {
 		return nil, fmt.Errorf("dataset: pack: bad magic %q", img[:min(len(img), len(packMagic))])
@@ -985,9 +991,9 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 type packSpan struct{ lo, hi int }
 
 // decodeChunk is how many records a parallel decode worker claims at a
-// time: large enough to keep slab locality, small enough that a fold
-// whose disciplines differ in decode cost still splits evenly.
-const decodeChunk = 256
+// time: small enough that a fold whose disciplines differ in decode
+// cost still splits evenly, large enough that claims stay rare.
+const decodeChunk = 64
 
 // decodeParallel decodes the records of spans into qs on up to workers
 // goroutines, which claim chunks of records in order. It reports

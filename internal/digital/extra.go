@@ -107,11 +107,13 @@ func extraDetector(id, inst string) *dataset.Question {
 	for i := range stream {
 		stream[i] = r.IntN(2)
 	}
-	// Run the Mealy machine from state 0, counting output assertions.
+	_, outs, err := st.Step(0, stream[:])
+	if err != nil {
+		panic(err)
+	}
 	detections := 0
-	for s, i := 0, 0; i < len(stream); i++ {
-		detections += st.Output[s][stream[i]]
-		s = st.Next[s][stream[i]]
+	for _, o := range outs {
+		detections += o
 	}
 	fsm, err := SynthesizeDFF(st)
 	if err != nil {

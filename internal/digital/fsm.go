@@ -178,7 +178,10 @@ type StateTable struct {
 // Step runs the machine from state s on the input sequence, returning
 // the visited state sequence (including the start) and output sequence.
 func (st *StateTable) Step(s int, inputs []int) (states, outputs []int, err error) {
-	states = append(states, s)
+	states = append(make([]int, 0, len(inputs)+1), s)
+	if len(inputs) > 0 && (st.Output != nil || st.MooreOut != nil) {
+		outputs = make([]int, 0, len(inputs))
+	}
 	for _, in := range inputs {
 		if s < 0 || s >= st.NumStates || in < 0 || in > 1 {
 			return nil, nil, fmt.Errorf("digital: state %d / input %d out of range", s, in)

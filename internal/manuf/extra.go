@@ -12,8 +12,7 @@ import (
 // cycling through the package's templates; the "xm-" ID prefix keeps
 // it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	inst := fmt.Sprintf("%s-%d", seed, i)
-	id := fmt.Sprintf("xm-%s-%02d", seed, i)
+	id, inst := dataset.ExtraKeys("xm-", seed, i)
 	switch i % 6 {
 	case 0:
 		return extraEtchTime(id, inst)
@@ -31,7 +30,7 @@ func ExtraAt(seed string, i int) *dataset.Question {
 }
 
 func extraEtchTime(id, inst string) *dataset.Question {
-	r := rng.New("manuf-extra-etch", inst)
+	r := rng.NewStream("manuf-extra-etch", inst)
 	thickness := float64(200 + 100*r.IntN(6))
 	over := float64(5+5*r.IntN(4)) / 100
 	rate := float64(50 + 50*r.IntN(4))
@@ -50,7 +49,7 @@ func extraEtchTime(id, inst string) *dataset.Question {
 }
 
 func extraRayleigh(id, inst string) *dataset.Question {
-	r := rng.New("manuf-extra-litho", inst)
+	r := rng.NewStream("manuf-extra-litho", inst)
 	sys := []LithoSystem{ArF(), KrF(), EUV()}[r.IntN(3)]
 	res := sys.Resolution()
 	scene := visual.NewBlockDiagram(visual.KindDiagram, "Projection lithography column",
@@ -66,7 +65,7 @@ func extraRayleigh(id, inst string) *dataset.Question {
 }
 
 func extraYield(id, inst string) *dataset.Question {
-	r := rng.New("manuf-extra-yield", inst)
+	r := rng.NewStream("manuf-extra-yield", inst)
 	area := float64(1+r.IntN(4)) * 0.5
 	density := float64(1+r.IntN(6)) * 0.2
 	y := PoissonYield(area, density) * 100
@@ -84,7 +83,7 @@ func extraYield(id, inst string) *dataset.Question {
 }
 
 func extraDOF(id, inst string) *dataset.Question {
-	r := rng.New("manuf-extra-dof", inst)
+	r := rng.NewStream("manuf-extra-dof", inst)
 	sys := []LithoSystem{ArF(), KrF()}[r.IntN(2)]
 	dof := sys.DepthOfFocus()
 	scene := visual.NewBlockDiagram(visual.KindDiagram, "Focus budget",
@@ -99,7 +98,7 @@ func extraDOF(id, inst string) *dataset.Question {
 }
 
 func extraAerialCD(id, inst string) *dataset.Question {
-	r := rng.New("manuf-extra-aerial", inst)
+	r := rng.NewStream("manuf-extra-aerial", inst)
 	sim := NewAerialSimulator(KrF())
 	cd := float64(200 + 20*r.IntN(5))
 	pitch := cd * float64(2+r.IntN(3))
@@ -119,7 +118,7 @@ func extraAerialCD(id, inst string) *dataset.Question {
 }
 
 func extraMEEF(id, inst string) *dataset.Question {
-	r := rng.New("manuf-extra-meef", inst)
+	r := rng.NewStream("manuf-extra-meef", inst)
 	maskErr := float64(2 + r.IntN(8))
 	meef := float64(1 + r.IntN(4))
 	delta := MaskErrorFactor(maskErr, meef, 4)

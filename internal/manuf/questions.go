@@ -2,6 +2,7 @@ package manuf
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/visual"
@@ -310,18 +311,21 @@ func Generate() []*dataset.Question {
 // layoutSceneManuf draws a simple patterned-layer layout with
 // annotations.
 func layoutSceneManuf(title string, annotations []string) *visual.Scene {
-	s := visual.NewScene(visual.KindLayout, title)
-	for i := 0; i < 6; i++ {
+	const lines = 6
+	s := visual.NewScene(visual.KindLayout, title).Grow(lines + len(annotations))
+	// Scene attribute maps are read-only, so the lines share one.
+	metal1 := map[string]string{"layer": "metal1"}
+	for i := 0; i < lines; i++ {
 		x := 80.0 + float64(i)*70
 		s.Add(visual.Element{
-			Type: visual.ElemRect, Name: fmt.Sprintf("line%d", i),
+			Type: visual.ElemRect, Name: "line" + strconv.Itoa(i),
 			X: x, Y: 80, X2: x + 28, Y2: 300,
-			Attrs: map[string]string{"layer": "metal1"},
+			Attrs: metal1,
 		})
 	}
 	for i, a := range annotations {
 		s.Add(visual.Element{
-			Type: visual.ElemValue, Name: fmt.Sprintf("ann%d", i), Label: a,
+			Type: visual.ElemValue, Name: "ann" + strconv.Itoa(i), Label: a,
 			X: 80, Y: 330 + float64(i)*24, Salience: 0.65, Critical: true,
 		})
 	}

@@ -12,8 +12,7 @@ import (
 // cycling through the package's templates; the "xp-" ID prefix keeps
 // it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	inst := fmt.Sprintf("%s-%d", seed, i)
-	id := fmt.Sprintf("xp-%s-%02d", seed, i)
+	id, inst := dataset.ExtraKeys("xp-", seed, i)
 	switch i % 5 {
 	case 0:
 		return extraHPWL(id, inst)
@@ -29,7 +28,7 @@ func ExtraAt(seed string, i int) *dataset.Question {
 }
 
 func randomTerminals(inst string, n, span int) []Pt {
-	r := rng.New("phys-extra-pts", inst)
+	r := rng.NewStream("phys-extra-pts", inst)
 	pts := make([]Pt, 0, n)
 	seen := map[Pt]bool{}
 	for len(pts) < n {
@@ -63,7 +62,7 @@ func extraRMST(id, inst string) *dataset.Question {
 }
 
 func extraMaze(id, inst string) *dataset.Question {
-	r := rng.New("phys-extra-maze", inst)
+	r := rng.NewStream("phys-extra-maze", inst)
 	g := NewGrid(10, 10)
 	wallX := 3 + r.IntN(4)
 	gapY := r.IntN(10)
@@ -87,7 +86,7 @@ func extraMaze(id, inst string) *dataset.Question {
 }
 
 func extraSlack(id, inst string) *dataset.Question {
-	r := rng.New("phys-extra-slack", inst)
+	r := rng.NewStream("phys-extra-slack", inst)
 	d1 := float64(1 + r.IntN(5))
 	d2 := float64(1 + r.IntN(5))
 	d3 := float64(1 + r.IntN(5))
@@ -114,7 +113,7 @@ func extraSlack(id, inst string) *dataset.Question {
 }
 
 func extraElmore(id, inst string) *dataset.Question {
-	r := rng.New("phys-extra-elmore", inst)
+	r := rng.NewStream("phys-extra-elmore", inst)
 	r1 := float64(1+r.IntN(4)) * 0.05 // kOhm
 	r2 := float64(1+r.IntN(4)) * 0.05
 	c1 := float64(1+r.IntN(4)) * 10 // fF

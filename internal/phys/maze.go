@@ -5,16 +5,21 @@ import "fmt"
 // Grid is a routing grid with blocked cells.
 type Grid struct {
 	W, H    int
-	blocked map[Pt]bool
+	blocked []bool // by cell index y*W+x
 }
 
 // NewGrid returns an empty routing grid.
 func NewGrid(w, h int) *Grid {
-	return &Grid{W: w, H: h, blocked: make(map[Pt]bool)}
+	return &Grid{W: w, H: h, blocked: make([]bool, w*h)}
 }
 
-// Block marks a cell as an obstacle.
-func (g *Grid) Block(p Pt) { g.blocked[p] = true }
+// Block marks a cell as an obstacle. Cells off the grid are blocked
+// already.
+func (g *Grid) Block(p Pt) {
+	if g.onGrid(p) {
+		g.blocked[p.Y*g.W+p.X] = true
+	}
+}
 
 // BlockRect blocks every cell in [x0,x1] x [y0,y1].
 func (g *Grid) BlockRect(x0, y0, x1, y1 int) {
@@ -25,12 +30,13 @@ func (g *Grid) BlockRect(x0, y0, x1, y1 int) {
 	}
 }
 
+func (g *Grid) onGrid(p Pt) bool {
+	return p.X >= 0 && p.Y >= 0 && p.X < g.W && p.Y < g.H
+}
+
 // Blocked reports whether a cell is an obstacle or off-grid.
 func (g *Grid) Blocked(p Pt) bool {
-	if p.X < 0 || p.Y < 0 || p.X >= g.W || p.Y >= g.H {
-		return true
-	}
-	return g.blocked[p]
+	return !g.onGrid(p) || g.blocked[p.Y*g.W+p.X]
 }
 
 // Route runs Lee's wave-propagation maze router from src to dst and
@@ -41,45 +47,46 @@ func (g *Grid) Route(src, dst Pt) ([]Pt, error) {
 	if g.Blocked(src) || g.Blocked(dst) {
 		return nil, fmt.Errorf("phys: terminal %v or %v blocked", src, dst)
 	}
-	dist := map[Pt]int{src: 0}
-	frontier := []Pt{src}
-	dirs := []Pt{{1, 0}, {-1, 0}, {0, -1}, {0, 1}}
-	for len(frontier) > 0 && dist[dst] == 0 && dst != src {
-		var next []Pt
+	// dist holds each reached cell's wave number, -1 for unreached.
+	dist := make([]int, g.W*g.H)
+	for i := range dist {
+		dist[i] = -1
+	}
+	at := func(p Pt) *int { return &dist[p.Y*g.W+p.X] }
+	*at(src) = 0
+	dirs := [...]Pt{{1, 0}, {-1, 0}, {0, -1}, {0, 1}}
+	frontier, next := make([]Pt, 0, g.W*g.H), make([]Pt, 0, g.W*g.H)
+	frontier = append(frontier, src)
+	for len(frontier) > 0 && *at(dst) < 0 {
+		next = next[:0]
 		for _, p := range frontier {
 			for _, d := range dirs {
 				q := Pt{p.X + d.X, p.Y + d.Y}
-				if g.Blocked(q) {
+				if g.Blocked(q) || *at(q) >= 0 {
 					continue
 				}
-				if _, seen := dist[q]; seen {
-					continue
-				}
-				dist[q] = dist[p] + 1
+				*at(q) = *at(p) + 1
 				next = append(next, q)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	if _, ok := dist[dst]; !ok {
+	if *at(dst) < 0 {
 		return nil, fmt.Errorf("phys: no route from %v to %v", src, dst)
 	}
-	// Backtrace.
-	path := []Pt{dst}
+	// Backtrace from dst, filling the path from its end.
+	path := make([]Pt, *at(dst)+1)
 	cur := dst
+	path[len(path)-1] = cur
 	for cur != src {
 		for _, d := range dirs {
 			q := Pt{cur.X + d.X, cur.Y + d.Y}
-			if dq, ok := dist[q]; ok && dq == dist[cur]-1 {
+			if g.onGrid(q) && *at(q) == *at(cur)-1 {
 				cur = q
-				path = append(path, q)
+				path[*at(q)] = q
 				break
 			}
 		}
-	}
-	// Reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
 	}
 	return path, nil
 }

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/visual"
@@ -392,12 +393,13 @@ func Generate() []*dataset.Question {
 
 // routingScene draws terminals as annotated points on a layout canvas.
 func routingScene(title string, pts []Pt, critical bool) *visual.Scene {
-	s := visual.NewScene(visual.KindLayout, title)
+	s := visual.NewScene(visual.KindLayout, title).Grow(len(pts))
 	const scale, off = 50.0, 60.0
 	for i, p := range pts {
+		var buf [24]byte
 		s.Add(visual.Element{
-			Type: visual.ElemPoint, Name: fmt.Sprintf("t%d", i),
-			Label: fmt.Sprintf("(%d,%d)", p.X, p.Y),
+			Type: visual.ElemPoint, Name: "t" + strconv.Itoa(i),
+			Label: string(appendPt(buf[:0], p)),
 			X:     off + float64(p.X)*scale, Y: off + float64(p.Y)*scale,
 			Salience: 0.7, Critical: critical,
 		})
@@ -407,28 +409,39 @@ func routingScene(title string, pts []Pt, critical bool) *visual.Scene {
 
 // mazeScene draws a routing grid with blockages and terminals.
 func mazeScene(g *Grid, src, dst Pt) *visual.Scene {
-	s := visual.NewScene(visual.KindLayout, "Routing grid with blockage")
+	blocks := 0
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			if g.Blocked(Pt{x, y}) {
+				blocks++
+			}
+		}
+	}
+	s := visual.NewScene(visual.KindLayout, "Routing grid with blockage").Grow(blocks + 2)
 	const cell = 40.0
 	const off = 50.0
+	// Every blockage carries the same attributes; scene attribute maps
+	// are read-only, so the cells share one.
+	blockage := map[string]string{"layer": "blockage"}
 	for y := 0; y < g.H; y++ {
 		for x := 0; x < g.W; x++ {
 			if g.Blocked(Pt{x, y}) {
 				s.Add(visual.Element{
-					Type: visual.ElemRect, Name: fmt.Sprintf("blk%d-%d", x, y),
+					Type: visual.ElemRect, Name: "blk" + strconv.Itoa(x) + "-" + strconv.Itoa(y),
 					X: off + float64(x)*cell, Y: off + float64(y)*cell,
 					X2: off + float64(x+1)*cell, Y2: off + float64(y+1)*cell,
-					Attrs: map[string]string{"layer": "blockage"}, Critical: true,
+					Attrs: blockage, Critical: true,
 				})
 			}
 		}
 	}
 	s.Add(visual.Element{
-		Type: visual.ElemPoint, Name: "src", Label: fmt.Sprintf("SRC (%d,%d)", src.X, src.Y),
+		Type: visual.ElemPoint, Name: "src", Label: string(appendPt([]byte("SRC "), src)),
 		X: off + float64(src.X)*cell, Y: off + float64(src.Y)*cell,
 		Salience: 0.75, Critical: true,
 	})
 	s.Add(visual.Element{
-		Type: visual.ElemPoint, Name: "dst", Label: fmt.Sprintf("DST (%d,%d)", dst.X, dst.Y),
+		Type: visual.ElemPoint, Name: "dst", Label: string(appendPt([]byte("DST "), dst)),
 		X: off + float64(dst.X)*cell, Y: off + float64(dst.Y)*cell,
 		Salience: 0.75, Critical: true,
 	})

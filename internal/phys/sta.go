@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -39,7 +40,7 @@ func (g *TimingGraph) AddArc(a, b string, delay float64) *TimingGraph {
 // topoOrder returns a topological order, or an error on cycles.
 func (g *TimingGraph) topoOrder() ([]string, error) {
 	indeg := make(map[string]int, len(g.nodes))
-	var names []string
+	names := make([]string, 0, len(g.nodes))
 	for n := range g.nodes {
 		names = append(names, n)
 	}
@@ -47,21 +48,19 @@ func (g *TimingGraph) topoOrder() ([]string, error) {
 	for _, n := range names {
 		indeg[n] = len(g.pred[n])
 	}
-	var queue []string
+	// order doubles as the FIFO queue of Kahn's algorithm: nodes leave
+	// the queue in the order they joined it.
+	order := make([]string, 0, len(names))
 	for _, n := range names {
 		if indeg[n] == 0 {
-			queue = append(queue, n)
+			order = append(order, n)
 		}
 	}
-	var order []string
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, a := range g.succ[n] {
+	for i := 0; i < len(order); i++ {
+		for _, a := range g.succ[order[i]] {
 			indeg[a.to]--
 			if indeg[a.to] == 0 {
-				queue = append(queue, a.to)
+				order = append(order, a.to)
 			}
 		}
 	}
@@ -130,11 +129,12 @@ func (g *TimingGraph) Analyze(period float64) (*TimingReport, error) {
 	// Trace critical path back from the worst sink.
 	var path []string
 	for cur := worstSink; cur != ""; cur = from[cur] {
-		path = append([]string{cur}, path...)
+		path = append(path, cur)
 		if _, ok := from[cur]; !ok {
 			break
 		}
 	}
+	slices.Reverse(path)
 	return &TimingReport{
 		Arrival:      arr,
 		Required:     req,

@@ -6,8 +6,8 @@
 package phys
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Pt is an integer grid point (routing terminals, cell corners).
@@ -215,12 +215,20 @@ func StarCost(pts []Pt, hub Pt) int {
 
 // FormatPts renders coordinates like "(2,3) (5,1)".
 func FormatPts(pts []Pt) string {
-	s := ""
+	var buf [64]byte
+	b := buf[:0]
 	for i, p := range pts {
 		if i > 0 {
-			s += " "
+			b = append(b, ' ')
 		}
-		s += fmt.Sprintf("(%d,%d)", p.X, p.Y)
+		b = appendPt(b, p)
 	}
-	return s
+	return string(b)
+}
+
+// appendPt appends p as "(x,y)".
+func appendPt(dst []byte, p Pt) []byte {
+	dst = strconv.AppendInt(append(dst, '('), int64(p.X), 10)
+	dst = strconv.AppendInt(append(dst, ','), int64(p.Y), 10)
+	return append(dst, ')')
 }

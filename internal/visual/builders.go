@@ -1,30 +1,30 @@
 package visual
 
-import "fmt"
+import "strconv"
 
 // NewBlockDiagram builds a left-to-right chain of labelled boxes joined
 // by arrows, with optional annotation lines below — the workhorse for
 // architecture and flow figures.
 func NewBlockDiagram(kind Kind, title string, blocks []string, annotations []string) *Scene {
-	s := NewScene(kind, title)
+	s := NewScene(kind, title).Grow(2*len(blocks) + len(annotations))
 	const bw, bh = 100.0, 50.0
 	x0, y0 := 60.0, 180.0
 	for i, b := range blocks {
 		x := x0 + float64(i)*(bw+50)
 		s.Add(Element{
-			Type: ElemBox, Name: fmt.Sprintf("b%d", i), Label: b,
+			Type: ElemBox, Name: "b" + strconv.Itoa(i), Label: b,
 			X: x, Y: y0, X2: x + bw, Y2: y0 + bh, Critical: true,
 		})
 		if i > 0 {
 			s.Add(Element{
-				Type: ElemArrow, Name: fmt.Sprintf("a%d", i),
+				Type: ElemArrow, Name: "a" + strconv.Itoa(i),
 				X: x - 50, Y: y0 + bh/2, X2: x, Y2: y0 + bh/2,
 			})
 		}
 	}
 	for i, a := range annotations {
 		s.Add(Element{
-			Type: ElemValue, Name: fmt.Sprintf("ann%d", i), Label: a,
+			Type: ElemValue, Name: "ann" + strconv.Itoa(i), Label: a,
 			X: 70, Y: 290 + float64(i)*26, Salience: 0.65, Critical: true,
 		})
 	}
@@ -34,23 +34,30 @@ func NewBlockDiagram(kind Kind, title string, blocks []string, annotations []str
 // NewTableScene builds a rows x cols table of cells; header row first.
 // Cells in markCritical columns (by index) are flagged critical.
 func NewTableScene(kind Kind, title string, header []string, rows [][]string, criticalCols map[int]bool) *Scene {
-	s := NewScene(kind, title)
+	cells := len(header)
+	for _, row := range rows {
+		cells += len(row)
+	}
+	s := NewScene(kind, title).Grow(cells)
 	const cw, ch = 110.0, 26.0
 	x0, y0 := 50.0, 60.0
 	for c, h := range header {
+		col := strconv.Itoa(c)
 		s.Add(Element{
-			Type: ElemCell, Name: fmt.Sprintf("h%d", c), Label: h,
+			Type: ElemCell, Name: "h" + col, Label: h,
 			X: x0 + float64(c)*cw, Y: y0, X2: x0 + float64(c+1)*cw, Y2: y0 + ch,
-			Attrs: map[string]string{"row": "h", "col": fmt.Sprint(c)}, Salience: 0.9,
+			Attrs: map[string]string{"row": "h", "col": col}, Salience: 0.9,
 		})
 	}
 	for r, row := range rows {
 		y := y0 + float64(r+1)*ch
+		rs := strconv.Itoa(r)
 		for c, cell := range row {
+			col := strconv.Itoa(c)
 			s.Add(Element{
-				Type: ElemCell, Name: fmt.Sprintf("c%d-%d", r, c), Label: cell,
+				Type: ElemCell, Name: "c" + rs + "-" + col, Label: cell,
 				X: x0 + float64(c)*cw, Y: y, X2: x0 + float64(c+1)*cw, Y2: y + ch,
-				Attrs:    map[string]string{"row": fmt.Sprint(r), "col": fmt.Sprint(c)},
+				Attrs:    map[string]string{"row": rs, "col": col},
 				Salience: 0.7, Critical: criticalCols[c],
 			})
 		}
@@ -63,14 +70,14 @@ func NewTableScene(kind Kind, title string, header []string, rows [][]string, cr
 // critical annotation labels (used where the paper's benchmark shows a
 // photograph or rendered structure).
 func NewAnnotatedFigure(kind Kind, title string, caption string, annotations []string) *Scene {
-	s := NewScene(kind, title)
+	s := NewScene(kind, title).Grow(1 + len(annotations))
 	s.Add(Element{
 		Type: ElemBox, Name: "figure", Label: caption,
 		X: 80, Y: 80, X2: 560, Y2: 320, Critical: true,
 	})
 	for i, a := range annotations {
 		s.Add(Element{
-			Type: ElemValue, Name: fmt.Sprintf("ann%d", i), Label: a,
+			Type: ElemValue, Name: "ann" + strconv.Itoa(i), Label: a,
 			X: 100, Y: 340 + float64(i)*26, Salience: 0.65, Critical: true,
 		})
 	}
@@ -80,7 +87,7 @@ func NewAnnotatedFigure(kind Kind, title string, caption string, annotations []s
 // NewGridScene builds a w x h grid of nodes (small boxes) with optional
 // highlighted cells — mesh/torus topologies and layout fabrics.
 func NewGridScene(kind Kind, title string, w, h int, highlight map[[2]int]string) *Scene {
-	s := NewScene(kind, title)
+	s := NewScene(kind, title).Grow(w * h)
 	const cell = 56.0
 	x0, y0 := 70.0, 70.0
 	for y := 0; y < h; y++ {
@@ -92,7 +99,7 @@ func NewGridScene(kind Kind, title string, w, h int, highlight map[[2]int]string
 				critical = true
 			}
 			s.Add(Element{
-				Type: ElemBox, Name: fmt.Sprintf("n%d-%d", x, y), Label: label,
+				Type: ElemBox, Name: "n" + strconv.Itoa(x) + "-" + strconv.Itoa(y), Label: label,
 				X: x0 + float64(x)*cell, Y: y0 + float64(y)*cell,
 				X2: x0 + float64(x)*cell + 40, Y2: y0 + float64(y)*cell + 40,
 				Critical: critical,
@@ -105,7 +112,7 @@ func NewGridScene(kind Kind, title string, w, h int, highlight map[[2]int]string
 // NewWaveformScene builds a stack of named digital waveforms, each a
 // sequence of bits drawn as a square wave.
 func NewWaveformScene(title string, traces map[string][]int, order []string) *Scene {
-	s := NewScene(KindDiagram, title)
+	s := NewScene(KindDiagram, title).Grow(len(order))
 	y := 120.0
 	for _, name := range order {
 		bits := traces[name]
