@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/dataset"
-)
+import "testing"
 
 // genWindow is the index window the generation benchmark and the
 // allocation budgets walk: 60 is a multiple of every discipline's
@@ -29,18 +25,4 @@ func BenchmarkExtraAt(b *testing.B) {
 			}
 		})
 	}
-}
-
-// extraAllocsPerQuestion is the mean allocation count of ExtraAt plus
-// Validate over one genWindow of fold seed.
-func extraAllocsPerQuestion(t *testing.T, g dataset.Generator, seed string) float64 {
-	t.Helper()
-	allocs := testing.AllocsPerRun(3, func() {
-		for i := 0; i < genWindow; i++ {
-			if err := g.ExtraAt(seed, i).Validate(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	return allocs / genWindow
 }

@@ -90,7 +90,7 @@ func (q *qm) minimize(vars []string, rows []uint8) int {
 	if on == 0 || on == len(rows) {
 		return on
 	}
-	q.primeImplicants(rows)
+	q.primeImplicants(len(vars), rows)
 	q.coverOn(rows)
 	q.key = q.key[:0]
 	for i := range q.cover {
@@ -110,8 +110,13 @@ func (q *qm) minimize(vars []string, rows []uint8) int {
 // and don't-care rows: each generation merges pairs of equal-mask terms
 // that differ in one fixed bit, first discovery first, and a term no
 // merge used is prime.
-func (q *qm) primeImplicants(rows []uint8) {
-	cur, next, primes := q.cur[:0], q.next[:0], q.primes[:0]
+func (q *qm) primeImplicants(n int, rows []uint8) {
+	// Room for the largest merge generation of up to five variables
+	// (n*2^(n-1) terms) and for one prime per row: the K-map-sized
+	// functions the generators minimise then never regrow a buffer.
+	cur := slices.Grow(q.cur[:0], len(rows)*max(2, n)/2)
+	next := slices.Grow(q.next[:0], len(rows)*max(2, n)/2)
+	primes := slices.Grow(q.primes[:0], len(rows))
 	for m, r := range rows {
 		if r != rowOff {
 			cur = append(cur, implicant{value: m})
