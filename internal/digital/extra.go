@@ -119,9 +119,9 @@ func extraDetector(id, inst string) *dataset.Question {
 	if err != nil {
 		panic(err)
 	}
-	var caption [48]byte
-	lines := append(make([]string, 0, fsm.StateBits+2), string(appendInts(
-		append(caption[:0], "overlapping detector for pattern "...), pattern[:])))
+	var patBuf, streamBuf [16]byte
+	pat := appendInts(patBuf[:0], pattern[:])
+	lines := append(make([]string, 0, fsm.StateBits+2), "overlapping detector for pattern "+string(pat))
 	scene := EquationsScene(append(lines, fsm.Equations()...), "Sequence detector synthesis")
 	count := func(n int) string { return strconv.Itoa(n) + " detections" }
 	golden := count(detections)
@@ -130,15 +130,12 @@ func extraDetector(id, inst string) *dataset.Question {
 		count(detections+2),
 		count(max(0, detections-1)),
 		count(detections+3))
-	prompt := append(make([]byte, 0, 320), "The figure lists the synthesized next-state and output equations of "+
-		"an overlapping sequence detector for the pattern "...)
-	prompt = appendInts(prompt, pattern[:])
-	prompt = append(prompt, " (state in Q bits, input X, "+
-		"output Z). Starting from state 0, how many times does Z assert over the input "+
-		"stream "...)
-	prompt = append(appendInts(prompt, stream[:]), '?')
 	return dataset.NewMC(id, dataset.Digital, "sequence-detector",
-		string(prompt), scene, golden, others, 0.75)
+		"The figure lists the synthesized next-state and output equations of "+
+			"an overlapping sequence detector for the pattern "+string(pat)+" (state in Q bits, input X, "+
+			"output Z). Starting from state 0, how many times does Z assert over the input "+
+			"stream "+string(appendInts(streamBuf[:0], stream[:]))+"?",
+		scene, golden, others, 0.75)
 }
 
 // appendInts appends xs the way fmt's %v prints an []int: "[1 0 1]".
