@@ -12,7 +12,8 @@ import (
 // cycling through the package's templates; the "xa-" ID prefix keeps
 // it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	id, inst := dataset.ExtraKeys("xa-", seed, i)
+	var key [32]byte
+	id, inst := dataset.ExtraID("xa-", seed, i), string(dataset.AppendExtraInst(key[:0], seed, i))
 	switch i % 5 {
 	case 0:
 		return extraLadder(id, inst)

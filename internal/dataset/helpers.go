@@ -49,22 +49,22 @@ func PickOthers(answer string, pool []string) [3]string {
 	return out
 }
 
-// ExtraKeys returns the ID and the instance key of the i-th extended
-// question of fold seed, as "<prefix><seed>-<i, zero-padded to two
-// digits>" and "<seed>-<i>". Both share one allocation.
-func ExtraKeys(prefix, seed string, i int) (id, inst string) {
+// ExtraID returns the ID of the i-th extended question of fold seed:
+// prefix and seed, then i zero-padded to two digits ("xd-fold-07").
+func ExtraID(prefix, seed string, i int) string {
 	var buf [64]byte
-	b := append(buf[:0], prefix...)
-	b = append(b, seed...)
-	b = append(b, '-')
+	b := append(append(append(buf[:0], prefix...), seed...), '-')
 	if i >= 0 && i < 10 {
 		b = append(b, '0')
 	}
-	b = strconv.AppendInt(b, int64(i), 10)
-	n := len(b)
-	b = append(b, seed...)
-	b = append(b, '-')
-	b = strconv.AppendInt(b, int64(i), 10)
-	s := string(b)
-	return s[:n], s[n:]
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
+
+// AppendExtraInst appends "<seed>-<i>", the instance key the i-th
+// extended question of fold seed draws its parameters from. The key
+// never outlives ExtraAt, so a generator converts it with string() in
+// place and the compiler keeps it on the stack; unlike the ID, which
+// the question retains, it costs no allocation.
+func AppendExtraInst(dst []byte, seed string, i int) []byte {
+	return strconv.AppendInt(append(append(dst, seed...), '-'), int64(i), 10)
 }

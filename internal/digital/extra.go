@@ -12,7 +12,8 @@ import (
 // cycling through the package's templates; the "xd-" ID prefix keeps it
 // clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	id, inst := dataset.ExtraKeys("xd-", seed, i)
+	var key [32]byte
+	id, inst := dataset.ExtraID("xd-", seed, i), string(dataset.AppendExtraInst(key[:0], seed, i))
 	switch i % 6 {
 	case 0:
 		return extraTruthTable(id, inst)

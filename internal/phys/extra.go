@@ -12,7 +12,8 @@ import (
 // cycling through the package's templates; the "xp-" ID prefix keeps
 // it clear of the fixed 142 questions.
 func ExtraAt(seed string, i int) *dataset.Question {
-	id, inst := dataset.ExtraKeys("xp-", seed, i)
+	var key [32]byte
+	id, inst := dataset.ExtraID("xp-", seed, i), string(dataset.AppendExtraInst(key[:0], seed, i))
 	switch i % 5 {
 	case 0:
 		return extraHPWL(id, inst)
