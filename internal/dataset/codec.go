@@ -502,8 +502,8 @@ type packDecoder struct {
 	alloc *packAlloc
 }
 
-// uvarint has a manually-inlined fast path: almost every varint in a
-// question record (tags, counts, enums) is a single byte.
+// uvarint has a fast path for the single-byte varints that almost
+// every field of a question record (tags, counts, enums) uses.
 func (d *packDecoder) uvarint() (uint64, error) {
 	if d.pos < len(d.s) {
 		if b := d.s[d.pos]; b < 0x80 {
@@ -515,6 +515,12 @@ func (d *packDecoder) uvarint() (uint64, error) {
 }
 
 func (d *packDecoder) uvarintSlow() (uint64, error) {
+	// Two bytes is the next most common length: intern-table references
+	// past the first 126 entries.
+	if p := d.pos; p+1 < len(d.s) && d.s[p] >= 0x80 && d.s[p+1] < 0x80 {
+		d.pos = p + 2
+		return uint64(d.s[p]&0x7f) | uint64(d.s[p+1])<<7, nil
+	}
 	var x uint64
 	var shift uint
 	for i := d.pos; i < len(d.s); i++ {
@@ -666,7 +672,16 @@ func (d *packDecoder) scene() (*visual.Scene, error) {
 		return nil, err
 	}
 	s.Width, s.Height = int(w), int(h)
+	// The element section is the last field of a question record, so
+	// the rest of the payload is the section's raw bytes: a section seen
+	// before is recognised, and shared, before any of it is parsed. A
+	// record with trailing bytes fails in decodeQuestion either way.
 	mark := d.pos
+	if shared, ok := d.alloc.elems[d.s[mark:]]; ok {
+		s.Elements = shared
+		d.pos = len(d.s)
+		return s, nil
+	}
 	ne, err := d.count()
 	if err != nil {
 		return nil, err
@@ -680,11 +695,10 @@ func (d *packDecoder) scene() (*visual.Scene, error) {
 }
 
 // elementBlock decodes one scene's element section of ne elements whose
-// count varint began at mark. Scenes whose encoded sections are
-// byte-identical share one read-only window (see packAlloc.elems); on a
-// cache hit the freshly-parsed window is handed back to the slabs.
+// count varint began at mark, and records it so later scenes whose
+// encoded sections are byte-identical share the window read-only (see
+// packAlloc.elems).
 func (d *packDecoder) elementBlock(mark, ne int) ([]visual.Element, error) {
-	savedE, savedP := d.alloc.eslab, d.alloc.pslab
 	w := d.alloc.elements(ne)
 	for i := 0; i < ne; i++ {
 		e := &w[i]
@@ -715,10 +729,6 @@ func (d *packDecoder) elementBlock(mark, ne int) ([]visual.Element, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every field is assigned unconditionally (nil for absent
-		// collections): a cache hit below rewinds the slabs, so a
-		// window may be handed out again without being re-zeroed.
-		e.Points = nil
 		if np > 0 {
 			e.Points = d.alloc.points(np)
 		}
@@ -735,7 +745,6 @@ func (d *packDecoder) elementBlock(mark, ne int) ([]visual.Element, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.Attrs = nil
 		if na > 0 {
 			if e.Attrs, err = d.attrBlock(amark, na); err != nil {
 				return nil, err
@@ -748,15 +757,10 @@ func (d *packDecoder) elementBlock(mark, ne int) ([]visual.Element, error) {
 			return nil, err
 		}
 	}
-	block := d.s[mark:d.pos]
-	if shared, ok := d.alloc.elems[block]; ok {
-		d.alloc.eslab, d.alloc.pslab = savedE, savedP
-		return shared, nil
-	}
 	if d.alloc.elems == nil {
-		d.alloc.elems = make(map[string][]visual.Element, d.alloc.scenes)
+		d.alloc.elems = make(map[string][]visual.Element, d.alloc.scenes/2)
 	}
-	d.alloc.elems[block] = w
+	d.alloc.elems[d.s[mark:d.pos]] = w
 	return w, nil
 }
 
