@@ -900,8 +900,8 @@ func slurp(r io.Reader) ([]byte, error) {
 // alias data, so it must not change afterwards.
 func parsePack(data []byte, workers int) (*Benchmark, error) {
 	// A string view of the image lets every inline string and table
-	// entry alias it for free; copying it instead would cost a fifth of
-	// a cold load. Callers hand data over for good (see ReadPackBytes).
+	// entry alias it without copying the image first. Callers hand data
+	// over for good (see ReadPackBytes).
 	img := unsafe.String(unsafe.SliceData(data), len(data))
 	pos := 0
 	if len(img) < len(packMagic) || img[:len(packMagic)] != packMagic {
