@@ -44,7 +44,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/visual"
@@ -311,9 +310,8 @@ type packAlloc struct {
 	kv    []string // scratch for one block's keys and values
 
 	// scenes sizes elems up front when the decoder knows how many
-	// records it will see: about half of a generated fold's element
-	// sections are distinct, and regrowing the table cost a tenth of a
-	// cold load.
+	// records it will see; about half of a generated fold's element
+	// sections are distinct.
 	scenes int
 }
 
@@ -859,9 +857,8 @@ func WritePack(w io.Writer, b *Benchmark) error {
 // what lets inline strings alias the image instead of being copied
 // record by record. The frame scan verifies the trailer first, then
 // question records — which never mutate the intern table — decode on
-// one goroutine per CPU, each claiming chunks of records in order; every
-// record decodes on its own, so the result is identical regardless of
-// parallelism.
+// one goroutine per CPU, partitioned by index range so the result is
+// identical regardless of parallelism.
 //
 //lint:ignore unreachable called only by tests (internal/core's TestPackRoundTripByteIdentical) and BenchmarkReadPack10k
 func ReadPack(r io.Reader) (*Benchmark, error) {
@@ -927,7 +924,8 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 	// payload spans, and verifies count and checksum before any
 	// question decodes.
 	var tab []string
-	var spans []packSpan
+	type span struct{ lo, hi int }
+	var spans []span
 	var sum uint32
 	for {
 		n, err := sd.uvarint()
@@ -953,7 +951,7 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 			}
 			tab = append(tab, img[lo+1:hi])
 		case recQuest:
-			spans = append(spans, packSpan{lo + 1, hi})
+			spans = append(spans, span{lo + 1, hi})
 		default:
 			return nil, fmt.Errorf("dataset: pack: unknown record type %#x", img[lo])
 		}
@@ -977,59 +975,44 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 
 	// Pass 2: decode question records.
 	b.Questions = make([]*Question, len(spans))
-	if workers > 1 && decodeParallel(b.Questions, img, spans, tab, workers) {
+	if workers > len(spans) {
+		workers = len(spans)
+	}
+	if workers <= 1 {
+		alloc := packAlloc{scenes: len(spans)}
+		for i, sp := range spans {
+			if b.Questions[i], err = decodeQuestion(img[sp.lo:sp.hi], tab, &alloc); err != nil {
+				return nil, err
+			}
+		}
 		return b, nil
 	}
-	// Sequential decode. It also reruns a failed parallel pass, so the
-	// error reported is always the first bad record's.
-	alloc := packAlloc{scenes: len(spans)}
-	for i, sp := range spans {
-		if b.Questions[i], err = decodeQuestion(img[sp.lo:sp.hi], tab, &alloc); err != nil {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := len(spans)*w/workers, len(spans)*(w+1)/workers
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			alloc := packAlloc{scenes: hi - lo}
+			for i := lo; i < hi; i++ {
+				sp := spans[i]
+				q, err := decodeQuestion(img[sp.lo:sp.hi], tab, &alloc)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				b.Questions[i] = q
+			}
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
-}
-
-// packSpan locates one question record's payload in a pack image.
-type packSpan struct{ lo, hi int }
-
-// decodeChunk is how many records a parallel decode worker claims at a
-// time: small enough that a fold whose disciplines differ in decode
-// cost still splits evenly, large enough that claims stay rare.
-const decodeChunk = 64
-
-// decodeParallel decodes the records of spans into qs on up to workers
-// goroutines, which claim chunks of records in order. It reports
-// whether every record decoded; on false, qs is partly filled.
-func decodeParallel(qs []*Question, img string, spans []packSpan, tab []string, workers int) bool {
-	workers = min(workers, (len(spans)+decodeChunk-1)/decodeChunk)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			alloc := packAlloc{scenes: len(spans) / workers}
-			for !failed.Load() {
-				lo := int(next.Add(decodeChunk)) - decodeChunk
-				if lo >= len(spans) {
-					return
-				}
-				for i := lo; i < min(lo+decodeChunk, len(spans)); i++ {
-					q, err := decodeQuestion(img[spans[i].lo:spans[i].hi], tab, &alloc)
-					if err != nil {
-						failed.Store(true)
-						return
-					}
-					qs[i] = q
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return !failed.Load()
 }
 
 // StreamPack reads a pack stream and delivers it as shards of at most
