@@ -132,45 +132,106 @@ func (n *Netlist) PrimaryInputs() []string {
 // point in topological fashion and reports an error on combinational
 // cycles.
 func (n *Netlist) Eval(inputs map[string]bool, state map[string]bool) (map[string]bool, error) {
-	values := make(map[string]bool, len(inputs)+len(state)+len(n.Gates))
-	known := make(map[string]bool, len(values))
-	for k, v := range inputs {
-		values[k] = v
-		known[k] = true
+	known := make([]string, 0, len(inputs)+len(n.DFFs))
+	for k := range inputs {
+		known = append(known, k)
 	}
 	for q := range n.DFFs {
-		values[q] = state[q]
-		known[q] = true
+		known = append(known, q)
 	}
-	remaining := make([]*Gate, len(n.Gates))
-	copy(remaining, n.Gates)
-	for len(remaining) > 0 {
-		progressed := false
-		var still []*Gate
-		for _, g := range remaining {
-			ready := true
-			in := make([]bool, len(g.Inputs))
-			for i, name := range g.Inputs {
-				if !known[name] {
-					ready = false
-					break
-				}
-				in[i] = values[name]
+	sort.Strings(known)
+	s, err := n.settle(known)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]bool, len(s.slot))
+	for k, v := range inputs {
+		vals[s.slot[k]] = v
+	}
+	for q := range n.DFFs {
+		vals[s.slot[q]] = state[q]
+	}
+	s.replay(vals, nil)
+	values := make(map[string]bool, len(s.slot))
+	for name, i := range s.slot {
+		values[name] = vals[i]
+	}
+	return values, nil
+}
+
+// settling is the order in which a netlist's gates settle from a set
+// of known nets, on flat value slots. Which gates can settle on each
+// pass depends only on which nets are known, never on their values, so
+// one settling order serves every assignment of the known nets.
+type settling struct {
+	slot  map[string]int // net -> value slot; the known nets come first
+	order []*Gate        // gates in the order they settle
+	args  []int          // per gate in order: its input slots, then its output slot
+}
+
+// settle passes over the gates, settling each one whose inputs are all
+// known, until every gate has settled; a pass that settles none means a
+// combinational cycle or an undriven input.
+func (n *Netlist) settle(known []string) (settling, error) {
+	s := settling{
+		slot:  make(map[string]int, len(known)+len(n.Gates)),
+		order: make([]*Gate, 0, len(n.Gates)),
+	}
+	slotOf := func(net string) int {
+		i, ok := s.slot[net]
+		if !ok {
+			i = len(s.slot)
+			s.slot[net] = i
+		}
+		return i
+	}
+	for _, k := range known {
+		slotOf(k)
+	}
+	ready := func(g *Gate) bool {
+		for _, in := range g.Inputs {
+			if _, ok := s.slot[in]; !ok {
+				return false
 			}
-			if !ready {
+		}
+		return true
+	}
+	remaining := slices.Clone(n.Gates)
+	for len(remaining) > 0 {
+		still := remaining[:0]
+		for _, g := range remaining {
+			if !ready(g) {
 				still = append(still, g)
 				continue
 			}
-			values[g.Output] = g.Eval(in)
-			known[g.Output] = true
-			progressed = true
+			for _, in := range g.Inputs {
+				s.args = append(s.args, s.slot[in])
+			}
+			s.args = append(s.args, slotOf(g.Output))
+			s.order = append(s.order, g)
 		}
-		if !progressed {
-			return nil, fmt.Errorf("digital: combinational cycle or undriven input among %d gates", len(still))
+		if len(still) == len(remaining) {
+			return settling{}, fmt.Errorf("digital: combinational cycle or undriven input among %d gates", len(still))
 		}
 		remaining = still
 	}
-	return values, nil
+	return s, nil
+}
+
+// replay evaluates every gate in settling order into vals, whose known
+// slots are already set. in is scratch for gate inputs; replay returns
+// it for the next call.
+func (s *settling) replay(vals, in []bool) []bool {
+	a := s.args
+	for _, g := range s.order {
+		in = in[:0]
+		for _, i := range a[:len(g.Inputs)] {
+			in = append(in, vals[i])
+		}
+		vals[a[len(g.Inputs)]] = g.Eval(in)
+		a = a[len(g.Inputs)+1:]
+	}
+	return in
 }
 
 // Depth returns the longest gate chain from any primary input or flop
@@ -228,9 +289,7 @@ func (d *depthMemo) depth(net string) (int, error) {
 
 // TruthTable exhaustively simulates a purely combinational netlist and
 // returns the truth table of the target net over the primary inputs.
-// Which gates Eval can settle on each pass depends only on which nets
-// are known, never on their values, so the settling order is found
-// once, the way Eval finds it, and every row replays it on flat slots.
+// Every row replays one settling order from the primary inputs.
 func (n *Netlist) TruthTable(target string) (*TruthTable, error) {
 	if len(n.DFFs) > 0 {
 		return nil, fmt.Errorf("digital: truth table requires a combinational netlist")
@@ -239,66 +298,22 @@ func (n *Netlist) TruthTable(target string) (*TruthTable, error) {
 	if len(ins) > 16 {
 		return nil, fmt.Errorf("digital: too many inputs (%d) for exhaustive simulation", len(ins))
 	}
-	slot := make(map[string]int, len(ins)+len(n.Gates))
-	for i, in := range ins {
-		slot[in] = i
+	s, err := n.settle(ins)
+	if err != nil {
+		return nil, err
 	}
-	// order lists the gates as they settle; args holds each settled
-	// gate's input slots followed by its output slot.
-	order := make([]*Gate, 0, len(n.Gates))
-	var args []int
-	ready := func(g *Gate) bool {
-		for _, in := range g.Inputs {
-			if _, ok := slot[in]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-	remaining := slices.Clone(n.Gates)
-	for len(remaining) > 0 {
-		still := remaining[:0]
-		for _, g := range remaining {
-			if !ready(g) {
-				still = append(still, g)
-				continue
-			}
-			for _, in := range g.Inputs {
-				args = append(args, slot[in])
-			}
-			out, ok := slot[g.Output]
-			if !ok {
-				out = len(slot)
-				slot[g.Output] = out
-			}
-			args = append(args, out)
-			order = append(order, g)
-		}
-		if len(still) == len(remaining) {
-			return nil, fmt.Errorf("digital: combinational cycle or undriven input among %d gates", len(still))
-		}
-		remaining = still
-	}
-	out, ok := slot[target]
+	out, ok := s.slot[target]
 	if !ok {
 		return nil, fmt.Errorf("digital: net %q not driven", target)
 	}
 	t := &TruthTable{Vars: ins, Out: make([]bool, 1<<len(ins))}
-	vals := make([]bool, len(slot))
+	vals := make([]bool, len(s.slot))
 	var in []bool
 	for m := range t.Out {
 		for i := range ins {
 			vals[i] = m&(1<<(len(ins)-1-i)) != 0
 		}
-		a := args
-		for _, g := range order {
-			in = in[:0]
-			for _, s := range a[:len(g.Inputs)] {
-				in = append(in, vals[s])
-			}
-			vals[a[len(g.Inputs)]] = g.Eval(in)
-			a = a[len(g.Inputs)+1:]
-		}
+		in = s.replay(vals, in)
 		t.Out[m] = vals[out]
 	}
 	return t, nil
