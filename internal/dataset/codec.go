@@ -308,11 +308,6 @@ type packAlloc struct {
 	attrs map[string]map[string]string
 	elems map[string][]visual.Element
 	kv    []string // scratch for one block's keys and values
-
-	// scenes sizes elems up front when the decoder knows how many
-	// records it will see; about half of a generated fold's element
-	// sections are distinct.
-	scenes int
 }
 
 const packSlabLen = 512
@@ -756,7 +751,7 @@ func (d *packDecoder) elementBlock(mark, ne int) ([]visual.Element, error) {
 		}
 	}
 	if d.alloc.elems == nil {
-		d.alloc.elems = make(map[string][]visual.Element, d.alloc.scenes/2)
+		d.alloc.elems = make(map[string][]visual.Element)
 	}
 	d.alloc.elems[d.s[mark:d.pos]] = w
 	return w, nil
@@ -866,16 +861,16 @@ func ReadPack(r io.Reader) (*Benchmark, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: pack: reading stream: %w", err)
 	}
-	return parsePack(data, runtime.GOMAXPROCS(0))
+	// No one else holds slurp's buffer, so the image views it in place.
+	return parsePack(unsafe.String(unsafe.SliceData(data), len(data)), runtime.GOMAXPROCS(0))
 }
 
 // ReadPackBytes decodes a pack image already held in memory — the
 // fastest cold-load path when the caller has the file bytes (e.g. from
-// os.ReadFile), since it skips the stream copy ReadPack must make. The
-// decoded questions alias data without copying it, so the caller hands
-// data over: it must not be modified afterwards.
+// os.ReadFile), since it skips the stream read ReadPack must make. It
+// copies data once, so the caller may reuse it afterwards.
 func ReadPackBytes(data []byte) (*Benchmark, error) {
-	return parsePack(data, runtime.GOMAXPROCS(0))
+	return parsePack(string(data), runtime.GOMAXPROCS(0))
 }
 
 // slurp reads r to EOF, sizing the buffer up front when the reader can
@@ -893,13 +888,10 @@ func slurp(r io.Reader) ([]byte, error) {
 }
 
 // parsePack decodes a whole pack image with the given decode
-// parallelism (workers <= 1 means sequential). The decoded questions
-// alias data, so it must not change afterwards.
-func parsePack(data []byte, workers int) (*Benchmark, error) {
-	// A string view of the image lets every inline string and table
-	// entry alias it without copying the image first. Callers hand data
-	// over for good (see ReadPackBytes).
-	img := unsafe.String(unsafe.SliceData(data), len(data))
+// parallelism (workers <= 1 means sequential). Every inline string and
+// table entry of the result aliases img.
+func parsePack(img string, workers int) (*Benchmark, error) {
+	data := unsafe.Slice(unsafe.StringData(img), len(img)) // read-only, for the checksum
 	pos := 0
 	if len(img) < len(packMagic) || img[:len(packMagic)] != packMagic {
 		return nil, fmt.Errorf("dataset: pack: bad magic %q", img[:min(len(img), len(packMagic))])
@@ -979,7 +971,7 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 		workers = len(spans)
 	}
 	if workers <= 1 {
-		alloc := packAlloc{scenes: len(spans)}
+		var alloc packAlloc
 		for i, sp := range spans {
 			if b.Questions[i], err = decodeQuestion(img[sp.lo:sp.hi], tab, &alloc); err != nil {
 				return nil, err
@@ -994,7 +986,7 @@ func parsePack(data []byte, workers int) (*Benchmark, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			alloc := packAlloc{scenes: hi - lo}
+			var alloc packAlloc
 			for i := lo; i < hi; i++ {
 				sp := spans[i]
 				q, err := decodeQuestion(img[sp.lo:sp.hi], tab, &alloc)

@@ -98,6 +98,30 @@ func TestPackFixtureRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadPackBytesLeavesCallerBuffer checks that a decoded benchmark
+// does not alias the caller's bytes: overwriting the buffer after
+// ReadPackBytes returns must not change a single decoded field.
+func TestReadPackBytesLeavesCallerBuffer(t *testing.T) {
+	raw := fixturePack(t, fixtureBenchmark())
+	loaded, err := ReadPackBytes(raw)
+	if err != nil {
+		t.Fatalf("ReadPackBytes: %v", err)
+	}
+	var before, after bytes.Buffer
+	if err := loaded.WriteJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 'x'
+	}
+	if err := loaded.WriteJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("overwriting the caller's buffer changed the decoded benchmark")
+	}
+}
+
 // TestPackInterningReusesStrings verifies the size win the intern table
 // exists for. Interning promotes a string on its second occurrence, so
 // the win shows up from the third copy of a question onward: every
@@ -144,12 +168,12 @@ func TestParsePackParallelMatchesSerial(t *testing.T) {
 		many.Questions = append(many.Questions, &q)
 	}
 	raw := fixturePack(t, many)
-	serial, err := parsePack(raw, 1)
+	serial, err := parsePack(string(raw), 1)
 	if err != nil {
 		t.Fatalf("parsePack(workers=1): %v", err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := parsePack(raw, workers)
+		par, err := parsePack(string(raw), workers)
 		if err != nil {
 			t.Fatalf("parsePack(workers=%d): %v", workers, err)
 		}
@@ -168,7 +192,7 @@ func TestParsePackParallelMatchesSerial(t *testing.T) {
 	bad := bytes.Clone(raw)
 	bad[len(bad)/2] ^= 0x40
 	for _, workers := range []int{1, 4} {
-		if _, err := parsePack(bad, workers); err == nil {
+		if _, err := parsePack(string(bad), workers); err == nil {
 			t.Errorf("workers=%d: corruption went undetected", workers)
 		}
 	}
