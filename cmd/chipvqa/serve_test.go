@@ -189,12 +189,15 @@ func TestServeTimeoutsDropSlowClients(t *testing.T) {
 		<-errc
 	}()
 
+	// The server's header timer can start when it accepts the
+	// connection, before Dial returns. Started after the dial, the
+	// clock could read under the timeout for a drop that honoured it.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: slowloris\r\n"); err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func TestServeAdaptiveDisconnectPrefix(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not unwind after disconnect")
 	}
-	events, state, _ := rn.snapshot(0)
+	events, state := snapshotEvents(t, rn)
 	if state != runCancelled {
 		t.Fatalf("run state %s, want cancelled", state)
 	}

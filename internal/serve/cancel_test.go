@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,6 +29,21 @@ func prefixReportBytes(t *testing.T, full []*eval.Report, n int) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// snapshotEvents decodes a run's logged NDJSON bytes back into events
+// and returns them with the run's current state.
+func snapshotEvents(t *testing.T, rn *run) ([]RunEvent, runState) {
+	t.Helper()
+	lines, start, ends, state, _ := rn.snapshot(0)
+	events := make([]RunEvent, len(ends))
+	for i, end := range ends {
+		if err := json.Unmarshal(lines[start:end], &events[i]); err != nil {
+			t.Fatalf("logged event %d: %v", i, err)
+		}
+		start = end
+	}
+	return events, state
 }
 
 // gateServer builds a server whose eventGate blocks the run pipeline
@@ -97,7 +113,7 @@ func TestServeDisconnectRecordsPrefix(t *testing.T) {
 		t.Fatal("run did not unwind after disconnect")
 	}
 
-	events, state, _ := rn.snapshot(0)
+	events, state := snapshotEvents(t, rn)
 	if state != runCancelled {
 		t.Fatalf("run state %s, want cancelled", state)
 	}

@@ -73,18 +73,18 @@ func (r *run) status() RunStatus {
 		Collection: r.spec.Collection,
 		State:      r.state.String(),
 		Workers:    r.workers,
-		Events:     len(r.events),
+		Events:     len(r.ends),
 		Models:     r.spec.Models,
 		Error:      r.failure,
 	}
 }
 
 // reportsSnapshot returns the run's reports (nil until terminal; the
-// slice is never mutated after finish).
-func (r *run) reportsSnapshot() []*eval.Report {
+// slice is never mutated after finish) and its current state.
+func (r *run) reportsSnapshot() ([]*eval.Report, runState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.reports
+	return r.reports, r.state
 }
 
 // validDownsample reports whether f is a supported power-of-two image
@@ -249,7 +249,13 @@ func (s *Server) runEval(r *run) ([]*eval.Report, error) {
 		return nil, err
 	}
 	defer release()
-	r.begin(workers)
+	events := 0
+	if r.spec.Kind == "eval" {
+		if b, ok := s.collection(r.spec.Collection); ok {
+			events = len(r.spec.Models) * len(b.Questions)
+		}
+	}
+	r.begin(workers, events)
 	runner := eval.Runner{
 		Workers:  workers,
 		Opts:     eval.InferenceOptions{DownsampleFactor: r.spec.Downsample},
@@ -320,7 +326,7 @@ func (s *Server) observerFor(r *run) eval.Observer {
 			re.Ability, re.AbilitySE = &ability, &se
 			re.StopReason = ev.StopReason
 		}
-		r.appendEvent(re)
+		r.appendEvent(&re)
 	})
 }
 
@@ -472,12 +478,12 @@ func (s *Server) handleRunReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
 		return
 	}
-	_, state, _ := rn.snapshot(0)
+	reports, state := rn.reportsSnapshot()
 	if !state.terminal() {
 		httpError(w, http.StatusConflict, "run %s not finished (state %s)", rn.id, state)
 		return
 	}
-	body, err := marshalReports(rn.reportsSnapshot())
+	body, err := marshalReports(reports)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -41,7 +42,7 @@ func (r *run) summary() RunSummary {
 		Done:   true,
 		ID:     r.id,
 		State:  r.state.String(),
-		Events: len(r.events),
+		Events: len(r.ends),
 		Error:  r.failure,
 	}
 	for _, rep := range r.reports {
@@ -64,8 +65,8 @@ func acceptsSSE(r *http.Request) bool {
 // state (then a summary record closes the stream) or ctx is done
 // (client disconnect — for request-scoped runs the registry keeps the
 // deterministic prefix). Events are byte-identical across subscribers
-// because the log is append-only and the encoding is positional-free
-// canonical JSON.
+// because every subscriber copies the same append-only log bytes, each
+// event encoded once, as positional-free canonical JSON, when appended.
 func streamRun(ctx context.Context, w http.ResponseWriter, rn *run, f streamFormat, from int) {
 	h := w.Header()
 	if f == formatSSE {
@@ -85,14 +86,12 @@ func streamRun(ctx context.Context, w http.ResponseWriter, rn *run, f streamForm
 	flush() // commit headers so the client sees the stream open
 	idx := from
 	for {
-		events, state, changed := rn.snapshot(idx)
-		for _, ev := range events {
-			if err := writeStreamEvent(w, f, ev); err != nil {
+		lines, start, ends, state, changed := rn.snapshot(idx)
+		if len(ends) > 0 {
+			if err := writeStreamEvents(w, f, lines, start, ends); err != nil {
 				return
 			}
-			idx++
-		}
-		if len(events) > 0 {
+			idx += len(ends)
 			flush()
 		}
 		if state.terminal() {
@@ -110,13 +109,31 @@ func streamRun(ctx context.Context, w http.ResponseWriter, rn *run, f streamForm
 	}
 }
 
-// writeStreamEvent encodes one event in the chosen format.
-func writeStreamEvent(w http.ResponseWriter, f streamFormat, ev RunEvent) error {
-	body, err := json.Marshal(ev)
-	if err != nil {
+// sseResultPrefix opens the SSE frame of one logged event.
+const sseResultPrefix = "event: result\ndata: "
+
+// writeStreamEvents writes a batch of logged events (the lines, start
+// and ends of a snapshot) in the chosen format: NDJSON as one Write of
+// their log bytes, SSE as one frame per event around its log line.
+func writeStreamEvents(w http.ResponseWriter, f streamFormat, lines []byte, start int, ends []int) error {
+	if f == formatNDJSON {
+		_, err := w.Write(lines[start:ends[len(ends)-1]])
 		return err
 	}
-	return writeFrame(w, f, "result", body)
+	for _, end := range ends {
+		if _, err := io.WriteString(w, sseResultPrefix); err != nil {
+			return err
+		}
+		// The line carries its own '\n'; one more ends the frame.
+		if _, err := w.Write(lines[start:end]); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 // writeStreamSummary encodes the terminal record.
