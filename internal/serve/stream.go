@@ -136,30 +136,16 @@ func writeStreamEvents(w http.ResponseWriter, f streamFormat, lines []byte, star
 	return nil
 }
 
-// writeStreamSummary encodes the terminal record.
+// writeStreamSummary encodes the terminal record: one NDJSON line, or
+// the SSE "done" frame.
 func writeStreamSummary(w http.ResponseWriter, f streamFormat, sum RunSummary) error {
 	body, err := json.Marshal(sum)
 	if err != nil {
 		return err
 	}
-	return writeFrame(w, f, "done", body)
-}
-
-// writeFrame emits one NDJSON line or SSE frame.
-func writeFrame(w http.ResponseWriter, f streamFormat, event string, body []byte) error {
-	if f == formatNDJSON {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-		_, err := w.Write([]byte{'\n'})
-		return err
+	if f == formatSSE {
+		body = append(append([]byte("event: done\ndata: "), body...), '\n')
 	}
-	if _, err := w.Write([]byte("event: " + event + "\ndata: ")); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte("\n\n"))
+	_, err = w.Write(append(body, '\n'))
 	return err
 }
