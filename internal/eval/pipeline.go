@@ -58,8 +58,10 @@ type Event struct {
 }
 
 // Source yields a statically known task list in canonical order.
-// Event(i) must be a pure function of i so any worker may materialise
-// any task. A Source is the degenerate, feedback-free case of the
+// Event(i) must be a pure function of i, safe to call concurrently, so
+// any worker may materialise any task: each worker of a static run
+// claims a block of consecutive indices and calls Event for each of
+// them itself. A Source is the degenerate, feedback-free case of the
 // ItemScheduler seam: a Pipeline with a nil Scheduler wraps its Source
 // in newSourceScheduler, the same trivial scheduler the Runner's
 // static path builds for every shard.
@@ -171,6 +173,14 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		sched:   sched,
 		gate:    gate,
 	}
+	// A static run hands each worker a block of consecutive Seqs: one
+	// atomic add claims the block, and the worker parks the whole block
+	// in its own run of ring slots before it drains once.
+	static, _ := sched.(*sourceScheduler)
+	block := 1
+	if static != nil {
+		block = staticBlock(static.n, nw)
+	}
 	// One Event and one Scratch per worker, reused for the whole run:
 	// each belongs to exactly one goroutine, so Infer and Judge run
 	// without per-event allocation, locking or pool traffic.
@@ -178,13 +188,24 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	work := func(w int) {
 		ev, sc := &evs[w], getScratch()
 		judged := 0
+		lo, hi := 0, 0 // the rest of a static worker's block
 		for !closed(d.done) && !d.stopped.Load() {
 			var st ScheduleState
-			*ev, st = sched.Next()
-			if st == ScheduleWait {
+			if static != nil {
+				if lo == hi {
+					// Deliver the finished block before claiming the
+					// next one, or before exiting.
+					d.drain()
+					if lo, hi = static.claim(block); lo == hi {
+						break
+					}
+				}
+				*ev, st = static.src.Event(lo), ScheduleReady
+				lo++
+			} else if *ev, st = sched.Next(); st == ScheduleWait {
 				// Arm the gate, then re-check: a Record between the
 				// first Next and arm would otherwise be a missed
-				// wake-up. The static path never reaches here.
+				// wake-up.
 				wake := gate.arm()
 				*ev, st = sched.Next()
 				if st == ScheduleWait {
@@ -214,7 +235,12 @@ func (p *Pipeline) Run(ctx context.Context) error {
 			p.Judge.Judge(ctx, ev)
 			ev.scratch = nil
 			judged++
-			d.publish(ev)
+			d.park(ev)
+			if static == nil {
+				// Record must hear this outcome before the scheduler
+				// can issue what depends on it.
+				d.drain()
+			}
 		}
 		d.judged.Add(int64(judged))
 		putScratch(sc)
@@ -236,6 +262,14 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		wg.Wait()
 	}
 	return d.result(ctx)
+}
+
+// staticBlock is how many consecutive Seqs a worker of a static run
+// of n events claims at once: up to 32, so the claim's atomic add and
+// the drain are paid once per block, but small enough that each of
+// the workers still gets about 8 blocks to balance a short run.
+func staticBlock(n, workers int) int {
+	return min(32, max(1, n/(8*workers)))
 }
 
 // ringPerWorker sizes the reorder window: ringSize gives each worker
@@ -281,10 +315,12 @@ type slot struct {
 // ordered sink: a ring of W slots indexed by Seq % W. A worker parks
 // its judged event in the slot its Seq names, waiting while that slot
 // still holds the previous lap (backpressure: at most W events are
-// ever parked), then tries to take the drain role. One drainer at a
-// time emits the contiguous ready prefix, which serialises Record,
-// Sink and Observer and keeps them in canonical order for any worker
-// count; a worker that finds the role taken goes back to work.
+// ever parked), and then tries to take the drain role: after every
+// event when a dynamic scheduler drives the run, after each block of
+// a static run. One drainer at a time emits the contiguous ready
+// prefix, which serialises Record, Sink and Observer and keeps them in
+// canonical order for any worker count; a worker that finds the role
+// taken goes back to work.
 type delivery struct {
 	ring    []slot
 	workers int
@@ -295,10 +331,10 @@ type delivery struct {
 	clock   func() time.Time
 	sched   ItemScheduler
 	gate    *schedGate
-	// The drainer writes next on every event and every publisher
-	// tries for the drain role: each sits on its own cache line, so
-	// neither write evicts the fields above, which the drainer reads
-	// on every event.
+	// The drainer writes next on every event and every worker that
+	// parked tries for the drain role: each sits on its own cache
+	// line, so neither write evicts the fields above, which the
+	// drainer reads on every event.
 	_        cacheLine
 	next     atomic.Int64 // lowest Seq not yet emitted
 	_        cacheLine
@@ -319,10 +355,10 @@ func (d *delivery) slotFor(seq uint64) (*slot, uint64) {
 	return &d.ring[seq%w], seq / w << lapShift
 }
 
-// publish parks ev in its ring slot and drains what it can. A Seq the
-// ring has already taken — parked, being written, or emitted — is the
-// scheduler's repeated-Seq breach.
-func (d *delivery) publish(ev *Event) {
+// park copies ev into the ring slot its Seq names and marks it ready
+// for the drainer. A Seq the ring has already taken — parked, being
+// written, or emitted — is the scheduler's repeated-Seq breach.
+func (d *delivery) park(ev *Event) {
 	if ev.Seq < 0 {
 		d.repeated(ev.Seq)
 		return
@@ -340,14 +376,17 @@ func (d *delivery) publish(ev *Event) {
 			}
 			continue // lost a race for the slot; look again
 		}
-		// The slot still holds an earlier lap: wait for the window.
+		// The slot still holds an earlier lap. A static worker drains
+		// only at the end of its block, so that lap may be ready and
+		// waiting for a drain that is a block away: drain here, and
+		// wait for the window only if that did not free the slot.
+		d.drain()
 		if d.stopped.Load() || !d.await(sl, free) {
 			return
 		}
 	}
 	sl.ev = *ev
 	sl.state.Store(free | slotReady)
-	d.drain()
 }
 
 // await blocks until the drainer frees sl for the lap free names,
@@ -377,9 +416,9 @@ func (d *delivery) await(sl *slot, free uint64) bool {
 
 // drain takes the drain role if it is free and emits the ready prefix.
 // After letting go of the role it looks at the next slot once more: a
-// worker that published there while the role was held saw the role
-// taken and went back to work, so this re-check is what keeps that
-// event from waiting for the next publish.
+// worker that parked there and then found the role held went back to
+// work, so this re-check is what keeps that event from waiting for the
+// next drain.
 func (d *delivery) drain() {
 	// Load before the CAS: while another worker drains, a failed CAS
 	// would still take the role's cache line away from it.

@@ -67,6 +67,13 @@ func awaitingWindow() int {
 	return n
 }
 
+// pipelineWorkers counts the worker goroutines of running pipelines.
+func pipelineWorkers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by repro/internal/eval.(*Pipeline).Run")
+}
+
 // wedgedGrid is a static grid more than twice the reorder window of a
 // run with the given workers.
 func wedgedGrid(workers int) gridSource {
@@ -172,10 +179,14 @@ func TestRingRepeatedSeqInWindow(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()
+	// A judged event may not be parked yet. A worker other than the
+	// wedged one exits only after it parked its last event or found the
+	// repeat, so once those three are gone the repeat has been found.
 	deadline := time.Now().Add(10 * time.Second)
-	for st.judged.Load() < 10 {
+	for st.judged.Load() < 10 || pipelineWorkers() > 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("judged %d of the 10 events behind the wedge after 10s", st.judged.Load())
+			t.Fatalf("judged %d of the 10 events behind the wedge, %d workers running after 10s",
+				st.judged.Load(), pipelineWorkers())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -267,5 +278,134 @@ func TestRingSize(t *testing.T) {
 		if got := ringSize(c.sched, c.workers); got != c.want {
 			t.Errorf("ringSize(%T, %d) = %d, want %d", c.sched, c.workers, got, c.want)
 		}
+	}
+}
+
+// blockGrid is a static grid of models × questions events whose
+// answers vary with both the model and the question.
+func blockGrid(models, questions int) gridSource {
+	ms := make([]Model, models)
+	for i := range ms {
+		name := fmt.Sprintf("m%d", i)
+		ms[i] = fixedModel{name, func(q *dataset.Question) string {
+			if (i+int(q.ID[len(q.ID)-1]))%3 == 0 {
+				return "c"
+			}
+			return "a"
+		}}
+	}
+	return gridSource{models: ms, questions: testBenchmark(questions).Questions}
+}
+
+// serialLines evaluates src one event at a time, without a pipeline:
+// the oracle every pipeline run of src must reproduce.
+func serialLines(src Source) []string {
+	sink := &lineSink{}
+	for i := 0; i < src.Len(); i++ {
+		ev := src.Event(i)
+		ev.Response = ev.Model.Answer(ev.Question, InferenceOptions{})
+		ev.Correct = Judge{}.Correct(ev.Question, ev.Response)
+		sink.Consume(ev)
+	}
+	return sink.lines
+}
+
+// sameLines fails t unless got equals want line for line.
+func sameLines(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: delivered %d events, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: event %d: %s, want %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestStaticBlockBoundaries: a static run's workers claim blocks of
+// consecutive Seqs and drain once per block, and neither may show in
+// what is delivered. Grids shorter than, just around and many times a
+// block match a serial run at every worker count; an observer that
+// cancels on either side of a block boundary leaves exactly the events
+// up to its own; and a grid larger than the reorder window, which a
+// lone worker laps, still completes.
+func TestStaticBlockBoundaries(t *testing.T) {
+	for _, g := range []struct{ models, questions int }{{1, 1}, {1, 31}, {3, 11}, {12, 142}} {
+		src := blockGrid(g.models, g.questions)
+		n := src.Len()
+		serial := serialLines(src)
+		for _, workers := range []int{1, 2, 4, 8} {
+			name := fmt.Sprintf("n=%d/workers=%d", n, workers)
+			sink := &lineSink{}
+			p := &Pipeline{Source: src, Infer: modelInference{}, Judge: judgeStage{}, Sink: sink, Workers: workers}
+			if err := p.Run(context.Background()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameLines(t, name, sink.lines, serial)
+
+			block := staticBlock(n, min(workers, n))
+			for _, k := range []int{0, block - 1, block, block + 1, n - 1} {
+				if k < 0 || k >= n {
+					continue
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				sink := &lineSink{}
+				p := &Pipeline{
+					Source: src, Infer: modelInference{}, Judge: judgeStage{}, Sink: sink, Workers: workers,
+					Observer: ObserverFunc(func(ev Event) {
+						if ev.Seq == k {
+							cancel()
+						}
+					}),
+				}
+				err := p.Run(ctx)
+				cancel()
+				what := fmt.Sprintf("%s/cancel at %d (block %d)", name, k, block)
+				if err != context.Canceled {
+					t.Fatalf("%s: err = %v, want context.Canceled", what, err)
+				}
+				sameLines(t, what, sink.lines, serial[:k+1])
+			}
+		}
+	}
+
+	for _, workers := range []int{1, 2} {
+		src := wedgedGrid(workers)
+		if w := ringSize(newSourceScheduler(src), workers); src.Len() <= w {
+			t.Fatalf("grid of %d events fits the %d-slot window", src.Len(), w)
+		}
+		sink := &lineSink{}
+		p := &Pipeline{Source: src, Infer: modelInference{}, Judge: judgeStage{}, Sink: sink, Workers: workers}
+		done := make(chan error, 1)
+		go func() { done <- p.Run(context.Background()) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("workers=%d over the window: %v", workers, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: a grid larger than the window still running after 30s", workers)
+		}
+		sameLines(t, fmt.Sprintf("workers=%d over the window", workers), sink.lines, serialLines(src))
+	}
+}
+
+// BenchmarkPipelineHandoff times the pipeline's own cost per event —
+// claiming, the reorder ring and delivery — on a Table II-sized
+// static grid (12 models × 142 questions) whose stages do no work.
+func BenchmarkPipelineHandoff(b *testing.B) {
+	src := blockGrid(12, 142)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			p := &Pipeline{Source: src, Infer: constStage{}, Judge: constStage{}, Sink: nopSink{}, Workers: workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := p.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*src.Len()), "ns/event")
+		})
 	}
 }

@@ -64,8 +64,10 @@ type schedulerSize interface {
 }
 
 // sourceScheduler adapts a static Source to the ItemScheduler seam: an
-// atomic claim counter hands out each Event(i) exactly once, Record is
-// a no-op, and Wait never occurs.
+// atomic claim counter hands out each index exactly once, Record is a
+// no-op, and Wait never occurs. Pipeline.Run does not call Next on it:
+// each worker claims a block of consecutive indices with one atomic
+// add and materialises Event(i) for each itself (pipeline.go).
 type sourceScheduler struct {
 	src  Source
 	n    int
@@ -76,9 +78,16 @@ func newSourceScheduler(src Source) *sourceScheduler {
 	return &sourceScheduler{src: src, n: src.Len()}
 }
 
+// claim hands out the next k indices as [lo, hi), clamped to the
+// source's length; lo == hi once the source is exhausted.
+func (s *sourceScheduler) claim(k int) (lo, hi int) {
+	hi = int(s.next.Add(int64(k)))
+	return min(hi-k, s.n), min(hi, s.n)
+}
+
 func (s *sourceScheduler) Next() (Event, ScheduleState) {
-	i := int(s.next.Add(1)) - 1
-	if i >= s.n {
+	i, end := s.claim(1)
+	if i == end {
 		return Event{}, ScheduleDone
 	}
 	return s.src.Event(i), ScheduleReady
