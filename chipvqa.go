@@ -394,16 +394,14 @@ func (s *Suite) Stats() dataset.Stats { return s.Benchmark.ComputeStats() }
 func (s *Suite) FormatTableI() string { return s.Stats().FormatTableI() }
 
 // RenderQuestion rasterises a question's visual, downsampled by the
-// given factor when it is above 1. The image is the caller's: it may be
-// mutated, and handed back to the pixel pool with visual.ReleaseImage.
+// given factor when it is above 1. Each call returns a fresh image the
+// caller owns and may mutate.
 func RenderQuestion(q *Question, downsample int) *image.RGBA {
 	img := visual.Render(q.Visual)
 	if downsample <= 1 {
 		return img
 	}
-	small := visual.Downsample(img, downsample)
-	visual.ReleaseImage(img)
-	return small
+	return visual.Downsample(img, downsample)
 }
 
 // SetRenderCacheBudget caps the retained bytes of the shared cache of

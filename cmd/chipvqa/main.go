@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"syscall"
 
@@ -369,37 +370,43 @@ func cmdExport(ctx context.Context, args []string) error {
 func cmdRender(ctx context.Context, args []string) error {
 	fs := newFlagSet("render")
 	dir := fs.String("dir", "renders", "output directory")
-	factor := fs.Int("factor", 1, "downsample factor (1, 8, 16)")
+	factor := fs.Int("factor", 1, "downsample factor (1, 2, 4, 8, 16 or 32)")
 	only := fs.String("q", "", "render only this question ID")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !visual.ValidFactor(*factor) {
+		return usagef("-factor must be one of 1,2,4,8,16,32, got %d", *factor)
 	}
 	suite, err := chipvqa.NewSuite()
 	if err != nil {
 		return err
 	}
+	questions := suite.Benchmark.Questions
+	if *only != "" {
+		i := slices.IndexFunc(questions, func(q *chipvqa.Question) bool { return q.ID == *only })
+		if i < 0 {
+			return fmt.Errorf("unknown question %q", *only)
+		}
+		questions = questions[i : i+1]
+	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
 	count := 0
-	for _, q := range suite.Benchmark.Questions {
+	for _, q := range questions {
 		// One render per question can mean hundreds of files: honour
 		// SIGINT between questions so an interrupted run stops at a
 		// file boundary instead of plowing through the whole set.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if *only != "" && q.ID != *only {
-			continue
-		}
 		path := filepath.Join(*dir, fmt.Sprintf("%s.png", q.ID))
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		img := chipvqa.RenderQuestion(q, *factor)
-		err = png.Encode(f, img)
-		visual.ReleaseImage(img)
+		err = png.Encode(f, chipvqa.RenderQuestion(q, *factor))
 		if cerr := f.Close(); err == nil {
 			err = cerr // a failed close loses buffered pixels; surface it
 		}

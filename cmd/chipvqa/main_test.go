@@ -104,6 +104,24 @@ func TestCmdRenderMatchesServedImage(t *testing.T) {
 	}
 }
 
+// TestCmdRenderRejectsBadInput: an unknown question is a runtime
+// failure and a factor the image endpoint rejects is a usage error;
+// neither writes a file.
+func TestCmdRenderRejectsBadInput(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "renders")
+	if err := cmdRender(context.Background(), []string{"-dir", dir, "-q", "nope"}); err == nil || exitCode(err) != 1 {
+		t.Errorf("render -q nope = %v, want a runtime error", err)
+	}
+	for _, f := range []string{"0", "3", "64", "-8"} {
+		if err := cmdRender(context.Background(), []string{"-dir", dir, "-q", "d01", "-factor", f}); err == nil || exitCode(err) != 2 {
+			t.Errorf("render -factor %s = %v, want a usage error", f, err)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected renders created %s (stat err %v)", dir, err)
+	}
+}
+
 func TestCmdAsk(t *testing.T) {
 	if err := cmdAsk(context.Background(), []string{"-model", "GPT4o", "-q", "m03"}); err != nil {
 		t.Fatal(err)

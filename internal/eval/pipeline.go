@@ -52,8 +52,8 @@ type Event struct {
 	StopReason string
 	// scratch is the executing worker's judge Scratch, set by Run for the
 	// Infer/Judge stages and cleared before delivery. It is owned by
-	// exactly one worker goroutine (poolown discipline) and must never
-	// escape into a delivered event.
+	// exactly one worker goroutine and must never escape into a
+	// delivered event.
 	scratch *Scratch
 }
 

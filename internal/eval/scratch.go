@@ -6,15 +6,14 @@ import "sync"
 // judge calls, so the per-event hot path (DESIGN.md §12) runs without
 // allocating in the steady state.
 //
-// Ownership follows the pixel-pool discipline of DESIGN.md §8 that
-// poolown machine-checks for buffers: a Scratch belongs to exactly one
-// goroutine at a time. The pipeline's worker loop checks one out per
-// worker for the duration of a run (Pipeline.Run threads it to the
-// Inference/Judge stages through the event); the standalone
-// Judge.Correct path borrows one from a package pool per call. The
-// byte slices it hands out (normA/normB) alias its internal buffers
-// and are invalidated by the next call on the same buffer — callers
-// must finish comparing before re-normalising into the same slot.
+// A Scratch belongs to exactly one goroutine at a time. The pipeline's
+// worker loop checks one out per worker for the duration of a run
+// (Pipeline.Run threads it to the Inference/Judge stages through the
+// event); the standalone Judge.Correct path borrows one from a package
+// pool per call. The byte slices it hands out (normA/normB) alias its
+// internal buffers and are invalidated by the next call on the same
+// buffer — callers must finish comparing before re-normalising into the
+// same slot.
 type Scratch struct {
 	a, b []byte
 }

@@ -201,8 +201,8 @@ func nthHits(hist []int, k int) int {
 }
 
 // histPool recycles per-chunk hit-count histograms across bootstrap
-// calls. Ownership mirrors the pixel-pool discipline: a chunk closure
-// checks one out, fills it, merges it, returns it.
+// calls. A chunk closure checks one out, fills it, merges it and
+// returns it.
 var histPool sync.Pool
 
 // getHist returns a zeroed histogram with at least size slots.

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -118,9 +119,37 @@ func collectWants(t *testing.T, pkg *Package) []want {
 	return wants
 }
 
+// TestCorpusDirsMatchAll keeps testdata/ in step with All(): every
+// analyzer has a corpus directory, and every directory belongs to an
+// analyzer or to the "directive" pseudo-analyzer, so deleting an
+// analyzer cannot leave its corpus behind.
+func TestCorpusDirsMatchAll(t *testing.T) {
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs[e.Name()] = true
+		}
+	}
+	owners := map[string]bool{"directive": true}
+	for _, a := range All() {
+		owners[a.Name] = true
+		if !dirs[a.Name] {
+			t.Errorf("analyzer %s has no corpus directory testdata/%s", a.Name, a.Name)
+		}
+	}
+	for _, e := range entries {
+		if e.IsDir() && !owners[e.Name()] {
+			t.Errorf("testdata/%s belongs to no analyzer in All()", e.Name())
+		}
+	}
+}
+
 func TestNoDetermCorpus(t *testing.T) { runCorpus(t, "nodeterm", NoDeterm) }
 func TestMapOrderCorpus(t *testing.T) { runCorpus(t, "maporder", MapOrder) }
-func TestPoolOwnCorpus(t *testing.T)  { runCorpus(t, "poolown", PoolOwn) }
 func TestErrDropCorpus(t *testing.T)  { runCorpus(t, "errdrop", ErrDrop) }
 func TestHotAllocCorpus(t *testing.T) { runCorpus(t, "hotalloc", HotAlloc) }
 func TestCtxFlowCorpus(t *testing.T)  { runCorpus(t, "ctxflow", CtxFlow) }

@@ -1,15 +1,15 @@
 // Package lint is a small stdlib-only static-analysis framework plus the
 // repo-specific analyzers that machine-check the reproduction's
-// determinism and buffer-lifecycle invariants.
+// determinism and concurrency invariants.
 //
 // The evaluation engine's core guarantee — parallel runs byte-identical
 // to serial ones (DESIGN.md §6/§7, TestTableIIDeterministicAcrossWorkers)
 // — rests on conventions: all randomness flows through internal/rng, no
-// wall clock or map-iteration order reaches report output, and pooled
-// pixel buffers obey the ownership contract of internal/visual/pool.go.
-// The analyzers here turn those conventions into compile-time checks run
-// by cmd/chipvqa-lint on every build (tier-1 verify), alongside a
-// reachability check that keeps code nothing calls from piling up.
+// wall clock or map-iteration order reaches report output, and locks
+// and goroutines are released on every path. The analyzers here turn
+// those conventions into compile-time checks run by cmd/chipvqa-lint on
+// every build (tier-1 verify), alongside a reachability check that
+// keeps code nothing calls from piling up.
 //
 // The framework is deliberately minimal: a type-checked package loader
 // (load.go) built on go/parser + go/types with a source-mode stdlib
@@ -95,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns every shipped analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, MapOrder, PoolOwn, ErrDrop, HotAlloc, CtxFlow, GoLeak, LockSafe, Unreachable}
+	return []*Analyzer{NoDeterm, MapOrder, ErrDrop, HotAlloc, CtxFlow, GoLeak, LockSafe, Unreachable}
 }
 
 // Run executes the analyzers over the packages and returns all findings

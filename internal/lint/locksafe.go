@@ -7,10 +7,10 @@ import (
 	"sort"
 )
 
-// LockSafe checks mutex discipline with a branch-joining must-analysis
-// in the style of poolown: within one function (or function literal)
-// body, every sync.Mutex/RWMutex Lock or RLock must be released on
-// every path — by a matching unlock or a deferred one — and nothing
+// LockSafe checks mutex discipline with a branch-joining must-analysis:
+// within one function (or function literal) body, every
+// sync.Mutex/RWMutex Lock or RLock must be released on every path — by
+// a matching unlock or a deferred one — and nothing
 // that can block (channel ops, selects, may-block calls per the facts
 // layer) may run while a lock is held. The latter is the deadlock
 // shape the reorder buffer and SceneCache must never regress into:
@@ -70,9 +70,9 @@ func runLockSafe(pass *Pass) {
 			continue
 		}
 		// Every function declaration and every function literal is its
-		// own analysis unit (unlike poolown, nested literals are not
-		// skipped: the sync.Once compute closure and worker bodies have
-		// lock discipline of their own).
+		// own analysis unit (nested literals are not skipped: the
+		// sync.Once compute closure and worker bodies have lock
+		// discipline of their own).
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:

@@ -85,12 +85,6 @@ func isMethodOn(fn *types.Func, pkgSuffix, typeName, name string) bool {
 	return obj.Name() == typeName && obj.Pkg() != nil && pathHasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
-// isFuncIn reports whether fn is a package-level function named name in
-// a package whose import path ends with pkgSuffix.
-func isFuncIn(fn *types.Func, pkgSuffix, name string) bool {
-	return fn != nil && fn.Name() == name && recvNamed(fn) == nil && pathHasSuffix(pkgOf(fn), pkgSuffix)
-}
-
 // pathHasSuffix reports whether path is suffix or ends in "/"+suffix.
 func pathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
+	"repro/internal/visual"
 )
 
 // httpError writes the uniform JSON error envelope.
@@ -242,7 +243,7 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 // visual, optionally degraded by ?factor=. The scene cache holds only
 // the encoded bytes, charged to its budget, so the LRU invariant
 // PeakBytes <= Budget holds under concurrent image traffic; the pixels
-// of a miss go back to the pool once encoded.
+// of a miss are garbage once encoded.
 func (s *Server) handleQuestionImage(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.lookupQuestion(w, r)
 	if !ok {
@@ -251,7 +252,7 @@ func (s *Server) handleQuestionImage(w http.ResponseWriter, r *http.Request) {
 	factor := 1
 	if v := r.URL.Query().Get("factor"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || !validDownsample(n) {
+		if err != nil || !visual.ValidFactor(n) {
 			httpError(w, http.StatusBadRequest, "factor must be one of 1,2,4,8,16,32, got %q", v)
 			return
 		}

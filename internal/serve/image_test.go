@@ -88,7 +88,8 @@ func TestServeImageRetention(t *testing.T) {
 // through the server's handler, cycling over every standard question.
 // cold empties the scene cache before each request, so every request
 // renders, downsamples and encodes; warm serves every request from the
-// cache after one priming pass.
+// cache after one priming pass. B/op counts the short-lived garbage of a
+// cold render.
 func BenchmarkServeQuestionImage(b *testing.B) {
 	cfg := testConfig(b)
 	cache := visual.NewSceneCache()
@@ -109,6 +110,7 @@ func BenchmarkServeQuestionImage(b *testing.B) {
 	}
 	for _, factor := range []int{1, 8} {
 		b.Run(fmt.Sprintf("cold/%dx", factor), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cache.Reset()
@@ -117,6 +119,7 @@ func BenchmarkServeQuestionImage(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("warm/%dx", factor), func(b *testing.B) {
+			b.ReportAllocs()
 			cache.Reset()
 			for i := range qs {
 				get(b, i, factor)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/visual"
 )
 
 // RunSpec is the POST /v1/runs request body. Zero values mean "use the
@@ -85,16 +86,6 @@ func (r *run) reportsSnapshot() ([]*eval.Report, runState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.reports, r.state
-}
-
-// validDownsample reports whether f is a supported power-of-two image
-// degradation factor (the span kernel's downsampler shifts by log2).
-func validDownsample(f int) bool {
-	switch f {
-	case 1, 2, 4, 8, 16, 32:
-		return true
-	}
-	return false
 }
 
 // decodeRunSpec parses the POST body (strict fields, 1 MiB cap).
@@ -178,7 +169,7 @@ func (s *Server) normalizeSpec(spec *RunSpec) error {
 	if spec.Downsample == 0 {
 		spec.Downsample = 1
 	}
-	if !validDownsample(spec.Downsample) {
+	if !visual.ValidFactor(spec.Downsample) {
 		return fmt.Errorf("downsample must be one of 1,2,4,8,16,32, got %d", spec.Downsample)
 	}
 	if len(spec.Models) == 0 {

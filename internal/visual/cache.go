@@ -8,8 +8,7 @@ import (
 
 // SceneCache memoizes the PNG encoding of a scene at a downsample
 // factor: the bytes serve's image endpoint returns. A miss renders,
-// downsamples and encodes from pooled pixel buffers and hands both
-// buffers back before returning, so the cache retains only encoded
+// downsamples and encodes, and the cache retains only the encoded
 // bytes: a few kilobytes per (scene, factor), not RGBA frames. The
 // simulated models' perception stage does not use it: its per-element
 // legibility losses cost a few flops, less than a cache lookup.
@@ -71,8 +70,9 @@ type cacheEntry struct {
 
 // entryOverhead is the byte-accounting estimate of one entry's fixed
 // cost. Weights approximate retained heap, not measure it exactly: the
-// PNG payload plus this flat overhead for the entry, map slot and
-// headers.
+// PNG payload's whole backing array (cap, not len: it is the encoder's
+// buffer, which grows past the payload) plus this flat overhead for the
+// entry, map slot and headers.
 const entryOverhead = 128
 
 // CacheStats reports cache effectiveness and byte pressure.
@@ -121,7 +121,7 @@ func (c *SceneCache) EncodedPNG(s *Scene, factor int) ([]byte, error) {
 	e.once.Do(func() {
 		e.data, e.err = encodePNG(s, factor)
 		c.mu.Lock()
-		e.weight = int64(len(e.data)) + entryOverhead
+		e.weight = int64(cap(e.data)) + entryOverhead
 		e.computed = true
 		if e.tracked { // Reset may have dropped the entry mid-compute
 			c.bytes += e.weight
@@ -133,19 +133,15 @@ func (c *SceneCache) EncodedPNG(s *Scene, factor int) ([]byte, error) {
 	return e.data, e.err
 }
 
-// encodePNG renders and downsamples the scene into pooled buffers,
-// encodes the result and returns both buffers to the pool.
+// encodePNG renders the scene, downsamples it when factor is above 1
+// and encodes the result.
 func encodePNG(s *Scene, factor int) ([]byte, error) {
 	img := Render(s)
 	if factor > 1 {
-		small := Downsample(img, factor)
-		ReleaseImage(img)
-		img = small
+		img = Downsample(img, factor)
 	}
 	var buf bytes.Buffer
-	err := png.Encode(&buf, img)
-	ReleaseImage(img)
-	if err != nil {
+	if err := png.Encode(&buf, img); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

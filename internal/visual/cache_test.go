@@ -83,6 +83,28 @@ func TestSceneCacheDownsampled(t *testing.T) {
 // miss, eviction and byte counters all restart from zero, the budget
 // (configuration, not a counter) survives, and previously cached
 // encodings recompute.
+// TestSceneCacheChargesCapacity checks that an entry is weighed by what
+// it retains: the encoder buffer's whole backing array, not just the
+// PNG payload's length.
+func TestSceneCacheChargesCapacity(t *testing.T) {
+	s := sampleScene(KindSchematic)
+	slack := false
+	for _, f := range []int{1, 8} {
+		c := NewSceneCache()
+		data, err := c.EncodedPNG(s, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Stats().Bytes, int64(cap(data))+entryOverhead; got != want {
+			t.Errorf("%dx: Bytes = %d, want cap %d + overhead %d = %d", f, got, cap(data), entryOverhead, want)
+		}
+		slack = slack || cap(data) > len(data)
+	}
+	if !slack {
+		t.Fatal("no sample encoding has spare capacity; the test cannot tell cap from len")
+	}
+}
+
 func TestSceneCacheReset(t *testing.T) {
 	s := sampleScene(KindCurve)
 	budget := pngWeight(t, s, 1) + pngWeight(t, s, 8) + pngWeight(t, s, 16)

@@ -45,9 +45,7 @@ var (
 )
 
 // NewCanvas returns a white canvas of the given size. Width and height
-// are clamped to at least 1 pixel. The backing buffer comes from the
-// shared pixel pool; Fill re-whitens it completely, so recycled buffers
-// never leak stale pixels.
+// are clamped to at least 1 pixel.
 func NewCanvas(w, h int) *Canvas {
 	if w < 1 {
 		w = 1
@@ -55,7 +53,7 @@ func NewCanvas(w, h int) *Canvas {
 	if h < 1 {
 		h = 1
 	}
-	img := newRGBA(image.Rect(0, 0, w, h))
+	img := image.NewRGBA(image.Rect(0, 0, w, h))
 	c := &Canvas{img: img}
 	c.Fill(ColorWhite)
 	return c
@@ -186,24 +184,6 @@ func (c *Canvas) bresenham(x0, y0, x1, y1 int, col color.RGBA) {
 			err += dx
 			y0 += sy
 		}
-	}
-}
-
-// ThickLine draws a line of the given pixel thickness.
-//
-//lint:ignore unreachable called only by TestThickLineAndAddAll and TestKernelDifferentialPrimitives
-func (c *Canvas) ThickLine(x0, y0, x1, y1, thickness int, col color.RGBA) {
-	if thickness <= 1 {
-		c.Line(x0, y0, x1, y1, col)
-		return
-	}
-	// Offset perpendicular to the line direction.
-	ang := math.Atan2(float64(y1-y0), float64(x1-x0)) + math.Pi/2
-	for t := 0; t < thickness; t++ {
-		off := float64(t) - float64(thickness-1)/2
-		ox := int(math.Round(off * math.Cos(ang)))
-		oy := int(math.Round(off * math.Sin(ang)))
-		c.Line(x0+ox, y0+oy, x1+ox, y1+oy, col)
 	}
 }
 

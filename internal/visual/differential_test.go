@@ -39,9 +39,7 @@ func TestKernelDifferentialAllDisciplines(t *testing.T) {
 			if ok, off := visual.PixEqual(got, want); !ok {
 				t.Fatalf("%s (%s): downsample %dx diverged at offset %d", q.ID, q.Category, f, off)
 			}
-			visual.ReleaseImage(got)
 		}
-		visual.ReleaseImage(img)
 	}
 	if len(perCategory) != 5 {
 		t.Fatalf("differential sweep covered %d disciplines, want 5", len(perCategory))
@@ -85,7 +83,6 @@ func TestGoldenRenderHashes(t *testing.T) {
 			t.Errorf("category %q (question %s, %dx%d): render hash drifted\n got %s\nwant %s",
 				cat, q.ID, img.Bounds().Dx(), img.Bounds().Dy(), got, want)
 		}
-		visual.ReleaseImage(img)
 	}
 	if len(seen) != len(goldenRenderHashes) {
 		t.Errorf("saw %d categories, golden table has %d", len(seen), len(goldenRenderHashes))

@@ -25,7 +25,7 @@ func Downsample(src *image.RGBA, factor int) *image.RGBA {
 	if factor <= 1 {
 		// Copy row-by-row: a sub-image view's Stride exceeds 4*Dx(), so
 		// the old whole-buffer copy sheared its rows.
-		out := newRGBA(b)
+		out := image.NewRGBA(b)
 		w4 := 4 * b.Dx()
 		for y := b.Min.Y; y < b.Max.Y; y++ {
 			si := src.PixOffset(b.Min.X, y)
@@ -43,12 +43,12 @@ func Downsample(src *image.RGBA, factor int) *image.RGBA {
 	if h < 1 {
 		h = 1
 	}
+	dst := image.NewRGBA(image.Rect(0, 0, w, h))
 	if srcW == 0 || srcH == 0 {
 		// Degenerate empty source: a zeroed 1x1, matching the reference's
-		// n==0 guard. image.NewRGBA (not the pool) guarantees zero bytes.
-		return image.NewRGBA(image.Rect(0, 0, w, h))
+		// n==0 guard.
+		return dst
 	}
-	dst := newRGBA(image.Rect(0, 0, w, h))
 
 	wFull := srcW / factor       // output columns with a full-width block
 	tailW := srcW - wFull*factor // width of the right edge strip (0 if divisible)
@@ -58,8 +58,7 @@ func Downsample(src *image.RGBA, factor int) *image.RGBA {
 		shift = uint(2 * bits.TrailingZeros(uint(factor)))
 	}
 
-	acc := getAcc(4 * w)
-	defer putAcc(acc)
+	acc := make([]uint32, 4*w)
 	for oy := 0; oy < h; oy++ {
 		ny := factor
 		if rem := srcH - oy*factor; rem < ny {
@@ -125,6 +124,17 @@ func Downsample(src *image.RGBA, factor int) *image.RGBA {
 		}
 	}
 	return dst
+}
+
+// ValidFactor reports whether f is a downsample factor the CLI and the
+// serve daemon accept: a power of two from 1 to 32, so the kernel
+// divides by shift.
+func ValidFactor(f int) bool {
+	switch f {
+	case 1, 2, 4, 8, 16, 32:
+		return true
+	}
+	return false
 }
 
 // LegibilityLoss estimates, for a downsampling factor, the fraction of

@@ -304,16 +304,7 @@ func TestBuilders(t *testing.T) {
 	}
 }
 
-func TestThickLineAndAddAll(t *testing.T) {
-	c := NewCanvas(40, 40)
-	c.ThickLine(5, 20, 35, 20, 4, ColorBlack)
-	// A thick horizontal line paints pixels above and below the axis.
-	img := c.Image()
-	if img.Pix[img.PixOffset(20, 19)] != 0 || img.Pix[img.PixOffset(20, 21)] != 0 {
-		t.Error("thick line has no thickness")
-	}
-	c.ThickLine(5, 5, 10, 5, 1, ColorBlack) // degenerates to Line
-
+func TestSceneAddAll(t *testing.T) {
 	s := NewScene(KindDiagram, "t")
 	s.AddAll(
 		Element{Type: ElemBox, Name: "a"},
