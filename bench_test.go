@@ -189,6 +189,51 @@ func BenchmarkJudgeAll(b *testing.B) {
 	}
 }
 
+// BenchmarkJudgeZoo judges the table2 workload's response mix: every
+// (question, response) pair all 12 models give on the 142 questions
+// and on the challenge collection. Unlike BenchmarkJudgeAll, whose
+// GPT4o answers are mostly letters, it exercises the prose responses
+// that reach the content and phrase checks.
+func BenchmarkJudgeZoo(b *testing.B) {
+	suite := chipvqa.MustNewSuite()
+	type pair struct {
+		q    *chipvqa.Question
+		resp string
+	}
+	var pairs []pair
+	withChoice, noChoice := suite.TableII()
+	for i, reps := range [][]*chipvqa.Report{withChoice, noChoice} {
+		set := []*chipvqa.Benchmark{suite.Benchmark, suite.ChallengeSet}[i]
+		qByID := make(map[string]*chipvqa.Question, set.Len())
+		for _, q := range set.Questions {
+			qByID[q.ID] = q
+		}
+		for _, rep := range reps {
+			for _, qr := range rep.Results {
+				pairs = append(pairs, pair{qByID[qr.QuestionID], qr.Response})
+			}
+		}
+	}
+	judge := eval.Judge{}
+	for _, p := range pairs { // warm-up: grow buffers, fill memo
+		judge.Correct(p.q, p.resp)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		correct := 0
+		for _, p := range pairs {
+			if judge.Correct(p.q, p.resp) {
+				correct++
+			}
+		}
+		judgeSink = correct
+	}
+}
+
+// judgeSink keeps BenchmarkJudgeZoo's verdicts live.
+var judgeSink int
+
 func BenchmarkNormalizeCanonical(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	var norms []string

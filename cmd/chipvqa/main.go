@@ -486,13 +486,16 @@ func cmdExtended(ctx context.Context, args []string) error {
 	packed := fs.String("packed", "", "load the fold from a packed .cvqb file instead of generating")
 	stream := fs.Bool("stream", false, "with -eval: evaluate shard-at-a-time, never holding the fold in memory")
 	shardSize := fs.Int("shard", 512, "shard size for -stream")
-	downsample := fs.Int("downsample", 1, "image downsample factor for evaluation (1 = full resolution; §IV-B uses 8 and 16)")
+	downsample := fs.Int("downsample", 1, "image downsample factor for evaluation: 1 (full resolution), 2, 4, 8, 16 or 32; §IV-B uses 8 and 16")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *stream && (*out != "" || !*evalModels) {
 		return usagef("-stream requires -eval and is incompatible with -o (the fold is never materialised)")
+	}
+	if !visual.ValidFactor(*downsample) {
+		return usagef("-downsample must be one of 1,2,4,8,16,32, got %d", *downsample)
 	}
 	suite, err := chipvqa.NewSuite()
 	if err != nil {

@@ -122,6 +122,19 @@ func TestCmdRenderRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestCmdExtendedRejectsBadDownsample: a factor the image endpoint
+// rejects is a usage error, raised before any question is built.
+func TestCmdExtendedRejectsBadDownsample(t *testing.T) {
+	for _, f := range []string{"0", "3", "-5"} {
+		if err := cmdExtended(context.Background(), []string{"-n", "1", "-eval", "-downsample", f}); err == nil || exitCode(err) != 2 {
+			t.Errorf("extended -downsample %s = %v, want a usage error", f, err)
+		}
+	}
+	if err := cmdExtended(context.Background(), []string{"-n", "1", "-eval", "-downsample", "16"}); err != nil {
+		t.Errorf("extended -downsample 16 = %v, want success", err)
+	}
+}
+
 func TestCmdAsk(t *testing.T) {
 	if err := cmdAsk(context.Background(), []string{"-model", "GPT4o", "-q", "m03"}); err != nil {
 		t.Fatal(err)

@@ -92,6 +92,12 @@ func TestJudgeZeroAlloc(t *testing.T) {
 				Accept: []string{"CTS"},
 			},
 		}, "it performs clock tree synthesis before routing"},
+		// Longer than Scratch's 128-byte starting buffer, with a
+		// non-ASCII rune: the kernel hands its tail to the rune loop.
+		{"phrase-prose-non-ascii", &dataset.Question{
+			Golden: dataset.Answer{Kind: dataset.AnswerPhrase, Text: "clock tree synthesis"},
+		}, "After placement, the flow runs Clock Tree Synthesis to hold skew within ±5 ps across the die, " +
+			"then detailed routing and timing sign-off."},
 	}
 	for _, c := range cases {
 		c := c

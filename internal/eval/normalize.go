@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -43,26 +44,48 @@ func isNormalized(s string) bool {
 	prevSpace := false
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c >= utf8.RuneSelf:
-			return false
-		case c == ' ':
-			if prevSpace {
+		switch normClass[c] {
+		case classKeep:
+			prevSpace = false
+		case classSpace:
+			if c != ' ' || prevSpace {
 				return false
 			}
 			prevSpace = true
-		case c >= 'A' && c <= 'Z':
-			return false
-		case c == '.' || c == ',' || c == '!' || c == '"':
-			return false
-		case c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
-			return false
 		default:
-			prevSpace = false
+			return false
 		}
 	}
 	return true
 }
+
+// Byte classes of the normaliser. Every byte of a canonical form is
+// classKeep, or a single ' ' between two of them.
+const (
+	classKeep  = iota // copied as is
+	classUpper        // A-Z, copied lowered
+	classSpace        // ASCII whitespace, collapsed into one ' '
+	classDrop         // sentence punctuation, dropped without ending a space run
+	classRune         // first byte of a multi-byte rune: the rune loop's job
+)
+
+// normClass maps every byte to its class, so the kernel in
+// appendNormalized does one load and one switch per byte.
+var normClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = classRune
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		t[c] = classUpper
+	}
+	for _, c := range " \t\n\v\f\r" {
+		t[c] = classSpace
+	}
+	for _, c := range ".,!\"" { // keep signs, parens, units
+		t[c] = classDrop
+	}
+	return t
+}()
 
 // appendNormalized appends the canonical form of s to dst and returns
 // the extended slice — the allocation-free core behind Normalize and
@@ -71,48 +94,74 @@ func isNormalized(s string) bool {
 // whitespace to one ' ', drop `.` `,` `!` `"` (without interrupting a
 // whitespace run), trim both ends.
 //
+// An ASCII byte yields at most one output byte, so the kernel grows dst
+// once by len(s) and writes by index. The first non-ASCII byte hands
+// the rest of s, and the space-run state, to appendNormalizedRunes.
+//
 //hot:normalize every judged response flows through here
 func appendNormalized(dst []byte, s string) []byte {
 	base := len(dst)
+	out := slices.Grow(dst, len(s))[:base+len(s)]
+	n := base
 	lastSpace := false
-	i := 0
-	for i < len(s) {
+	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if c < utf8.RuneSelf {
-			// ASCII fast path: no rune decoding, no case tables.
-			switch {
-			case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
-				if !lastSpace && len(dst) > base {
-					dst = append(dst, ' ')
-					lastSpace = true
-				}
-			case c == '.' || c == ',' || c == '!' || c == '"':
-				// Sentence punctuation dropped; keep signs, parens, units.
-			default:
-				if c >= 'A' && c <= 'Z' {
-					c += 'a' - 'A'
-				}
-				dst = append(dst, c)
-				lastSpace = false
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		i += size
-		r = unicode.ToLower(r)
-		switch {
-		case unicode.IsSpace(r):
-			if !lastSpace && len(dst) > base {
-				dst = append(dst, ' ')
+		switch normClass[c] {
+		case classKeep:
+			out[n] = c
+			n++
+			lastSpace = false
+		case classUpper:
+			out[n] = c + 'a' - 'A'
+			n++
+			lastSpace = false
+		case classSpace:
+			if !lastSpace && n > base {
+				out[n] = ' '
+				n++
 				lastSpace = true
 			}
-		default:
-			dst = utf8.AppendRune(dst, r)
-			lastSpace = false
+		case classDrop:
+			// Skipped; a space run on either side stays one run.
+		case classRune:
+			return appendNormalizedRunes(out[:n], s[i:], base, lastSpace)
 		}
 	}
 	// At most one trailing collapsed space to trim.
+	if lastSpace {
+		n--
+	}
+	return out[:n]
+}
+
+// appendNormalizedRunes finishes appendNormalized from its first
+// non-ASCII byte on, decoding runes and lowering them through the
+// Unicode tables; base is where the canonical form starts in dst, and
+// lastSpace whether dst ends in a collapsed space.
+//
+//hot:normalize the non-ASCII tail of a judged response
+func appendNormalizedRunes(dst []byte, s string, base int, lastSpace bool) []byte {
+	for _, r := range s {
+		if r < utf8.RuneSelf {
+			switch normClass[r] {
+			case classUpper:
+				r += 'a' - 'A'
+			case classSpace:
+				r = ' '
+			case classDrop:
+				continue
+			}
+		} else if r = unicode.ToLower(r); unicode.IsSpace(r) {
+			r = ' '
+		}
+		if r != ' ' {
+			dst = utf8.AppendRune(dst, r)
+			lastSpace = false
+		} else if !lastSpace && len(dst) > base {
+			dst = append(dst, ' ')
+			lastSpace = true
+		}
+	}
 	if lastSpace {
 		dst = dst[:len(dst)-1]
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/visual"
 )
 
 // TestPerceivesZeroAlloc pins the 16x perception stage — the §IV-B
@@ -60,4 +61,27 @@ func TestAnswerAllocsAtMostResponse(t *testing.T) {
 		}
 		_ = sink
 	}
+}
+
+// TestConstantAnswersZeroAlloc pins the answers whose text is fixed —
+// the malformed description of every visual kind, the wrong expression
+// and the perception failure — at 0 allocs: none is rebuilt per call.
+func TestConstantAnswersZeroAlloc(t *testing.T) {
+	_, _, zoo := buildAll(t)
+	m, _ := zoo.Model("GPT4o")
+	sink := 0
+	check := func(name string, answer func() string) {
+		if allocs := testing.AllocsPerRun(20, func() { sink += len(answer()) }); allocs != 0 {
+			t.Errorf("%s answer allocates %.1f times per call; want 0", name, allocs)
+		}
+	}
+	check("malformed, no scene", func() string { return m.malformedResponse(&dataset.Question{}) })
+	for k := range visual.NumKinds {
+		q := &dataset.Question{Visual: visual.NewScene(visual.Kind(k), "s")}
+		check("malformed "+q.Visual.Kind.String(), func() string { return m.malformedResponse(q) })
+	}
+	expr := &dataset.Question{Golden: dataset.Answer{Kind: dataset.AnswerExpression, Text: "F = A'B + AB'"}}
+	check("wrong-expression", func() string { return m.wrongShortAnswer(expr) })
+	check("perception-failure", func() string { return m.perceptionFailureResponse(expr) })
+	_ = sink
 }

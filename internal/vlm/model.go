@@ -192,12 +192,31 @@ func (m *SimulatedVLM) wrongLetter(q *dataset.Question) string {
 	return dataset.ChoiceLetter((q.Golden.Choice + off) % 4)
 }
 
+// malformedResponse is the answer of a model that ignores the answer
+// format and describes the image instead. The sentence depends only on
+// the visual kind, so it comes from malformedSentences.
 func (m *SimulatedVLM) malformedResponse(q *dataset.Question) string {
-	kind := "figure"
+	kind := visual.KindFigure // a question without a scene is described as a figure
 	if q.Visual != nil {
-		kind = q.Visual.Kind.String()
+		kind = q.Visual.Kind
 	}
-	return "The image shows a " + kind + " with several connected components. " +
+	if kind >= 0 && int(kind) < len(malformedSentences) {
+		return malformedSentences[kind]
+	}
+	return malformedSentence(kind)
+}
+
+// malformedSentences holds malformedSentence for every visual.Kind,
+// built once so that no event rebuilds a constant sentence.
+var malformedSentences = func() (t [visual.NumKinds]string) {
+	for k := range t {
+		t[k] = malformedSentence(visual.Kind(k))
+	}
+	return t
+}()
+
+func malformedSentence(kind visual.Kind) string {
+	return "The image shows a " + kind.String() + " with several connected components. " +
 		"It depicts the structure described in the question."
 }
 
@@ -209,17 +228,12 @@ func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
 		factor := [...]float64{3.1, 0.31, -1.7}[s.IntN(3)]
 		return quantity(q.Golden.Number*factor+1, q.Golden.Unit)
 	case dataset.AnswerExpression:
-		return "F = " + wrongExpressionFor(q)
+		// Plausible but never equivalent to the non-trivial functions
+		// the benchmark asks for.
+		return "F = A + B'"
 	default:
 		return "it is a standard configuration commonly used in this context"
 	}
-}
-
-// wrongExpressionFor returns a syntactically plausible expression that
-// is not equivalent to the golden answer (a constant-true answer never
-// matches the non-trivial functions the benchmark asks for).
-func wrongExpressionFor(q *dataset.Question) string {
-	return "A + B'"
 }
 
 func (m *SimulatedVLM) perceptionFailureResponse(q *dataset.Question) string {

@@ -257,3 +257,29 @@ func (m *SimulatedVLM) CorrectSet(challengeRun bool) map[string]bool {
 	}
 	return out
 }
+
+// TestMalformedResponseMatchesConcatenation pins the prebuilt malformed
+// sentences to the concatenation they replaced, for every visual kind,
+// for kinds outside the table and for a question without a scene.
+func TestMalformedResponseMatchesConcatenation(t *testing.T) {
+	_, _, zoo := buildAll(t)
+	m, _ := zoo.Model("GPT4o")
+	old := func(q *dataset.Question) string {
+		kind := "figure"
+		if q.Visual != nil {
+			kind = q.Visual.Kind.String()
+		}
+		return "The image shows a " + kind + " with several connected components. " +
+			"It depicts the structure described in the question."
+	}
+	qs := []*dataset.Question{{ID: "no-scene"}}
+	for k := -1; k <= visual.NumKinds; k++ {
+		kind := visual.Kind(k)
+		qs = append(qs, &dataset.Question{ID: kind.String(), Visual: visual.NewScene(kind, "s")})
+	}
+	for _, q := range qs {
+		if got, want := m.malformedResponse(q), old(q); got != want {
+			t.Errorf("%s: malformedResponse = %q, want %q", q.ID, got, want)
+		}
+	}
+}
