@@ -234,6 +234,46 @@ func BenchmarkJudgeZoo(b *testing.B) {
 // judgeSink keeps BenchmarkJudgeZoo's verdicts live.
 var judgeSink int
 
+// BenchmarkZooAnswer times the simulated models alone on table2's
+// 3,408 (model, question) pairs: the 12 models on the 142 questions and
+// on the challenge collection, every answer read from the Zoo's tables.
+func BenchmarkZooAnswer(b *testing.B) {
+	suite := chipvqa.MustNewSuite()
+	benchmarkZooAnswer(b, zooModels(b, suite), suite.Benchmark.Questions, suite.ChallengeSet.Questions)
+}
+
+// BenchmarkZooAnswerUncalibrated times the same models on a
+// 100-per-category extended fold, questions the Zoo was not calibrated
+// on: the general answer path the stream_16x and adaptive_bank
+// workloads take.
+func BenchmarkZooAnswerUncalibrated(b *testing.B) {
+	suite := chipvqa.MustNewSuite()
+	fold, err := suite.Extended("zoo-answer", 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkZooAnswer(b, zooModels(b, suite), fold.Questions)
+}
+
+func benchmarkZooAnswer(b *testing.B, models []chipvqa.Model, sets ...[]*chipvqa.Question) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for _, m := range models {
+			for _, qs := range sets {
+				for _, q := range qs {
+					n += len(m.Answer(q, chipvqa.InferenceOptions{}))
+				}
+			}
+		}
+		answerSink = n
+	}
+}
+
+// answerSink keeps the zoo answer benchmarks' responses live.
+var answerSink int
+
 func BenchmarkNormalizeCanonical(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	var norms []string

@@ -335,7 +335,7 @@ func (s *Suite) AdaptiveCalibrate(ctx context.Context, seed string, perCategory 
 	return adaptive.NewCalibration(ctx, r, s.zoo.EvalModels(), fold)
 }
 
-// Adaptive runs the IRT adaptive evaluation (ROADMAP item 5) over an
+// Adaptive runs the IRT adaptive evaluation (DESIGN.md §15) over an
 // extended fold: calibrate a 2PL item bank from the full-grid reference
 // run, then tournament every zoo model through information-maximising
 // item selection with early stopping. The result reports how many

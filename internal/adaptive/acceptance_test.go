@@ -10,7 +10,7 @@ import (
 )
 
 // TestAdaptiveReproducesFullGridRanking is the headline acceptance
-// gate (ROADMAP item 5): on a 12-model × extended-fold tournament the
+// gate (DESIGN.md §15): on a 12-model × extended-fold tournament the
 // adaptive run must reproduce the full-grid ranking exactly (rank
 // agreement 1.0 over every strictly ordered pair) while asking at most
 // a third of the grid's questions.

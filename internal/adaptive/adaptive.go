@@ -1,5 +1,5 @@
 // Package adaptive is the IRT-style adaptive evaluation harness
-// (ROADMAP item 5): instead of marching every model through every
+// (DESIGN.md §15): instead of marching every model through every
 // question, it maintains a 2PL item-response ability estimate per
 // model, always asks the question carrying the most Fisher information
 // about that estimate, and freezes a model's run as soon as its

@@ -125,6 +125,9 @@ func BuildBenchmark() (*dataset.Benchmark, error) {
 	if err := CheckComposition(b); err != nil {
 		return nil, err
 	}
+	for i, q := range b.Questions {
+		q.Ord = int32(i + 1)
+	}
 	return b, nil
 }
 

@@ -131,6 +131,13 @@ type Question struct {
 	// native short-answer question may differ between them.
 	Challenge bool
 
+	// Ord is the question's 1-based position in the benchmark that
+	// core.BuildBenchmark built, and 0 for a question from anywhere
+	// else. It is only a lookup hint for the simulated models' answer
+	// tables, which check the ID and content before trusting it, so it
+	// is in neither the JSON nor the pack encoding.
+	Ord int32 `json:"-"`
+
 	// Difficulty in (0,1]: 1 is hardest. Feeds the reasoning gate of the
 	// simulated models; roughly "college course" (≤0.4) through
 	// "practical research topic" (≥0.8) per the paper's framing.

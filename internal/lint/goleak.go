@@ -10,7 +10,7 @@ import (
 // (or a context) to learn the goroutine finished: a sync.WaitGroup
 // Done, a send on or close of a channel, or a ctx.Done()-bounded wait.
 // A goroutine with none of those outlives its caller silently — under
-// the serving roadmap (ROADMAP item 1) that is a per-request leak.
+// the serving daemon (DESIGN.md §14) that is a per-request leak.
 //
 // The check is syntactic over the spawned body (plus, for `go f(...)`,
 // the argument list): passing a WaitGroup, channel, or context into

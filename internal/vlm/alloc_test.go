@@ -85,3 +85,28 @@ func TestConstantAnswersZeroAlloc(t *testing.T) {
 	check("perception-failure", func() string { return m.perceptionFailureResponse(expr) })
 	_ = sink
 }
+
+// TestAnswerZeroAllocCalibrated pins Answer at 0 allocs on every
+// calibrated question of both collections, for every model, at full
+// resolution and at the §IV-B 16x factor: the Zoo's tables hold every
+// response the Table II runs give.
+func TestAnswerZeroAllocCalibrated(t *testing.T) {
+	b, chal, zoo := buildAll(t)
+	for _, m := range zoo.Models() {
+		for _, factor := range []int{1, 16} {
+			opts := eval.InferenceOptions{DownsampleFactor: factor}
+			sink := 0
+			allocs := testing.AllocsPerRun(5, func() {
+				for _, qs := range [][]*dataset.Question{b.Questions, chal.Questions} {
+					for _, q := range qs {
+						sink += len(m.Answer(q, opts))
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %dx: Answer allocates %.1f times per sweep of both collections; want 0", m.Name(), factor, allocs)
+			}
+			_ = sink
+		}
+	}
+}

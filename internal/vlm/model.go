@@ -41,15 +41,29 @@ func DefaultPerception() PerceptionPolicy {
 	return PerceptionPolicy{RecallThreshold: 0.65, LossScaleBase: 1.5, LossScalePerception: 0.5}
 }
 
+// entry is one calibrated (model, question, form) outcome: the decision
+// in its low bits and, above variantShift, the variant its wrong
+// answer takes: the wrong-letter offset of decGuessWrong, or the index
+// into wrongFactors of a numeric decWrongAnswer.
+type entry uint8
+
+const variantShift = 3
+
+func (e entry) decision() decision { return decision(e & (1<<variantShift - 1)) }
+func (e entry) variant() int       { return int(e >> variantShift) }
+
 // SimulatedVLM is one Table II model: a capability profile plus the
 // precomputed per-question solve decisions the Zoo calibrates against
 // the paper's Pass@1 targets.
 type SimulatedVLM struct {
 	profile    Profile
 	perception PerceptionPolicy
-	mc         map[string]decision // by question ID, multiple-choice form
-	sa         map[string]decision // by question ID, challenge-run short-answer form
-	saStd      map[string]decision // native short-answer questions, standard run
+	bank       *answerBank // shared by the Zoo's models
+	// Decision tables, indexed like bank.ids; decUnknown where a
+	// question has no such form.
+	mc    []entry // multiple-choice form
+	sa    []entry // challenge-run short-answer form, every question
+	saStd []entry // native short-answer questions, standard run
 }
 
 var _ eval.Model = (*SimulatedVLM)(nil)
@@ -69,15 +83,17 @@ func (m *SimulatedVLM) SetPerception(p PerceptionPolicy) { m.perception = p }
 // perception over the scene graph at the requested resolution, then the
 // calibrated solve stage — and emits the model's textual response. The
 // simulation reads the question directly, so it assembles no §IV text
-// prompt.
+// prompt. A question the Zoo calibrated on is answered from its tables.
 func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) string {
 	if !m.perceives(q, opts.DownsampleFactor) {
 		return m.perceptionFailureResponse(q)
 	}
-	dec := m.decisionFor(q)
-	switch dec {
+	if resp, ok := m.calibratedAnswer(q); ok {
+		return resp
+	}
+	switch m.decisionFor(q) {
 	case decSolve:
-		return m.goldenResponse(q, true)
+		return goldenResponse(q)
 	case decGuessCorrect:
 		return dataset.ChoiceLetter(q.Golden.Choice)
 	case decGuessWrong:
@@ -126,18 +142,61 @@ func (m *SimulatedVLM) perceives(q *dataset.Question, factor int) bool {
 	return frac >= m.perception.RecallThreshold
 }
 
-func (m *SimulatedVLM) decisionFor(q *dataset.Question) decision {
-	var table map[string]decision
+// calibratedAnswer answers q from the Zoo's tables when q is the
+// calibrated question its Ord names: the same ID, and the golden the
+// bank's responses were built from. ok is false for any other question,
+// and for one whose decision the tables leave to the fallback draw;
+// Answer then takes the general path, whose response is the same for a
+// question the tables do answer.
+//
+//hot:vlm per-event answer to a calibrated question (DESIGN.md §12)
+func (m *SimulatedVLM) calibratedAnswer(q *dataset.Question) (resp string, ok bool) {
+	i := int(q.Ord) - 1
+	if uint(i) >= uint(len(m.bank.ids)) || m.bank.ids[i] != q.ID {
+		return "", false
+	}
+	table, form := m.tableFor(q)
+	e := table[i]
+	f := &m.bank.forms[form][i]
+	if e.decision() == decUnknown || !f.matches(q) {
+		return "", false
+	}
+	switch e.decision() {
+	case decSolve:
+		return f.golden, true
+	case decGuessCorrect:
+		return dataset.ChoiceLetter(f.choice), true
+	case decGuessWrong:
+		return dataset.ChoiceLetter((f.choice + e.variant()) % 4), true
+	case decMalformed:
+		return m.malformedResponse(q), true
+	}
+	if f.kind == dataset.AnswerNumber {
+		return f.wrong[e.variant()], true
+	}
+	return wrongTextAnswer(f.kind), true
+}
+
+// tableFor returns the decision table and the bank form of q's format.
+func (m *SimulatedVLM) tableFor(q *dataset.Question) ([]entry, int) {
 	switch {
 	case q.Type == dataset.MultipleChoice:
-		table = m.mc
+		return m.mc, ownForm
 	case q.Challenge:
-		table = m.sa
-	default:
-		table = m.saStd
+		return m.sa, challengeForm
 	}
-	if d, ok := table[q.ID]; ok && d != decUnknown {
-		return d
+	return m.saStd, ownForm
+}
+
+// decisionFor is the decision of a question calibratedAnswer does not
+// answer: the calibrated one for its ID and form, if any, else a draw
+// against the profile's targets.
+func (m *SimulatedVLM) decisionFor(q *dataset.Question) decision {
+	if i, ok := m.bank.index[q.ID]; ok {
+		table, _ := m.tableFor(q)
+		if d := table[i].decision(); d != decUnknown {
+			return d
+		}
 	}
 	// Unseen question: fall back to hash-threshold sampling against the
 	// profile's calibration targets.
@@ -157,24 +216,15 @@ func (m *SimulatedVLM) decisionFor(q *dataset.Question) decision {
 }
 
 // goldenResponse renders the correct answer the way a well-behaved model
-// would phrase it.
-func (m *SimulatedVLM) goldenResponse(q *dataset.Question, verbose bool) string {
+// would phrase it: a multiple-choice answer as its letter and option.
+func goldenResponse(q *dataset.Question) string {
 	if q.Type == dataset.MultipleChoice {
-		letter := dataset.ChoiceLetter(q.Golden.Choice)
-		if verbose {
-			return letter + ") " + q.Choices[q.Golden.Choice]
-		}
-		return letter
+		return dataset.ChoiceLetter(q.Golden.Choice) + ") " + q.Choices[q.Golden.Choice]
 	}
-	switch q.Golden.Kind {
-	case dataset.AnswerNumber:
-		if q.Golden.Text != "" {
-			return q.Golden.Text
-		}
+	if q.Golden.Kind == dataset.AnswerNumber && q.Golden.Text == "" {
 		return quantity(q.Golden.Number, q.Golden.Unit)
-	default:
-		return q.Golden.Text
 	}
+	return q.Golden.Text
 }
 
 // quantity formats a number and its unit as fmt's "%g %s" does, with
@@ -187,9 +237,14 @@ func quantity(x float64, unit string) string {
 }
 
 func (m *SimulatedVLM) wrongLetter(q *dataset.Question) string {
-	s := rng.NewHasher(m.profile.Name, q.ID, "wrong-letter").Stream()
-	off := 1 + s.IntN(3)
-	return dataset.ChoiceLetter((q.Golden.Choice + off) % 4)
+	return dataset.ChoiceLetter((q.Golden.Choice + m.wrongLetterOffset(q.ID)) % 4)
+}
+
+// wrongLetterOffset is how many options past the golden one the model's
+// wrong guess at question id lands, 1 to 3.
+func (m *SimulatedVLM) wrongLetterOffset(id string) int {
+	s := rng.NewHasher(m.profile.Name, id, "wrong-letter").Stream()
+	return 1 + s.IntN(3)
 }
 
 // malformedResponse is the answer of a model that ignores the answer
@@ -221,19 +276,31 @@ func malformedSentence(kind visual.Kind) string {
 }
 
 func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
-	switch q.Golden.Kind {
-	case dataset.AnswerNumber:
-		// Classic slip: off by a factor well outside tolerance.
-		s := rng.NewHasher(m.profile.Name, q.ID, "wrong-num").Stream()
-		factor := [...]float64{3.1, 0.31, -1.7}[s.IntN(3)]
-		return quantity(q.Golden.Number*factor+1, q.Golden.Unit)
-	case dataset.AnswerExpression:
+	if q.Golden.Kind == dataset.AnswerNumber {
+		return quantity(q.Golden.Number*wrongFactors[m.wrongNumberIndex(q.ID)]+1, q.Golden.Unit)
+	}
+	return wrongTextAnswer(q.Golden.Kind)
+}
+
+// wrongFactors are the classic slips of a wrong numeric answer, each
+// well outside tolerance: the answer is golden*factor+1.
+var wrongFactors = [...]float64{3.1, 0.31, -1.7}
+
+// wrongNumberIndex picks the model's slip at question id from
+// wrongFactors.
+func (m *SimulatedVLM) wrongNumberIndex(id string) int {
+	s := rng.NewHasher(m.profile.Name, id, "wrong-num").Stream()
+	return s.IntN(len(wrongFactors))
+}
+
+// wrongTextAnswer is the wrong short answer to a non-numeric golden.
+func wrongTextAnswer(kind dataset.AnswerKind) string {
+	if kind == dataset.AnswerExpression {
 		// Plausible but never equivalent to the non-trivial functions
 		// the benchmark asks for.
 		return "F = A + B'"
-	default:
-		return "it is a standard configuration commonly used in this context"
 	}
+	return "it is a standard configuration commonly used in this context"
 }
 
 func (m *SimulatedVLM) perceptionFailureResponse(q *dataset.Question) string {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/visual"
 )
 
-func buildAll(t *testing.T) (*dataset.Benchmark, *dataset.Benchmark, *Zoo) {
+func buildAll(t testing.TB) (*dataset.Benchmark, *dataset.Benchmark, *Zoo) {
 	t.Helper()
 	b, err := core.BuildBenchmark()
 	if err != nil {
@@ -237,21 +237,14 @@ func TestEvalModelsOrder(t *testing.T) {
 // answers to.
 func (m *SimulatedVLM) CorrectSet(challengeRun bool) map[string]bool {
 	out := make(map[string]bool)
-	if challengeRun {
-		for id, d := range m.sa {
-			if d == decSolve {
+	for i, id := range m.bank.ids {
+		if challengeRun {
+			if m.sa[i].decision() == decSolve {
 				out[id] = true
 			}
+			continue
 		}
-		return out
-	}
-	for id, d := range m.mc {
-		if d == decSolve || d == decGuessCorrect {
-			out[id] = true
-		}
-	}
-	for id, d := range m.saStd {
-		if d == decSolve {
+		if d := m.mc[i].decision(); d == decSolve || d == decGuessCorrect || m.saStd[i].decision() == decSolve {
 			out[id] = true
 		}
 	}

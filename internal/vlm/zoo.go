@@ -19,11 +19,14 @@ type Zoo struct {
 	models []*SimulatedVLM
 }
 
-// NewZoo calibrates the full Table II model list against the benchmark.
+// NewZoo calibrates the full Table II model list against the benchmark,
+// whose question IDs must be unique, as Benchmark.Validate checks.
 func NewZoo(b *dataset.Benchmark) *Zoo {
 	z := &Zoo{}
+	bank := newAnswerBank(b)
+	byCat := b.ByCategory()
 	for _, p := range Profiles() {
-		z.models = append(z.models, calibrate(p, b))
+		z.models = append(z.models, calibrate(p, bank, byCat))
 	}
 	return z
 }
@@ -50,17 +53,102 @@ func (z *Zoo) Model(name string) (*SimulatedVLM, bool) {
 	return nil, false
 }
 
+// The two forms of a calibrated question the bank holds responses for.
+const (
+	ownForm       = iota // the question as built: multiple choice or native short answer
+	challengeForm        // its q.StripChoices() copy in the challenge collection
+	numForms
+)
+
+// answerBank is what the Zoo's models share about the benchmark they
+// were calibrated on: each question's ID, an ID → index map, and per
+// form the responses that depend only on the question. A model's
+// decision tables are indexed like ids.
+type answerBank struct {
+	ids   []string
+	index map[string]int32 // each ID's index in ids
+	forms [numForms][]formAnswers
+}
+
+// formAnswers is one form of a calibrated question: the golden fields
+// its responses are built from, which matches compares with the asked
+// question, and the responses themselves.
+type formAnswers struct {
+	kind       dataset.AnswerKind
+	choice     int
+	number     float64
+	unit, text string
+	option     string // the golden option's text, multiple choice only
+	golden     string // goldenResponse(q)
+	wrong      [len(wrongFactors)]string
+}
+
+func newAnswerBank(b *dataset.Benchmark) *answerBank {
+	n := len(b.Questions)
+	bank := &answerBank{ids: make([]string, n), index: make(map[string]int32, n)}
+	for f := range bank.forms {
+		bank.forms[f] = make([]formAnswers, n)
+	}
+	for i, q := range b.Questions {
+		bank.ids[i] = q.ID
+		bank.index[q.ID] = int32(i)
+		bank.forms[ownForm][i] = newFormAnswers(q)
+		if q.Type == dataset.MultipleChoice {
+			bank.forms[challengeForm][i] = newFormAnswers(q.StripChoices())
+		} else {
+			// StripChoices only sets Challenge on a short-answer question.
+			bank.forms[challengeForm][i] = bank.forms[ownForm][i]
+		}
+	}
+	return bank
+}
+
+func newFormAnswers(q *dataset.Question) formAnswers {
+	g := &q.Golden
+	f := formAnswers{kind: g.Kind, choice: g.Choice, number: g.Number, unit: g.Unit, text: g.Text}
+	if q.Type == dataset.MultipleChoice {
+		if uint(g.Choice) >= uint(len(q.Choices)) {
+			return f // matches never holds, so the tables never answer it
+		}
+		f.option = q.Choices[g.Choice]
+	}
+	f.golden = goldenResponse(q)
+	if g.Kind == dataset.AnswerNumber {
+		for k, factor := range wrongFactors {
+			f.wrong[k] = quantity(g.Number*factor+1, g.Unit)
+		}
+	}
+	return f
+}
+
+// matches reports whether q has the golden this form's responses were
+// built from: every golden field a response reads, and for multiple
+// choice the golden option's text.
+func (f *formAnswers) matches(q *dataset.Question) bool {
+	g := &q.Golden
+	if g.Kind != f.kind || g.Choice != f.choice || math.Float64bits(g.Number) != math.Float64bits(f.number) ||
+		g.Unit != f.unit || g.Text != f.text {
+		return false
+	}
+	if q.Type != dataset.MultipleChoice {
+		return true
+	}
+	return uint(g.Choice) < uint(len(q.Choices)) && q.Choices[g.Choice] == f.option
+}
+
 // calibrate derives per-question decisions from the profile's Table II
-// targets over the given benchmark.
-func calibrate(p Profile, b *dataset.Benchmark) *SimulatedVLM {
+// targets over the bank's benchmark, grouped by category.
+func calibrate(p Profile, bank *answerBank, byCat map[dataset.Category][]*dataset.Question) *SimulatedVLM {
+	n := len(bank.ids)
+	tables := make([]entry, 3*n)
 	m := &SimulatedVLM{
 		profile:    p,
 		perception: DefaultPerception(),
-		mc:         make(map[string]decision),
-		sa:         make(map[string]decision),
-		saStd:      make(map[string]decision),
+		bank:       bank,
+		mc:         tables[:n:n],
+		sa:         tables[n : 2*n : 2*n],
+		saStd:      tables[2*n:],
 	}
-	byCat := b.ByCategory()
 	for _, cat := range dataset.Categories() {
 		qs := byCat[cat]
 		if len(qs) == 0 {
@@ -69,6 +157,26 @@ func calibrate(p Profile, b *dataset.Benchmark) *SimulatedVLM {
 		calibrateCategory(m, cat, qs)
 	}
 	return m
+}
+
+// set records decision d for q in one of m's tables, at the index of
+// q's ID, with the variant its wrong answer takes on the given form:
+// the same draws wrongLetter and wrongShortAnswer make.
+func (m *SimulatedVLM) set(table []entry, form int, q *dataset.Question, d decision) {
+	i := m.bank.index[q.ID]
+	v := 0
+	switch {
+	case d == decGuessWrong:
+		v = m.wrongLetterOffset(q.ID)
+	case d == decWrongAnswer && m.bank.forms[form][i].kind == dataset.AnswerNumber:
+		v = m.wrongNumberIndex(q.ID)
+	}
+	table[i] = entry(d) | entry(v)<<variantShift
+}
+
+// solvesChallenge reports whether m solves q in the challenge run.
+func (m *SimulatedVLM) solvesChallenge(q *dataset.Question) bool {
+	return m.sa[m.bank.index[q.ID]].decision() == decSolve
 }
 
 // calibrateCategory assigns decisions for one discipline.
@@ -102,14 +210,11 @@ func calibrateCategory(m *SimulatedVLM, cat dataset.Category, qs []*dataset.Ques
 	// --- Short-answer decisions over every question in the category.
 	kChal := roundCount(p.NoChoice[cat], n)
 	permSA := rng.New(p.Name, cat.Short(), "sa").Perm(n)
-	saCorrect := make(map[string]bool, kChal)
 	for i, idx := range permSA {
-		q := qs[idx]
 		if i < kChal {
-			m.sa[q.ID] = decSolve
-			saCorrect[q.ID] = true
+			m.set(m.sa, challengeForm, qs[idx], decSolve)
 		} else {
-			m.sa[q.ID] = decWrongAnswer
+			m.set(m.sa, challengeForm, qs[idx], decWrongAnswer)
 		}
 	}
 
@@ -122,7 +227,7 @@ func calibrateCategory(m *SimulatedVLM, cat dataset.Category, qs []*dataset.Ques
 	kTotal := roundCount(p.WithChoice[cat], n)
 	saChalCorrectNative := 0
 	for _, q := range saQs {
-		if saCorrect[q.ID] {
+		if m.solvesChallenge(q) {
 			saChalCorrectNative++
 		}
 	}
@@ -144,20 +249,20 @@ func calibrateCategory(m *SimulatedVLM, cat dataset.Category, qs []*dataset.Ques
 	// first so the runs agree wherever possible.
 	ordered := make([]*dataset.Question, 0, len(saQs))
 	for _, q := range saQs {
-		if saCorrect[q.ID] {
+		if m.solvesChallenge(q) {
 			ordered = append(ordered, q)
 		}
 	}
 	for _, q := range saQs {
-		if !saCorrect[q.ID] {
+		if !m.solvesChallenge(q) {
 			ordered = append(ordered, q)
 		}
 	}
 	for i, q := range ordered {
 		if i < kSAStd {
-			m.saStd[q.ID] = decSolve
+			m.set(m.saStd, ownForm, q, decSolve)
 		} else {
-			m.saStd[q.ID] = decWrongAnswer
+			m.set(m.saStd, ownForm, q, decWrongAnswer)
 		}
 	}
 	permMC := rng.New(p.Name, cat.Short(), "mc").Perm(len(mcQs))
@@ -176,13 +281,13 @@ func calibrateCategory(m *SimulatedVLM, cat dataset.Category, qs []*dataset.Ques
 		q := mcQs[idx]
 		switch {
 		case i < kSolve:
-			m.mc[q.ID] = decSolve
+			m.set(m.mc, ownForm, q, decSolve)
 		case i < kMC:
-			m.mc[q.ID] = decGuessCorrect
+			m.set(m.mc, ownForm, q, decGuessCorrect)
 		case i < kMC+kGuessWrong:
-			m.mc[q.ID] = decGuessWrong
+			m.set(m.mc, ownForm, q, decGuessWrong)
 		default:
-			m.mc[q.ID] = decMalformed
+			m.set(m.mc, ownForm, q, decMalformed)
 		}
 	}
 }
