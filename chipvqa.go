@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/runspec"
 	"repro/internal/serve"
 	"repro/internal/visual"
 	"repro/internal/vlm"
@@ -131,6 +132,9 @@ func (s *Suite) ModelNames() []string {
 	return out
 }
 
+// Models returns the twelve Table II models in row order.
+func (s *Suite) Models() []Model { return s.zoo.EvalModels() }
+
 // Model returns a model by Table II name.
 func (s *Suite) Model(name string) (Model, error) {
 	m, ok := s.zoo.Model(name)
@@ -142,37 +146,18 @@ func (s *Suite) Model(name string) (Model, error) {
 
 // Evaluate runs one model over the standard collection.
 func (s *Suite) Evaluate(modelName string) (*Report, error) {
-	return s.EvaluateContext(context.Background(), modelName)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation: on cancel
-// it returns the context error together with a partial report holding
-// a consistent prefix of the question order.
-func (s *Suite) EvaluateContext(ctx context.Context, modelName string) (*Report, error) {
-	return s.evaluateOn(ctx, modelName, s.Benchmark, 1)
+	return s.evaluateContext(context.Background(), modelName, s.Benchmark, 1)
 }
 
 // EvaluateChallenge runs one model over the challenge collection.
 func (s *Suite) EvaluateChallenge(modelName string) (*Report, error) {
-	return s.EvaluateChallengeContext(context.Background(), modelName)
-}
-
-// EvaluateChallengeContext is EvaluateChallenge with cooperative
-// cancellation (see EvaluateContext for the partial-report contract).
-func (s *Suite) EvaluateChallengeContext(ctx context.Context, modelName string) (*Report, error) {
-	return s.evaluateOn(ctx, modelName, s.ChallengeSet, 1)
+	return s.evaluateContext(context.Background(), modelName, s.ChallengeSet, 1)
 }
 
 // EvaluateAtResolution runs one model with images downsampled by the
 // given factor (the §IV-B study).
 func (s *Suite) EvaluateAtResolution(modelName string, factor int) (*Report, error) {
-	return s.EvaluateAtResolutionContext(context.Background(), modelName, factor)
-}
-
-// EvaluateAtResolutionContext is EvaluateAtResolution with cooperative
-// cancellation (see EvaluateContext for the partial-report contract).
-func (s *Suite) EvaluateAtResolutionContext(ctx context.Context, modelName string, factor int) (*Report, error) {
-	return s.evaluateOn(ctx, modelName, s.Benchmark, factor)
+	return s.evaluateContext(context.Background(), modelName, s.Benchmark, factor)
 }
 
 // runner builds the suite's evaluation engine with the suite's worker
@@ -181,7 +166,7 @@ func (s *Suite) runner(opts eval.InferenceOptions) eval.Runner {
 	return eval.Runner{Opts: opts, Workers: s.Workers, Observer: s.Observer}
 }
 
-func (s *Suite) evaluateOn(ctx context.Context, modelName string, b *Benchmark, factor int) (*Report, error) {
+func (s *Suite) evaluateContext(ctx context.Context, modelName string, b *Benchmark, factor int) (*Report, error) {
 	m, err := s.Model(modelName)
 	if err != nil {
 		return nil, err
@@ -194,29 +179,9 @@ func (s *Suite) evaluateOn(ctx context.Context, modelName string, b *Benchmark, 
 // report sets in Table II row order. Each collection's 12x142
 // (model, question) grid is evaluated on the worker pool.
 func (s *Suite) TableII() (withChoice, noChoice []*Report) {
-	//lint:ignore errdrop context.Background never cancels, so the only possible error is nil
-	withChoice, noChoice, _ = s.TableIIContext(context.Background())
-	return withChoice, noChoice
-}
-
-// TableIIContext is TableII with cooperative cancellation. On cancel
-// the returned error is the context error and the report sets hold
-// consistent prefixes of the two runs (the with-choice grid runs
-// first, so a cancelled sweep may have a partial with-choice set and
-// empty no-choice reports).
-func (s *Suite) TableIIContext(ctx context.Context) (withChoice, noChoice []*Report, err error) {
 	r := s.runner(eval.InferenceOptions{})
 	models := s.zoo.EvalModels()
-	withChoice, err = r.EvaluateAllContext(ctx, models, s.Benchmark)
-	if err != nil {
-		// The second sweep runs on the already-dead ctx purely to shape
-		// empty reports; its error is the same context error we return.
-		//lint:ignore errdrop the first sweep's context error is already being returned
-		noChoice, _ = r.EvaluateAllContext(ctx, models, s.ChallengeSet)
-		return withChoice, noChoice, err
-	}
-	noChoice, err = r.EvaluateAllContext(ctx, models, s.ChallengeSet)
-	return withChoice, noChoice, err
+	return r.EvaluateAll(models, s.Benchmark), r.EvaluateAll(models, s.ChallengeSet)
 }
 
 // FormatTableII renders reports in the paper's Table II layout.
@@ -326,37 +291,7 @@ type (
 // tournaments. The calibration grid runs without the suite observer —
 // only tournament events are observable.
 func (s *Suite) AdaptiveCalibrate(ctx context.Context, seed string, perCategory int) (*AdaptiveCalibration, error) {
-	fold, err := core.BuildExtended(seed, perCategory)
-	if err != nil {
-		return nil, err
-	}
-	r := s.runner(eval.InferenceOptions{})
-	r.Observer = nil
-	return adaptive.NewCalibration(ctx, r, s.zoo.EvalModels(), fold)
-}
-
-// Adaptive runs the IRT adaptive evaluation (DESIGN.md §15) over an
-// extended fold: calibrate a 2PL item bank from the full-grid reference
-// run, then tournament every zoo model through information-maximising
-// item selection with early stopping. The result reports how many
-// questions the adaptive run needed, each model's ability estimate and
-// stop reason, and the rank agreement against the full-grid ranking.
-// The whole run is bit-reproducible given cfg.Seed.
-func (s *Suite) Adaptive(seed string, perCategory int, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	return s.AdaptiveContext(context.Background(), seed, perCategory, cfg)
-}
-
-// AdaptiveContext is Adaptive with cooperative cancellation: on cancel
-// the context error comes back alongside a result holding the
-// deterministic delivered prefix of the tournament transcript. The
-// suite observer sees every tournament event — annotated with ability,
-// standard error and stop reason — in canonical order.
-func (s *Suite) AdaptiveContext(ctx context.Context, seed string, perCategory int, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	cal, err := s.AdaptiveCalibrate(ctx, seed, perCategory)
-	if err != nil {
-		return nil, err
-	}
-	return cal.Run(ctx, s.runner(eval.InferenceOptions{}), s.zoo.EvalModels(), cfg)
+	return runspec.Calibrate(ctx, s.zoo.EvalModels(), seed, perCategory, s.Workers)
 }
 
 // Compare runs the paired McNemar test between two models on the
@@ -370,11 +305,11 @@ func (s *Suite) Compare(modelA, modelB string) (eval.McNemarResult, [2]eval.Conf
 // (the paired test needs both full runs).
 func (s *Suite) CompareContext(ctx context.Context, modelA, modelB string) (eval.McNemarResult, [2]eval.ConfidenceInterval, error) {
 	var cis [2]eval.ConfidenceInterval
-	ra, err := s.EvaluateContext(ctx, modelA)
+	ra, err := s.evaluateContext(ctx, modelA, s.Benchmark, 1)
 	if err != nil {
 		return eval.McNemarResult{}, cis, err
 	}
-	rb, err := s.EvaluateContext(ctx, modelB)
+	rb, err := s.evaluateContext(ctx, modelB, s.Benchmark, 1)
 	if err != nil {
 		return eval.McNemarResult{}, cis, err
 	}

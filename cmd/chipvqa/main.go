@@ -21,6 +21,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,8 +38,10 @@ import (
 
 	"repro"
 	"repro/internal/agent"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/runspec"
 	"repro/internal/visual"
 	"repro/internal/vlm"
 )
@@ -172,21 +175,10 @@ commands:
   serve        eval-as-a-service HTTP daemon (-addr, -max-sessions,
                -workers-per-session, -drain-timeout, -packed file, -accesslog file)
 
-evaluation commands take -workers N: 0 = auto (GOMAXPROCS), 1 = serial.`)
-}
-
-// zooModels returns the suite's model zoo in Table II row order.
-func zooModels(suite *chipvqa.Suite) ([]chipvqa.Model, error) {
-	names := suite.ModelNames()
-	models := make([]chipvqa.Model, 0, len(names))
-	for _, name := range names {
-		m, err := suite.Model(name)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-	}
-	return models, nil
+evaluation commands take -workers N: 0 = auto (GOMAXPROCS), 1 = serial. The run
+commands (eval, challenge, resolution, items, extended, adaptive) take what serve
+takes: -workers 0-4096, -shard 1-4096, -n >= 1 with no ceiling offline (serve caps
+per_category at 2000), -budget >= 0, -k >= 0; any other value exits 2.`)
 }
 
 // workersFlag registers the shared -workers knob: 0 (default) lets the
@@ -194,6 +186,51 @@ func zooModels(suite *chipvqa.Suite) ([]chipvqa.Model, error) {
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "evaluation workers (0 = auto/GOMAXPROCS, 1 = serial)")
 }
+
+// runEnv builds the suite and the CLI's run environment over its zoo
+// and collections (standard and challenge, as serve names them), lets
+// setup adjust it, and validates specs under it before any runs: a
+// rejected spec is a usage error. Unlike serve's, the environment
+// reads no zero as a default and caps no fold.
+func runEnv(setup func(*chipvqa.Suite, *runspec.Env), specs ...*runspec.Spec) (*runspec.Env, error) {
+	suite, err := chipvqa.NewSuite()
+	if err != nil {
+		return nil, err
+	}
+	env, err := runspec.NewEnv(suite.Models())
+	if err != nil {
+		return nil, err
+	}
+	env.Collections = map[string]*chipvqa.Benchmark{"standard": suite.Benchmark, "challenge": suite.ChallengeSet}
+	if setup != nil {
+		setup(suite, env)
+	}
+	for _, spec := range specs {
+		if err := env.Validate(spec); err != nil {
+			return nil, usageError{msg: err.Error()}
+		}
+	}
+	return env, nil
+}
+
+// interrupted reports whether err ended a run early on SIGINT/SIGTERM
+// or a deadline, leaving a consistent prefix worth printing.
+func interrupted(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// noteInterrupted ends a run command's output: after an interruption
+// it says what the prefix printed above covers. It returns err
+// unchanged, so main still exits 1.
+func noteInterrupted(err error, covers string) error {
+	if interrupted(err) {
+		fmt.Printf("(run interrupted — %s only)\n", covers)
+	}
+	return err
+}
+
+// tablePrefix is what an interrupted run's table covers.
+const tablePrefix = "table covers the completed prefix"
 
 // cmdStats only formats in-memory tables, so it takes no cancellation
 // point: the blank context keeps the command signature uniform.
@@ -222,12 +259,17 @@ func cmdEval(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
+	withSpec := runspec.Spec{Downsample: 1, Workers: *workers}
+	withoutSpec := runspec.Spec{Kind: "challenge", Downsample: 1, Workers: *workers}
+	env, err := runEnv(nil, &withSpec, &withoutSpec)
 	if err != nil {
 		return err
 	}
-	suite.Workers = *workers
-	with, without, runErr := suite.TableIIContext(ctx)
+	with, _, withErr := env.Run(ctx, withSpec, *workers, nil)
+	// After an interruption the second sweep runs on the dead context
+	// only to shape empty reports; its error is the same.
+	without, _, withoutErr := env.Run(ctx, withoutSpec, *workers, nil)
+	runErr := cmp.Or(withErr, withoutErr)
 	if *gap {
 		fmt.Printf("%-20s %8s %8s %8s\n", "Model", "w/ MC", "w/o MC", "gap")
 		for i := range with {
@@ -238,13 +280,7 @@ func cmdEval(ctx context.Context, args []string) error {
 		fmt.Println("TABLE II  Zero-Shot Evaluation on ChipVQA (w/ and w/o multiple choice)")
 		fmt.Print(chipvqa.FormatTableII(with, without))
 	}
-	if runErr != nil {
-		// Interrupted: the table above covers the deterministic prefix
-		// the pipeline finished; exit 1 per the CLI contract.
-		fmt.Println("(run interrupted — table covers the completed prefix only)")
-		return runErr
-	}
-	return nil
+	return noteInterrupted(runErr, tablePrefix)
 }
 
 func cmdChallenge(ctx context.Context, args []string) error {
@@ -253,30 +289,15 @@ func cmdChallenge(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
+	spec := runspec.Spec{Kind: "challenge", Downsample: 1, Workers: *workers}
+	env, err := runEnv(nil, &spec)
 	if err != nil {
 		return err
 	}
-	suite.Workers = *workers
-	var reports []*chipvqa.Report
-	var runErr error
-	for _, name := range suite.ModelNames() {
-		rep, err := suite.EvaluateChallengeContext(ctx, name)
-		if err != nil {
-			// Keep the partial report: the models (and questions) already
-			// judged still form a consistent prefix worth printing.
-			reports = append(reports, rep)
-			runErr = err
-			break
-		}
-		reports = append(reports, rep)
-	}
+	reports, _, err := env.Run(ctx, spec, spec.Workers, nil)
 	fmt.Println("ChipVQA challenge collection (all questions short answer)")
 	fmt.Print(chipvqa.FormatTableII(reports, nil))
-	if runErr != nil {
-		fmt.Println("(run interrupted — table covers the completed prefix only)")
-	}
-	return runErr
+	return noteInterrupted(err, tablePrefix)
 }
 
 func cmdAgent(ctx context.Context, args []string) error {
@@ -311,30 +332,33 @@ func cmdResolution(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
+	specs := make([]runspec.Spec, 3)
+	for i, f := range []int{1, 8, 16} {
+		specs[i] = runspec.Spec{Collection: *category, Models: []string{*model}, Downsample: f, Workers: *workers}
+	}
+	// The category's questions are the one collection these specs may
+	// name; a category with none leaves it unknown.
+	var questions []*chipvqa.Question
+	env, err := runEnv(func(suite *chipvqa.Suite, env *runspec.Env) {
+		questions = suite.Benchmark.Filter(func(q *chipvqa.Question) bool {
+			return *category == "all" || q.Category.Short() == *category
+		})
+		env.Collections = nil
+		if len(questions) > 0 {
+			env.Collections = map[string]*chipvqa.Benchmark{*category: {Name: *category, Questions: questions}}
+		}
+	}, &specs[0], &specs[1], &specs[2])
 	if err != nil {
 		return err
 	}
-	m, err := suite.Model(*model)
-	if err != nil {
-		return err
-	}
-	questions := suite.Benchmark.Filter(func(q *chipvqa.Question) bool {
-		return *category == "all" || q.Category.Short() == *category
-	})
-	if len(questions) == 0 {
-		return fmt.Errorf("no questions in category %q", *category)
-	}
-	sub := &dataset.Benchmark{Name: *category, Questions: questions}
 	fmt.Printf("Resolution study (§IV-B): model=%s category=%s (%d questions)\n",
 		*model, *category, len(questions))
-	for _, f := range []int{1, 8, 16} {
-		r := eval.Runner{Opts: eval.InferenceOptions{DownsampleFactor: f}, Workers: *workers}
-		rep, err := r.EvaluateContext(ctx, m, sub)
+	for _, spec := range specs {
+		reports, _, err := env.Run(ctx, spec, spec.Workers, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  downsample %2dx: Pass@1 = %.2f\n", f, rep.Pass1())
+		fmt.Printf("  downsample %2dx: Pass@1 = %.2f\n", spec.Downsample, reports[0].Pass1())
 	}
 	return nil
 }
@@ -494,98 +518,79 @@ func cmdExtended(ctx context.Context, args []string) error {
 	if *stream && (*out != "" || !*evalModels) {
 		return usagef("-stream requires -eval and is incompatible with -o (the fold is never materialised)")
 	}
-	if !visual.ValidFactor(*downsample) {
-		return usagef("-downsample must be one of 1,2,4,8,16,32, got %d", *downsample)
-	}
-	suite, err := chipvqa.NewSuite()
+	spec := runspec.Spec{Kind: "extended", Seed: *seed, PerCategory: *n, ShardSize: *shardSize,
+		Downsample: *downsample, Workers: *workers}
+	env, err := runEnv(nil, &spec)
 	if err != nil {
 		return err
 	}
-	// shardStream drives the streaming path from whichever producer was
-	// asked for: shards decoded from a pack, or shards regenerated from
-	// the seed.
-	shardStream := func(yield func(chipvqa.Shard) error) error {
+	// The run's shards: the fold built below as one shard, or streamed
+	// from the seed or a pack and counted on their way.
+	var ext *chipvqa.Benchmark
+	total := 0
+	env.Shards = func(yield func(chipvqa.Shard) error) error {
+		count := func(sh chipvqa.Shard) error {
+			total += len(sh.Questions)
+			return yield(sh)
+		}
+		if ext != nil {
+			return count(chipvqa.Shard{Questions: ext.Questions})
+		}
+		if *packed == "" {
+			return chipvqa.StreamExtended(spec.Seed, spec.PerCategory, spec.ShardSize, count)
+		}
+		f, err := os.Open(*packed)
+		if err != nil {
+			return err
+		}
+		err = dataset.StreamPack(f, spec.ShardSize, count)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	if !*stream {
 		if *packed != "" {
-			f, err := os.Open(*packed)
+			data, err := os.ReadFile(*packed)
 			if err != nil {
 				return err
 			}
-			err = dataset.StreamPack(f, *shardSize, yield)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+			if ext, err = dataset.ReadPackBytes(data); err != nil {
+				return fmt.Errorf("%s: %w", *packed, err)
 			}
+		} else if ext, err = core.BuildExtended(spec.Seed, spec.PerCategory); err != nil {
 			return err
 		}
-		return chipvqa.StreamExtended(*seed, *n, *shardSize, yield)
+		stats := ext.ComputeStats()
+		fmt.Printf("extended collection %q: %d questions (%d MC / %d SA)\n",
+			ext.Name, stats.Total, stats.MC, stats.SA)
+		if *out != "" {
+			f, err := os.Create(*out)
+			if err != nil {
+				return err
+			}
+			err = ext.WriteJSON(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr // a failed close loses buffered output; surface it
+			}
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", *out)
+		}
+		if !*evalModels {
+			return nil
+		}
+	}
+	reports, _, err := env.Run(ctx, spec, spec.Workers, nil)
+	if err != nil && !interrupted(err) {
+		return err // an unreadable pack, say: no table
 	}
 	if *stream {
-		r := eval.Runner{Workers: *workers, Opts: eval.InferenceOptions{DownsampleFactor: *downsample}}
-		models, err := zooModels(suite)
-		if err != nil {
-			return err
-		}
-		reports := make([]*chipvqa.Report, len(models))
-		for i := range reports {
-			reports[i] = &chipvqa.Report{}
-		}
-		total := 0
-		err = r.EvaluateShardsContext(ctx, models, func(yield func(chipvqa.Shard) error) error {
-			return shardStream(func(sh chipvqa.Shard) error {
-				total += len(sh.Questions)
-				return yield(sh)
-			})
-		}, reports)
-		fmt.Printf("streamed %d questions (shard size %d)\n", total, *shardSize)
-		fmt.Print(chipvqa.FormatTableII(reports, nil))
-		if err != nil {
-			fmt.Println("(run interrupted — table covers the completed prefix only)")
-			return err
-		}
-		return nil
+		fmt.Printf("streamed %d questions (shard size %d)\n", total, spec.ShardSize)
 	}
-	var ext *chipvqa.Benchmark
-	if *packed != "" {
-		data, err := os.ReadFile(*packed)
-		if err != nil {
-			return err
-		}
-		if ext, err = dataset.ReadPackBytes(data); err != nil {
-			return fmt.Errorf("%s: %w", *packed, err)
-		}
-	} else if ext, err = suite.Extended(*seed, *n); err != nil {
-		return err
-	}
-	stats := ext.ComputeStats()
-	fmt.Printf("extended collection %q: %d questions (%d MC / %d SA)\n",
-		ext.Name, stats.Total, stats.MC, stats.SA)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		err = ext.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr // a failed close loses buffered output; surface it
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if *evalModels {
-		r := eval.Runner{Workers: *workers, Opts: eval.InferenceOptions{DownsampleFactor: *downsample}}
-		models, err := zooModels(suite)
-		if err != nil {
-			return err
-		}
-		reports, err := r.EvaluateAllContext(ctx, models, ext)
-		fmt.Print(chipvqa.FormatTableII(reports, nil))
-		if err != nil {
-			fmt.Println("(run interrupted — table covers the completed prefix only)")
-			return err
-		}
-	}
-	return nil
+	fmt.Print(chipvqa.FormatTableII(reports, nil))
+	return noteInterrupted(err, tablePrefix)
 }
 
 // cmdPack writes an extended fold in the compact binary pack format,
@@ -732,24 +737,20 @@ func cmdItems(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
-	if err != nil {
-		return err
+	if *k < 0 {
+		return usagef("-k must be >= 0, got %d", *k)
 	}
-	bench := suite.Benchmark
-	collection := "standard"
+	spec := runspec.Spec{Downsample: 1, Workers: *workers}
 	if *challenge {
-		bench = suite.ChallengeSet
-		collection = "challenge"
+		spec.Kind = "challenge"
 	}
-	r := eval.Runner{Workers: *workers}
-	models, err := zooModels(suite)
+	env, err := runEnv(nil, &spec)
 	if err != nil {
 		return err
 	}
 	// Item statistics over a truncated grid would be silently biased, so
 	// an interrupted run aborts instead of analysing the partial prefix.
-	reports, err := r.EvaluateAllContext(ctx, models, bench)
+	reports, _, err := env.Run(ctx, spec, spec.Workers, nil)
 	if err != nil {
 		return err
 	}
@@ -758,7 +759,7 @@ func cmdItems(ctx context.Context, args []string) error {
 		return err
 	}
 	if *asJSON {
-		return writeItemsJSON(os.Stdout, collection, len(models), items)
+		return writeItemsJSON(os.Stdout, spec.Collection, len(reports), items)
 	}
 	fmt.Print(eval.FormatItemReport(items, *k))
 	return nil
@@ -822,14 +823,15 @@ func cmdAdaptive(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
+	spec := runspec.Spec{Kind: "adaptive", Seed: *seed, PerCategory: *n, Downsample: 1, Workers: *workers}
+	env, err := runEnv(func(_ *chipvqa.Suite, env *runspec.Env) {
+		env.Tournament = &chipvqa.AdaptiveConfig{Seed: *runSeed, TotalBudget: *budget}
+	}, &spec)
 	if err != nil {
 		return err
 	}
-	suite.Workers = *workers
-	cfg := chipvqa.AdaptiveConfig{Seed: *runSeed, TotalBudget: *budget}
-	res, runErr := suite.AdaptiveContext(ctx, *seed, *n, cfg)
-	if runErr != nil && res == nil {
+	_, res, runErr := env.Run(ctx, spec, spec.Workers, nil)
+	if res == nil {
 		return runErr
 	}
 	fmt.Printf("ADAPTIVE  IRT tournament over extended fold %q (%d models, %d-question bank)\n",
@@ -851,9 +853,5 @@ func cmdAdaptive(ctx context.Context, args []string) error {
 	if res.RankAgreement == res.RankAgreement { // not NaN
 		fmt.Printf("rank agreement vs full-grid Pass@1: %.3f\n", res.RankAgreement)
 	}
-	if runErr != nil {
-		fmt.Println("(run interrupted — standings cover the recorded prefix only)")
-		return runErr
-	}
-	return nil
+	return noteInterrupted(runErr, "standings cover the recorded prefix")
 }

@@ -103,7 +103,8 @@ func pointBiserial(item, totals []float64, meanTotal, sdTotal float64) float64 {
 	return cov / (pSD * sdTotal)
 }
 
-// HardestItems returns the k items fewest models solved, hardest first.
+// HardestItems returns the k items fewest models solved, hardest first;
+// k is clamped to [0, len(items)].
 // Equal difficulties order by ascending discrimination (among equally
 // hard items, the ones that least separate capability rank first), and
 // the final tie-break is QuestionID, so the listing is a total order
@@ -120,10 +121,7 @@ func HardestItems(items []ItemStats, k int) []ItemStats {
 		}
 		return sorted[i].QuestionID < sorted[j].QuestionID
 	})
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
+	return sorted[:min(max(k, 0), len(sorted))]
 }
 
 // DifficultySpread summarises the distribution of item difficulties per

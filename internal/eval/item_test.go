@@ -103,6 +103,10 @@ func TestHardestItems(t *testing.T) {
 	if len(HardestItems(items, 99)) != 5 {
 		t.Error("k clamp failed")
 	}
+	// A negative k clamps to none instead of panicking.
+	if hard := HardestItems(items, -1); len(hard) != 0 {
+		t.Errorf("k = -1 listed %d items, want 0", len(hard))
+	}
 }
 
 // TestHardestItemsTieBreaks pins the full sort key: difficulty, then

@@ -76,7 +76,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Models []string `json:"models"`
-	}{Models: s.modelNames})
+	}{Models: s.env.ModelNames()})
 }
 
 // parseCategory resolves a ?category= value against the five
@@ -104,7 +104,7 @@ type questionSummary struct {
 func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("collection")
-	bench, ok := s.collection(name)
+	bench, ok := s.env.Collections[collectionName(name)]
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown collection %q", name)
 		return
@@ -197,7 +197,7 @@ func collectionName(name string) string {
 // lookupQuestion resolves {id} within ?collection=.
 func (s *Server) lookupQuestion(w http.ResponseWriter, r *http.Request) (*dataset.Question, bool) {
 	name := r.URL.Query().Get("collection")
-	if _, ok := s.collection(name); !ok {
+	if _, ok := s.env.Collections[collectionName(name)]; !ok {
 		httpError(w, http.StatusNotFound, "unknown collection %q", name)
 		return nil, false
 	}

@@ -57,8 +57,3 @@ func MarshalReports(reports []*eval.Report) ([]byte, error) {
 	}
 	return append(body, '\n'), nil
 }
-
-// marshalReports is the internal alias used by handlers.
-func marshalReports(reports []*eval.Report) ([]byte, error) {
-	return MarshalReports(reports)
-}

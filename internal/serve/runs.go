@@ -4,51 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 
-	"repro/internal/adaptive"
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/visual"
+	"repro/internal/runspec"
 )
 
-// RunSpec is the POST /v1/runs request body. Zero values mean "use the
-// server default"; normalizeSpec fills them in so a stored spec always
-// reads back fully resolved.
-type RunSpec struct {
-	// Kind selects the run flavour: "eval" (default) evaluates a named
-	// collection, "challenge" is sugar for eval over the challenge
-	// collection, "extended" generates a seeded extended fold and
-	// evaluates it shard-by-shard, "adaptive" calibrates a 2PL item
-	// bank over a seeded extended fold (cached per fold) and runs an
-	// IRT tournament with early stopping against it.
-	Kind string `json:"kind,omitempty"`
-	// Collection names the question set for eval runs ("" = standard).
-	Collection string `json:"collection,omitempty"`
-	// Models lists zoo model names to evaluate; empty means all, and
-	// report order follows this list.
-	Models []string `json:"models,omitempty"`
-	// Session is the tenant identity for scheduling; "" = "anonymous".
-	Session string `json:"session,omitempty"`
-	// Workers is the requested worker grant; 0 asks for the session
-	// share, and any request is clamped to it. Negative is an error.
-	Workers int `json:"workers,omitempty"`
-	// Downsample degrades question images by this power-of-two factor
-	// before models see them (1 = original).
-	Downsample int `json:"downsample,omitempty"`
-	// Seed / PerCategory / ShardSize parameterise extended runs.
-	Seed        string `json:"seed,omitempty"`
-	PerCategory int    `json:"per_category,omitempty"`
-	ShardSize   int    `json:"shard_size,omitempty"`
-	// Stream, when "ndjson" or "sse", streams the run's events in the
-	// POST response body itself; the run is then scoped to the request
-	// context, so disconnecting cancels it (deterministic prefix).
-	// Empty launches detached and returns 201 immediately.
-	Stream string `json:"stream,omitempty"`
-}
+// RunSpec is the POST /v1/runs request body, the run definition the
+// CLI shares; a stored spec reads back with its defaults resolved.
+type RunSpec = runspec.Spec
 
 // RunStatus is the wire form of a run's current state.
 type RunStatus struct {
@@ -88,124 +53,7 @@ func (r *run) reportsSnapshot() ([]*eval.Report, runState) {
 	return r.reports, r.state
 }
 
-// decodeRunSpec parses the POST body (strict fields, 1 MiB cap).
-func decodeRunSpec(w http.ResponseWriter, r *http.Request) (RunSpec, error) {
-	var spec RunSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("bad run spec: %v", err)
-	}
-	return spec, nil
-}
-
-// normalizeSpec validates spec and resolves every default in place, so
-// the stored spec fully determines the run.
-func (s *Server) normalizeSpec(spec *RunSpec) error {
-	switch spec.Kind {
-	case "", "eval":
-		spec.Kind = "eval"
-	case "challenge":
-		if spec.Collection != "" && spec.Collection != "challenge" {
-			return fmt.Errorf("kind challenge implies collection challenge, not %q", spec.Collection)
-		}
-		spec.Kind = "eval"
-		spec.Collection = "challenge"
-	case "extended":
-		if spec.Collection != "" {
-			return fmt.Errorf("extended runs generate their own questions; collection must be empty")
-		}
-		if spec.Seed == "" {
-			spec.Seed = "fold-a"
-		}
-		if spec.PerCategory == 0 {
-			spec.PerCategory = 10
-		}
-		if spec.PerCategory < 1 || spec.PerCategory > 2000 {
-			return fmt.Errorf("per_category %d outside [1, 2000]", spec.PerCategory)
-		}
-		if spec.ShardSize == 0 {
-			spec.ShardSize = 64
-		}
-		if spec.ShardSize < 1 || spec.ShardSize > 4096 {
-			return fmt.Errorf("shard_size %d outside [1, 4096]", spec.ShardSize)
-		}
-	case "adaptive":
-		if spec.Collection != "" {
-			return fmt.Errorf("adaptive runs generate their own fold; collection must be empty")
-		}
-		if spec.ShardSize != 0 {
-			return fmt.Errorf("adaptive runs pull one item at a time; shard_size must be empty")
-		}
-		if spec.Seed == "" {
-			spec.Seed = "fold-a"
-		}
-		if spec.PerCategory == 0 {
-			spec.PerCategory = 10
-		}
-		if spec.PerCategory < 1 || spec.PerCategory > 2000 {
-			return fmt.Errorf("per_category %d outside [1, 2000]", spec.PerCategory)
-		}
-	default:
-		return fmt.Errorf("unknown run kind %q", spec.Kind)
-	}
-	if spec.Kind == "eval" {
-		if spec.Seed != "" || spec.PerCategory != 0 || spec.ShardSize != 0 {
-			return fmt.Errorf("seed/per_category/shard_size only apply to extended runs")
-		}
-		if spec.Collection == "" {
-			spec.Collection = "standard"
-		}
-		if _, ok := s.collection(spec.Collection); !ok {
-			return fmt.Errorf("unknown collection %q", spec.Collection)
-		}
-	}
-	if spec.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", spec.Workers)
-	}
-	if spec.Workers > 4096 {
-		return fmt.Errorf("workers %d outside [0, 4096]", spec.Workers)
-	}
-	if spec.Downsample == 0 {
-		spec.Downsample = 1
-	}
-	if !visual.ValidFactor(spec.Downsample) {
-		return fmt.Errorf("downsample must be one of 1,2,4,8,16,32, got %d", spec.Downsample)
-	}
-	if len(spec.Models) == 0 {
-		spec.Models = s.modelNames
-	} else {
-		seen := make(map[string]bool, len(spec.Models))
-		for _, name := range spec.Models {
-			if _, ok := s.modelByName[name]; !ok {
-				return fmt.Errorf("unknown model %q", name)
-			}
-			if seen[name] {
-				return fmt.Errorf("duplicate model %q", name)
-			}
-			seen[name] = true
-		}
-	}
-	if spec.Session == "" {
-		spec.Session = "anonymous"
-	}
-	if len(spec.Session) > 64 {
-		return fmt.Errorf("session name longer than 64 bytes")
-	}
-	for i := 0; i < len(spec.Session); i++ {
-		if c := spec.Session[i]; c < 0x20 || c == 0x7f {
-			return fmt.Errorf("session name contains control characters")
-		}
-	}
-	switch spec.Stream {
-	case "", "ndjson", "sse":
-	default:
-		return fmt.Errorf("stream must be empty, \"ndjson\" or \"sse\", got %q", spec.Stream)
-	}
-	return nil
-}
-
-// launch admits a normalized spec and starts its execution goroutine.
+// launch admits a validated spec and starts its execution goroutine.
 func (s *Server) launch(parent context.Context, spec RunSpec) (*run, error) {
 	leave, err := s.sched.enter(spec.Session)
 	if err != nil {
@@ -228,69 +76,21 @@ func (s *Server) execute(r *run) {
 	defer close(r.done)
 	defer r.cancel()
 	defer r.leave()
-	reports, err := s.runEval(r)
-	r.finish(reports, err)
+	r.finish(s.dispatch(r))
 }
 
-// runEval acquires the worker grant and runs the evaluation, returning
-// whatever reports exist (a deterministic prefix on cancellation).
-func (s *Server) runEval(r *run) ([]*eval.Report, error) {
+// dispatch acquires the worker grant and hands the run to the shared
+// dispatcher, returning whatever reports exist (a deterministic prefix
+// on cancellation).
+func (s *Server) dispatch(r *run) ([]*eval.Report, error) {
 	workers, release, err := s.sched.acquire(r.ctx, r.spec.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	events := 0
-	if r.spec.Kind == "eval" {
-		if b, ok := s.collection(r.spec.Collection); ok {
-			events = len(r.spec.Models) * len(b.Questions)
-		}
-	}
-	r.begin(workers, events)
-	runner := eval.Runner{
-		Workers:  workers,
-		Opts:     eval.InferenceOptions{DownsampleFactor: r.spec.Downsample},
-		Observer: s.observerFor(r),
-	}
-	models := s.modelsFor(r.spec)
-	if r.spec.Kind == "adaptive" {
-		cal, err := s.calibration(r.spec.Seed, r.spec.PerCategory, workers)
-		if err != nil {
-			return nil, err
-		}
-		// The tournament tie-break seed is the fold seed, so a fixed
-		// spec fully determines the transcript (bit-reproducible).
-		res, runErr := cal.Run(r.ctx, runner, models, adaptive.Config{Seed: r.spec.Seed})
-		if res == nil {
-			return nil, runErr
-		}
-		return res.Reports, runErr
-	}
-	if r.spec.Kind == "extended" {
-		reports := make([]*eval.Report, len(models))
-		for i := range reports {
-			reports[i] = &eval.Report{}
-		}
-		spec := r.spec
-		err := runner.EvaluateShardsContext(r.ctx, models, func(yield func(dataset.Shard) error) error {
-			return core.StreamExtended(spec.Seed, spec.PerCategory, spec.ShardSize, yield)
-		}, reports)
-		return reports, err
-	}
-	bench, ok := s.collection(r.spec.Collection)
-	if !ok {
-		return nil, fmt.Errorf("serve: collection %q vanished", r.spec.Collection)
-	}
-	return runner.EvaluateAllContext(r.ctx, models, bench)
-}
-
-// modelsFor resolves the spec's model names (already validated).
-func (s *Server) modelsFor(spec RunSpec) []eval.Model {
-	out := make([]eval.Model, len(spec.Models))
-	for i, name := range spec.Models {
-		out[i] = s.modelByName[name]
-	}
-	return out
+	r.begin(workers, s.env.Events(r.spec))
+	reports, _, err := s.env.Run(r.ctx, r.spec, workers, s.observerFor(r))
+	return reports, err
 }
 
 // observerFor adapts the pipeline's in-order Observer seam onto the
@@ -323,12 +123,15 @@ func (s *Server) observerFor(r *run) eval.Observer {
 
 // handleRunLaunch is POST /v1/runs.
 func (s *Server) handleRunLaunch(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeRunSpec(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	// The body is strict JSON (no unknown fields, 1 MiB cap).
+	var spec RunSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		httpError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}
-	if err := s.normalizeSpec(&spec); err != nil {
+	if err := s.env.Validate(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -474,7 +277,7 @@ func (s *Server) handleRunReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "run %s not finished (state %s)", rn.id, state)
 		return
 	}
-	body, err := marshalReports(reports)
+	body, err := MarshalReports(reports)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

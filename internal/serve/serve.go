@@ -35,9 +35,9 @@ import (
 	"sync"
 
 	"repro/internal/adaptive"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/runspec"
 	"repro/internal/visual"
 )
 
@@ -88,11 +88,8 @@ type Config struct {
 // and call Drain for graceful shutdown.
 type Server struct {
 	collections []Collection
-	byName      map[string]*dataset.Benchmark
 	qIndex      map[string]map[string]*dataset.Question
-	models      []eval.Model
-	modelByName map[string]eval.Model
-	modelNames  []string
+	env         *runspec.Env // built once: every run is validated and dispatched through it
 	cache       *visual.SceneCache
 	sched       *scheduler
 	reg         *registry
@@ -139,24 +136,16 @@ func (s *Server) calibration(seed string, perCategory, workers int) (*adaptive.C
 		s.cals[key] = e
 	}
 	s.calMu.Unlock()
-	if ok {
-		<-e.ready
-		return e.cal, e.err
+	if !ok {
+		e.cal, e.err = runspec.Calibrate(s.base, s.env.Models(), seed, perCategory, workers)
+		if e.err != nil {
+			s.calMu.Lock()
+			delete(s.cals, key)
+			s.calMu.Unlock()
+		}
+		close(e.ready)
 	}
-	// The calibration grid is reference material, not part of any run's
-	// event stream: no observer, full-resolution images.
-	fold, err := core.BuildExtended(seed, perCategory)
-	if err == nil {
-		e.cal, e.err = adaptive.NewCalibration(s.base, eval.Runner{Workers: workers}, s.models, fold)
-	} else {
-		e.err = err
-	}
-	if e.err != nil {
-		s.calMu.Lock()
-		delete(s.cals, key)
-		s.calMu.Unlock()
-	}
-	close(e.ready)
+	<-e.ready
 	return e.cal, e.err
 }
 
@@ -177,20 +166,19 @@ func New(cfg Config) (*Server, error) {
 		cache = visual.Default
 	}
 	s := &Server{
-		byName:      make(map[string]*dataset.Benchmark),
-		qIndex:      make(map[string]map[string]*dataset.Question),
-		modelByName: make(map[string]eval.Model),
-		cache:       cache,
-		reg:         newRegistry(),
-		base:        ctx,
-		accessLog:   cfg.AccessLog,
-		cals:        make(map[string]*calEntry),
+		qIndex:    make(map[string]map[string]*dataset.Question),
+		cache:     cache,
+		reg:       newRegistry(),
+		base:      ctx,
+		accessLog: cfg.AccessLog,
+		cals:      make(map[string]*calEntry),
 	}
+	byName := make(map[string]*dataset.Benchmark)
 	add := func(name string, b *dataset.Benchmark) error {
-		if _, dup := s.byName[name]; dup {
+		if _, dup := byName[name]; dup {
 			return fmt.Errorf("serve: duplicate collection %q", name)
 		}
-		s.byName[name] = b
+		byName[name] = b
 		s.collections = append(s.collections, Collection{Name: name, Benchmark: b})
 		idx := make(map[string]*dataset.Question, b.Len())
 		for _, q := range b.Questions {
@@ -215,15 +203,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	for _, m := range cfg.Models {
-		name := m.Name()
-		if _, dup := s.modelByName[name]; dup {
-			return nil, fmt.Errorf("serve: duplicate model %q", name)
-		}
-		s.modelByName[name] = m
-		s.modelNames = append(s.modelNames, name)
+	env, err := runspec.NewEnv(cfg.Models)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s.models = append([]eval.Model(nil), cfg.Models...)
+	env.Collections = byName
+	env.WireDefaults = true
+	env.MaxPerCategory = 2000
+	env.Calibrate = s.calibration
+	s.env = env
 	s.sched = newScheduler(eval.NewWorkerPool(cfg.PoolWorkers), cfg.MaxSessions, cfg.WorkersPerSession)
 	s.mux = s.routes()
 	return s, nil
@@ -269,13 +257,4 @@ func (s *Server) Drain(ctx context.Context) int {
 	forced := s.reg.cancelAll()
 	s.reg.waitIdleForever()
 	return forced
-}
-
-// collection resolves a collection name ("" = standard).
-func (s *Server) collection(name string) (*dataset.Benchmark, bool) {
-	if name == "" {
-		name = "standard"
-	}
-	b, ok := s.byName[name]
-	return b, ok
 }
