@@ -562,8 +562,10 @@ func BenchmarkStreamExtendedEval(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	// Fresh reports every fold, as stream_16x evaluates them: reused
+	// reports would hide what sizing each fold's results costs.
 	for i := 0; i < b.N; i++ {
-		run(pooled, reports)
+		run(pooled, newReports())
 	}
 	b.ReportMetric(float64(b.N*len(models)*5*perCategory)/b.Elapsed().Seconds(), "events/s")
 }

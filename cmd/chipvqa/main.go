@@ -175,10 +175,11 @@ commands:
   serve        eval-as-a-service HTTP daemon (-addr, -max-sessions,
                -workers-per-session, -drain-timeout, -packed file, -accesslog file)
 
-evaluation commands take -workers N: 0 = auto (GOMAXPROCS), 1 = serial. The run
-commands (eval, challenge, resolution, items, extended, adaptive) take what serve
-takes: -workers 0-4096, -shard 1-4096, -n >= 1 with no ceiling offline (serve caps
-per_category at 2000), -budget >= 0, -k >= 0; any other value exits 2.`)
+evaluation commands take -workers N: 0 = auto (GOMAXPROCS), 1 = serial, at most
+4096. The run commands (eval, challenge, resolution, items, extended, adaptive)
+take what serve takes: -workers 0-4096, -shard 1-4096, -n >= 1 with no ceiling
+offline (serve caps per_category at 2000), -budget >= 0, -k >= 0; any other value,
+and a -workers outside 0-4096 for agent or compare, exits 2.`)
 }
 
 // workersFlag registers the shared -workers knob: 0 (default) lets the
@@ -190,8 +191,9 @@ func workersFlag(fs *flag.FlagSet) *int {
 // runEnv builds the suite and the CLI's run environment over its zoo
 // and collections (standard and challenge, as serve names them), lets
 // setup adjust it, and validates specs under it before any runs: a
-// rejected spec is a usage error. Unlike serve's, the environment
-// reads no zero as a default and caps no fold.
+// rejected spec is a usage error, which names the flag, not the spec
+// field, a bad value came from. Unlike serve's, the environment reads
+// no zero as a default and caps no fold.
 func runEnv(setup func(*chipvqa.Suite, *runspec.Env), specs ...*runspec.Spec) (*runspec.Env, error) {
 	suite, err := chipvqa.NewSuite()
 	if err != nil {
@@ -207,10 +209,39 @@ func runEnv(setup func(*chipvqa.Suite, *runspec.Env), specs ...*runspec.Spec) (*
 	}
 	for _, spec := range specs {
 		if err := env.Validate(spec); err != nil {
+			var fe *runspec.FieldError
+			if errors.As(err, &fe) {
+				return nil, usagef("%s %s", specFlag(fe.Field), fe.Problem)
+			}
 			return nil, usageError{msg: err.Error()}
 		}
 	}
 	return env, nil
+}
+
+// checkedSuite is the suite for a command that runs through the
+// facade rather than a spec (agent, compare): it refuses a -workers
+// value the run commands refuse, with their wording, by validating the
+// standard-collection run the command makes.
+func checkedSuite(workers int) (*chipvqa.Suite, error) {
+	var suite *chipvqa.Suite
+	spec := runspec.Spec{Downsample: 1, Workers: workers}
+	if _, err := runEnv(func(s *chipvqa.Suite, _ *runspec.Env) { suite = s }, &spec); err != nil {
+		return nil, err
+	}
+	suite.Workers = workers
+	return suite, nil
+}
+
+// specFlag names the run-command flag that sets a spec field.
+func specFlag(field string) string {
+	switch field {
+	case "per_category":
+		return "-n"
+	case "shard_size":
+		return "-shard"
+	}
+	return "-" + field // -workers, -downsample
 }
 
 // interrupted reports whether err ended a run early on SIGINT/SIGTERM
@@ -306,11 +337,10 @@ func cmdAgent(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
+	suite, err := checkedSuite(*workers)
 	if err != nil {
 		return err
 	}
-	suite.Workers = *workers
 	vals, err := suite.TableIIIContext(ctx)
 	if err != nil {
 		return err
@@ -534,7 +564,7 @@ func cmdExtended(ctx context.Context, args []string) error {
 			return yield(sh)
 		}
 		if ext != nil {
-			return count(chipvqa.Shard{Questions: ext.Questions})
+			return count(chipvqa.Shard{Questions: ext.Questions, Total: len(ext.Questions)})
 		}
 		if *packed == "" {
 			return chipvqa.StreamExtended(spec.Seed, spec.PerCategory, spec.ShardSize, count)
@@ -667,11 +697,10 @@ func cmdCompare(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	suite, err := chipvqa.NewSuite()
+	suite, err := checkedSuite(*workers)
 	if err != nil {
 		return err
 	}
-	suite.Workers = *workers
 	res, cis, err := suite.CompareContext(ctx, *a, *b)
 	if err != nil {
 		return err

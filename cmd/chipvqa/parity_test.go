@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -109,6 +110,9 @@ func TestRunSpecParity(t *testing.T) {
 		{"adaptive negative workers", cmdAdaptive, []string{"-n", "2", "-workers", "-1"}, ""},
 		{"items negative workers", cmdItems, []string{"-workers", "-1"}, ""},
 		{"items negative k", cmdItems, []string{"-k", "-1"}, ""},
+		{"agent negative workers", cmdAgent, []string{"-workers", "-1"}, `{"workers":-1}`},
+		{"agent too many workers", cmdAgent, []string{"-workers", "4097"}, `{"workers":4097}`},
+		{"compare negative workers", cmdCompare, []string{"-workers", "-3"}, `{"workers":-3}`},
 	}
 	for _, c := range invalid {
 		out, err := captureStdout(t, func() error { return c.cmd(context.Background(), c.args) })
@@ -183,6 +187,45 @@ func TestRunSpecParity(t *testing.T) {
 		}
 		if !bytes.Equal(served, offline) {
 			t.Errorf("%s: served report (%d bytes) differs from the CLI's (%d bytes)", c.name, len(served), len(offline))
+		}
+	}
+}
+
+// TestRunRejectionsNameFlags pins who names a rejected value: the CLI
+// says which flag was wrong, in the line main prints to stderr, and
+// serve's 400 body keeps the spec field's wire name.
+func TestRunRejectionsNameFlags(t *testing.T) {
+	cases := []struct {
+		cmd  func(context.Context, []string) error
+		args []string
+		want string
+	}{
+		{cmdExtended, []string{"-n", "0", "-eval"}, "chipvqa: -n must be >= 1, got 0\n"},
+		{cmdExtended, []string{"-n", "1", "-eval", "-stream", "-shard", "0"}, "chipvqa: -shard 0 outside [1, 4096]\n"},
+		{cmdExtended, []string{"-n", "1", "-eval", "-downsample", "3"}, "chipvqa: -downsample must be one of 1,2,4,8,16,32, got 3\n"},
+		{cmdAdaptive, []string{"-n", "-1"}, "chipvqa: -n must be >= 1, got -1\n"},
+		{cmdEval, []string{"-workers", "-1"}, "chipvqa: -workers -1 outside [0, 4096]\n"},
+		{cmdAgent, []string{"-workers", "-1"}, "chipvqa: -workers -1 outside [0, 4096]\n"},
+		{cmdCompare, []string{"-workers", "-3"}, "chipvqa: -workers -3 outside [0, 4096]\n"},
+	}
+	for _, c := range cases {
+		_, err := captureStdout(t, func() error { return c.cmd(context.Background(), c.args) })
+		// main prints a command's error to stderr exactly so.
+		if got := fmt.Sprintln("chipvqa:", err); got != c.want {
+			t.Errorf("%v: stderr %q, want %q", c.args, got, c.want)
+		}
+	}
+
+	base := startParityServer(t)
+	for wire, want := range map[string]string{
+		`{"kind":"extended","per_category":-2}`: "per_category must be >= 1, got -2",
+		`{"kind":"extended","shard_size":-1}`:   "shard_size -1 outside [1, 4096]",
+		`{"workers":-1}`:                        "workers -1 outside [0, 4096]",
+	} {
+		code, body := post(t, base, wire)
+		var got struct{ Error string }
+		if err := json.Unmarshal(body, &got); err != nil || code != http.StatusBadRequest || got.Error != want {
+			t.Errorf("POST %s = %d (%s), want 400 saying %q", wire, code, body, want)
 		}
 	}
 }

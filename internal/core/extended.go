@@ -45,8 +45,10 @@ func BuildExtended(seed string, perCategory int) (*dataset.Benchmark, error) {
 // loop each registered discipline's ExtraAt over the same (seed, index)
 // pairs, and ExtraAt is a pure function of them.
 //
-// yield is called once per shard, in order, on the calling goroutine;
-// returning a non-nil error stops the stream and propagates the error.
+// Every shard carries the fold's size (perCategory per registered
+// discipline) as its Total. yield is called once per shard, in order,
+// on the calling goroutine; returning a non-nil error stops the stream
+// and propagates the error.
 // Generation runs one shard ahead: while yield consumes shard k, one
 // goroutine builds shard k+1, which is handed over when yield returns.
 // Every shard gets its own freshly allocated Questions slice, so at
@@ -112,7 +114,7 @@ func StreamExtended(seed string, perCategory, shardSize int, yield func(dataset.
 		if inflight {
 			go func() { ahead <- build(next, min(next+shardSize, total)) }()
 		}
-		if err := yield(dataset.Shard{Index: idx, Start: start, Questions: cur.qs}); err != nil {
+		if err := yield(dataset.Shard{Index: idx, Start: start, Questions: cur.qs, Total: total}); err != nil {
 			return err
 		}
 		if !inflight {

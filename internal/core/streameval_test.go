@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -92,4 +93,59 @@ func TestStreamingEval100kEnvelope(t *testing.T) {
 	}
 	peak := streamEvalEnvelope(t, "envelope-100k", 20000, 1024, 1<<20)
 	t.Logf("peak SceneCache bytes over 100k questions: %d (budget %d)", peak, 1<<20)
+}
+
+// TestEvaluateShardsKnownAndUnknownTotal: StreamExtended's shards carry
+// the fold's size and a pack stream's carry none. Either way, at every
+// worker count, shard-at-a-time evaluation gives reports byte-identical
+// to a monolithic one; a known size gives each report exactly that
+// capacity.
+func TestEvaluateShardsKnownAndUnknownTotal(t *testing.T) {
+	const perCategory, shardSize = 9, 7
+	fold, err := BuildExtended("total", perCategory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := vlm.NewZoo(fold).EvalModels()[:3]
+	mono := evalReportsJSON(t, eval.Runner{Workers: 1}.EvaluateAll(models, fold))
+	pack := packBytes(t, fold)
+	streams := []struct {
+		name   string
+		total  int
+		shards func(func(dataset.Shard) error) error
+	}{
+		{"StreamExtended", fold.Len(), func(yield func(dataset.Shard) error) error {
+			return StreamExtended("total", perCategory, shardSize, yield)
+		}},
+		{"StreamPack", 0, func(yield func(dataset.Shard) error) error {
+			return dataset.StreamPack(bytes.NewReader(pack), shardSize, yield)
+		}},
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, s := range streams {
+			reps := make([]*eval.Report, len(models))
+			for i := range reps {
+				reps[i] = &eval.Report{}
+			}
+			err := eval.Runner{Workers: workers}.EvaluateShardsContext(context.Background(), models, func(yield func(dataset.Shard) error) error {
+				return s.shards(func(sh dataset.Shard) error {
+					if sh.Total != s.total {
+						t.Errorf("%s shard %d: Total %d, want %d", s.name, sh.Index, sh.Total, s.total)
+					}
+					return yield(sh)
+				})
+			}, reps)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", s.name, workers, err)
+			}
+			if got := evalReportsJSON(t, reps); string(got) != string(mono) {
+				t.Errorf("%s workers=%d: reports differ from monolithic evaluation", s.name, workers)
+			}
+			for _, rep := range reps {
+				if s.total > 0 && cap(rep.Results) != s.total {
+					t.Errorf("%s workers=%d %s: cap %d, want %d", s.name, workers, rep.ModelName, cap(rep.Results), s.total)
+				}
+			}
+		}
+	}
 }

@@ -1013,7 +1013,8 @@ func parsePack(img string, workers int) (*Benchmark, error) {
 // Questions slice must not be retained after yield returns. Unlike
 // ReadPack it reads and decodes incrementally — peak memory stays
 // bounded by one shard plus the intern table, which is the point of
-// streaming.
+// streaming. Its shards leave Total at 0: a pack's header carries no
+// question count.
 func StreamPack(r io.Reader, shardSize int, yield func(Shard) error) error {
 	if shardSize <= 0 {
 		return fmt.Errorf("dataset: pack: shardSize must be positive, got %d", shardSize)

@@ -18,6 +18,13 @@ type Shard struct {
 	Start int
 	// Questions holds the shard's window of the fold.
 	Questions []*Question
+	// Total is the fold's question count, the same on every shard of
+	// a stream, when the producer knows it up front; 0 means unknown.
+	// StreamExtended knows it from its arguments, a pack stream does
+	// not (its header carries no count). A consumer may size its
+	// per-fold buffers from it once, at the first shard, instead of
+	// growing them shard by shard.
+	Total int
 }
 
 // End returns the global index one past the shard's last question.

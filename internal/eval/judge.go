@@ -113,7 +113,9 @@ func extractChoiceLetter(response string) (int, bool) {
 			break
 		}
 	}
-	for _, prefix := range choicePrefixes {
+	// Range over a pointer: ranging over the array value would copy
+	// all six strings on every call.
+	for _, prefix := range &choicePrefixes {
 		t := s
 		if prefix != "" && hasFoldPrefixASCII(s, prefix) {
 			t = s[len(prefix):]

@@ -120,6 +120,10 @@ type Pipeline struct {
 	// the package clock seam (clock.go). Tests pin it for reproducible
 	// timestamps.
 	Clock func() time.Time
+	// ring, when set, lends the run its reorder ring: a shard stream
+	// runs one pipeline per shard and keeps one ring for all of them.
+	// Nil allocates a ring for this run alone.
+	ring *reorderRing
 }
 
 // Run executes the pipeline until the scheduler drains or ctx is
@@ -164,7 +168,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 	gate := newSchedGate()
 	d := &delivery{
-		ring:    make([]slot, ringSize(sched, nw)),
+		ring:    p.ring.take(ringSize(sched, nw)),
 		workers: nw,
 		done:    ctx.Done(),
 		sink:    p.Sink,
@@ -293,6 +297,32 @@ func ringSize(sched ItemScheduler, workers int) int {
 		n = max(s.n, 1)
 	}
 	return n
+}
+
+// reorderRing keeps one reorder ring for pipelines that run one after
+// another, so a shard stream allocates and zeroes its ring once instead
+// of once per shard.
+type reorderRing struct {
+	slots []slot
+}
+
+// take returns a ring of n slots, each free for lap 0. A nil r, or one
+// too small for n, allocates afresh; otherwise only the slot states
+// are reset. Stale events stay in the slots: a slot's event is
+// overwritten by park before its state lets the drainer read it.
+func (r *reorderRing) take(n int) []slot {
+	if r == nil {
+		return make([]slot, n)
+	}
+	if cap(r.slots) < n {
+		r.slots = make([]slot, n)
+		return r.slots
+	}
+	s := r.slots[:n]
+	for i := range s {
+		s[i].state.Store(0)
+	}
+	return s
 }
 
 // Slot phases: the low two bits of slot.state. The remaining bits hold

@@ -153,9 +153,9 @@ func forEach(ctx context.Context, workers, n int, fn func(int)) {
 }
 
 // run evaluates every event sched issues and hands each to sink in
-// canonical order. It is the only place this package builds a
-// Pipeline.
-func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink) error {
+// canonical order, in a reorder ring borrowed from ring (nil: the run's
+// own). It is the only place this package builds a Pipeline.
+func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink, ring *reorderRing) error {
 	p := &Pipeline{
 		Scheduler: sched,
 		Infer:     modelInference{opts: r.Opts},
@@ -163,6 +163,7 @@ func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink) error {
 		Sink:      sink,
 		Observer:  r.Observer,
 		Workers:   r.EffectiveWorkers(),
+		ring:      ring,
 	}
 	return p.Run(ctx)
 }
@@ -183,13 +184,15 @@ func (r Runner) EvaluateContext(ctx context.Context, m Model, b *dataset.Benchma
 	return out[0], err
 }
 
-// sizeResults truncates rs for refilling, reallocating only when the
-// capacity cannot hold n results.
+// sizeResults makes room for n results in rs, keeping those it holds:
+// it reallocates, at exactly n, only when the capacity cannot hold
+// them. A shard stream calls it with the fold's size on every shard,
+// so the one reallocation happens at the first.
 func sizeResults(rs []QuestionResult, n int) []QuestionResult {
-	if cap(rs) < n {
-		return make([]QuestionResult, 0, n)
+	if cap(rs) >= n {
+		return rs
 	}
-	return rs[:0]
+	return append(make([]QuestionResult, 0, n), rs...)
 }
 
 // EvaluateAll runs every model and returns reports in input order. The
@@ -229,13 +232,10 @@ func (r Runner) EvaluateAllContext(ctx context.Context, models []Model, b *datas
 // overwritten and its Results refilled in place when capacity fits, so
 // a grid evaluated repeatedly — resolution sweeps, benchmark loops —
 // reuses its QuestionResult buffers across runs. The benchmark runs as
-// a one-shard stream.
+// a one-shard stream that knows its size.
 func (r Runner) EvaluateAllInto(ctx context.Context, models []Model, b *dataset.Benchmark, reports []*Report) error {
-	for _, rep := range reports {
-		rep.Results = sizeResults(rep.Results, len(b.Questions))
-	}
 	return r.EvaluateShardsContext(ctx, models, func(yield func(dataset.Shard) error) error {
-		return yield(dataset.Shard{Questions: b.Questions})
+		return yield(dataset.Shard{Questions: b.Questions, Total: len(b.Questions)})
 	}, reports)
 }
 

@@ -11,8 +11,17 @@ import (
 // large to hold in memory arrives shard by shard, and EvaluateAll is
 // the one-shard case over a whole benchmark. The stream callback drives
 // the run — StreamExtended regenerates shards, StreamPack decodes them
-// from a packed fold — and each shard's questions are released to the
-// garbage collector as soon as the next shard arrives.
+// from a packed fold — and each shard runs as one pipeline over its
+// model-major grid.
+//
+// A call pays for its buffers once, not once per shard. Its shards'
+// pipelines borrow one reorder ring (reorderRing), which grows only
+// when a later shard needs more slots than the earlier ones did; events
+// a shard leaves in the ring keep that shard's questions reachable
+// until the next shard's events overwrite them or the call returns.
+// When the stream knows its fold's size (dataset.Shard.Total), each
+// report's Results gets exactly that capacity at the first shard;
+// otherwise (StreamPack) the results grow by appending.
 //
 // Reports are byte-identical to a monolithic EvaluateAll over the
 // concatenated questions: every stochastic decision in the pipeline is
@@ -51,14 +60,27 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 	if len(models) == 0 {
 		return nil
 	}
+	// What the shards share, in one allocation for the whole call.
+	c := &shardCall{sink: reportSink{reports: reports}}
 	return stream(func(sh dataset.Shard) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		for _, rep := range reports {
+			rep.Results = sizeResults(rep.Results, sh.Total)
+		}
 		if len(sh.Questions) == 0 {
 			return nil
 		}
-		return r.run(ctx, newSourceScheduler(gridSource{models: models, questions: sh.Questions}),
-			&reportSink{nq: len(sh.Questions), reports: reports})
+		c.sink.nq = len(sh.Questions)
+		return r.run(ctx, newSourceScheduler(gridSource{models: models, questions: sh.Questions}), &c.sink, &c.ring)
 	})
+}
+
+// shardCall is the state one EvaluateShardsContext call keeps across
+// its shards: the sink, re-pointed at each shard's grid, and the
+// reorder ring every shard's pipeline borrows.
+type shardCall struct {
+	sink reportSink
+	ring reorderRing
 }

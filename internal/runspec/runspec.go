@@ -112,6 +112,8 @@ func (e *Env) ModelNames() []string { return e.names }
 
 // Validate checks spec and resolves its defaults in place. A rejected
 // spec is the caller's error: serve answers 400 and the CLI exits 2.
+// A bad workers, downsample, per_category or shard_size value is a
+// *FieldError.
 func (e *Env) Validate(spec *Spec) error {
 	switch spec.Kind {
 	case "", "eval":
@@ -140,13 +142,13 @@ func (e *Env) Validate(spec *Spec) error {
 			}
 		}
 		if spec.PerCategory < 1 {
-			return fmt.Errorf("per_category must be >= 1, got %d", spec.PerCategory)
+			return fieldErr("per_category", "must be >= 1, got %d", spec.PerCategory)
 		}
 		if e.MaxPerCategory > 0 && spec.PerCategory > e.MaxPerCategory {
-			return fmt.Errorf("per_category %d outside [1, %d]", spec.PerCategory, e.MaxPerCategory)
+			return fieldErr("per_category", "%d outside [1, %d]", spec.PerCategory, e.MaxPerCategory)
 		}
 		if spec.Kind == "extended" && (spec.ShardSize < 1 || spec.ShardSize > 4096) {
-			return fmt.Errorf("shard_size %d outside [1, 4096]", spec.ShardSize)
+			return fieldErr("shard_size", "%d outside [1, 4096]", spec.ShardSize)
 		}
 		if spec.Kind == "adaptive" && e.Tournament != nil && e.Tournament.TotalBudget < 0 {
 			return fmt.Errorf("budget must be >= 0, got %d", e.Tournament.TotalBudget)
@@ -166,13 +168,13 @@ func (e *Env) Validate(spec *Spec) error {
 		}
 	}
 	if spec.Workers < 0 || spec.Workers > 4096 {
-		return fmt.Errorf("workers %d outside [0, 4096]", spec.Workers)
+		return fieldErr("workers", "%d outside [0, 4096]", spec.Workers)
 	}
 	if e.WireDefaults && spec.Downsample == 0 {
 		spec.Downsample = 1
 	}
 	if !visual.ValidFactor(spec.Downsample) {
-		return fmt.Errorf("downsample must be one of 1,2,4,8,16,32, got %d", spec.Downsample)
+		return fieldErr("downsample", "must be one of 1,2,4,8,16,32, got %d", spec.Downsample)
 	}
 	if len(spec.Models) == 0 {
 		spec.Models = e.names
@@ -200,6 +202,21 @@ func (e *Env) Validate(spec *Spec) error {
 		return fmt.Errorf("stream must be empty, \"ndjson\" or \"sse\", got %q", spec.Stream)
 	}
 	return nil
+}
+
+// FieldError rejects a spec for the value of one field: Field is its
+// JSON name and Problem what is wrong with the value. serve reports
+// it as is; the CLI names the flag that set the field instead.
+type FieldError struct {
+	Field   string
+	Problem string
+}
+
+func (e *FieldError) Error() string { return e.Field + " " + e.Problem }
+
+// fieldErr builds a FieldError.
+func fieldErr(field, format string, args ...any) error {
+	return &FieldError{Field: field, Problem: fmt.Sprintf(format, args...)}
 }
 
 // Events is how many events a validated eval run delivers; 0 for the
