@@ -534,10 +534,10 @@ func cmdAsk(_ context.Context, args []string) error {
 func cmdExtended(ctx context.Context, args []string) error {
 	fs := newFlagSet("extended")
 	seed := fs.String("seed", "fold-a", "fold seed; different seeds give disjoint collections")
-	n := fs.Int("n", 10, "questions per category")
+	n := fs.Int("n", 10, "questions per category; not with -packed, whose fold fixes its size")
 	out := fs.String("o", "", "optional JSON output file")
 	evalModels := fs.Bool("eval", false, "also evaluate all models on the extended collection")
-	packed := fs.String("packed", "", "load the fold from a packed .cvqb file instead of generating")
+	packed := fs.String("packed", "", "load the fold from a packed .cvqb file instead of generating; incompatible with -n")
 	stream := fs.Bool("stream", false, "with -eval: evaluate shard-at-a-time, never holding the fold in memory")
 	shardSize := fs.Int("shard", 512, "shard size for -stream")
 	downsample := fs.Int("downsample", 1, "image downsample factor for evaluation: 1 (full resolution), 2, 4, 8, 16 or 32; §IV-B uses 8 and 16")
@@ -547,6 +547,13 @@ func cmdExtended(ctx context.Context, args []string) error {
 	}
 	if *stream && (*out != "" || !*evalModels) {
 		return usagef("-stream requires -eval and is incompatible with -o (the fold is never materialised)")
+	}
+	if *packed != "" {
+		nSet := false
+		fs.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
+		if nSet {
+			return usagef("-packed is incompatible with -n (the pack fixes the fold's size)")
+		}
 	}
 	spec := runspec.Spec{Kind: "extended", Seed: *seed, PerCategory: *n, ShardSize: *shardSize,
 		Downsample: *downsample, Workers: *workers}

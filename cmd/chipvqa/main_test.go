@@ -179,6 +179,32 @@ func TestCmdExtendedPackedStream(t *testing.T) {
 	}
 }
 
+// TestCmdExtendedPackedRejectsN checks that -n beside -packed is a
+// usage error naming both flags, with nothing on stdout, whether or
+// not the run streams and whatever -n says: the pack fixes the fold.
+func TestCmdExtendedPackedRejectsN(t *testing.T) {
+	pack := filepath.Join(t.TempDir(), "fold.cvqb")
+	if err := cmdPack(context.Background(), []string{"-seed", "cli-test", "-n", "1", "-o", pack}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-packed", pack, "-n", "0", "-eval"},
+		{"-packed", pack, "-n", "3", "-eval"},
+		{"-packed", pack, "-n", "10"},
+		{"-packed", pack, "-n", "0", "-eval", "-stream"},
+		{"-packed", pack, "-n", "3", "-eval", "-stream", "-shard", "4"},
+	} {
+		out, err := captureStdout(t, func() error { return cmdExtended(context.Background(), args) })
+		if exitCode(err) != 2 || len(out) != 0 {
+			t.Errorf("extended %v: exit %d (%v), %d bytes on stdout; want a usage error and empty stdout", args, exitCode(err), err, len(out))
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-packed") || !strings.Contains(msg, "-n") {
+			t.Errorf("extended %v: error %q does not name -packed and -n", args, msg)
+		}
+	}
+}
+
 func TestCmdCompare(t *testing.T) {
 	if err := cmdCompare(context.Background(), []string{"-a", "GPT4o", "-b", "kosmos-2"}); err != nil {
 		t.Fatal(err)

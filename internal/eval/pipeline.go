@@ -23,9 +23,11 @@ import (
 // Event is the per-question unit of work flowing through the pipeline.
 // The ItemScheduler's Next seeds Seq, Model and Question in every run
 // (a Pipeline.Source is wrapped in a scheduler too); Inference fills
-// Response; JudgeStage fills Correct; when the pipeline has an
-// Observer, the delivery layer stamps At just before the Sink and
-// Observer see the event.
+// Response; JudgeStage fills Correct. Only those five fields cross the
+// reorder ring: the rest are set at delivery, where the scheduler's
+// Record may annotate the event and, when the pipeline has an
+// Observer, the clock stamps At, just before the Sink and Observer see
+// it. Whatever Next, a Source or a stage leaves in them is dropped.
 type Event struct {
 	// Seq is the event's position in the run's canonical order: the
 	// question index for single-model runs, the flattened model-major
@@ -44,8 +46,9 @@ type Event struct {
 	// Ability/AbilitySE carry the model's posterior ability estimate
 	// after this outcome, and StopReason is non-empty on the model's
 	// final event ("separated", "precise", "budget", "exhausted").
-	// Static sources leave all four zero; reports never contain them,
-	// so the byte-identity guarantees are untouched.
+	// Only Record sets them, at delivery; static sources leave all
+	// four zero. Reports never contain them, so the byte-identity
+	// guarantees are untouched.
 	Adaptive   bool
 	Ability    float64
 	AbilitySE  float64
@@ -284,7 +287,7 @@ func staticBlock(n, workers int) int {
 // small window would turn every such stall into backpressure.
 const ringPerWorker = 4096
 
-// ringMax caps the window (about 9 MB of slots) however many workers
+// ringMax caps the window (about 3.7 MB of slots) however many workers
 // a caller asks for.
 const ringMax = 1 << 16
 
@@ -335,10 +338,16 @@ const (
 	lapShift    = 2
 )
 
-// slot is one reorder-window cell.
+// slot is one reorder-window cell. It holds only what a worker
+// produces for its Seq, which the slot itself implies: the fields a
+// delivered Event gets later (At, the adaptive annotations) are set by
+// emit, so they never pass through the ring.
 type slot struct {
-	state atomic.Uint64
-	ev    Event
+	state    atomic.Uint64
+	model    Model
+	question *dataset.Question
+	response string
+	correct  bool
 }
 
 // delivery is the reorder buffer between the parallel stages and the
@@ -361,6 +370,10 @@ type delivery struct {
 	clock   func() time.Time
 	sched   ItemScheduler
 	gate    *schedGate
+	// ev is the event being delivered, rebuilt from its slot for each
+	// Seq. Only the drainer touches it; a field rather than a local,
+	// so passing it to Record does not move it to the heap per event.
+	ev Event
 	// The drainer writes next on every event and every worker that
 	// parked tries for the drain role: each sits on its own cache
 	// line, so neither write evicts the fields above, which the
@@ -385,9 +398,10 @@ func (d *delivery) slotFor(seq uint64) (*slot, uint64) {
 	return &d.ring[seq%w], seq / w << lapShift
 }
 
-// park copies ev into the ring slot its Seq names and marks it ready
-// for the drainer. A Seq the ring has already taken — parked, being
-// written, or emitted — is the scheduler's repeated-Seq breach.
+// park copies ev's model, question, response and verdict into the
+// ring slot its Seq names and marks it ready for the drainer. A Seq
+// the ring has already taken — parked, being written, or emitted — is
+// the scheduler's repeated-Seq breach.
 func (d *delivery) park(ev *Event) {
 	if ev.Seq < 0 {
 		d.repeated(ev.Seq)
@@ -415,7 +429,7 @@ func (d *delivery) park(ev *Event) {
 			return
 		}
 	}
-	sl.ev = *ev
+	sl.model, sl.question, sl.response, sl.correct = ev.Model, ev.Question, ev.Response, ev.Correct
 	sl.state.Store(free | slotReady)
 }
 
@@ -469,9 +483,9 @@ func (d *delivery) drain() {
 
 // emit delivers ready slots in Seq order until it reaches one not yet
 // ready, returning how many it delivered. The caller holds the drain
-// role; each slot's event is recorded, stamped (if an observer
-// listens) and handed to the sink and observer in place, then the slot
-// is freed for its next lap.
+// role. Each slot's event is assembled once into d.ev, recorded,
+// stamped (if an observer listens) and handed to the sink and
+// observer, then the slot is freed for its next lap.
 //
 //hot:deliver per-event reorder drain; nothing here may allocate
 func (d *delivery) emit() int {
@@ -490,19 +504,21 @@ func (d *delivery) emit() int {
 		if sl.state.Load() != free|slotReady {
 			break
 		}
+		ev := &d.ev
+		*ev = Event{Seq: int(next), Model: sl.model, Question: sl.question, Response: sl.response, Correct: sl.correct}
 		// The scheduler hears the judged outcome first — in canonical
 		// Seq order — and may annotate the event (ability, stop reason)
 		// before the sink and observer see it.
-		d.sched.Record(&sl.ev)
+		d.sched.Record(ev)
 		if d.obs != nil {
 			// Only observers read At; skip the clock read without one.
-			sl.ev.At = d.clock()
+			ev.At = d.clock()
 		}
 		if d.sink != nil {
-			d.sink.Consume(sl.ev)
+			d.sink.Consume(*ev)
 		}
 		if d.obs != nil {
-			d.obs.Observe(sl.ev)
+			d.obs.Observe(*ev)
 		}
 		next++
 		d.next.Store(int64(next))

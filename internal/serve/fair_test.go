@@ -59,7 +59,7 @@ func TestServeMultiTenantFairness(t *testing.T) {
 	const tenants = 8
 	cfg := testConfig(t)
 	cfg.MaxSessions = tenants
-	_, ts := startServer(t, cfg)
+	s, ts := startServer(t, cfg)
 
 	// Sequential reference: one tenant alone on the pool.
 	ref, err := streamRunLines(ts, `{"models":["GPT4o","LLaVA-7b"],"session":"ref","stream":"ndjson"}`)
@@ -111,7 +111,14 @@ func TestServeMultiTenantFairness(t *testing.T) {
 		t.Fatalf("collected %d tenant results, want %d", seen, tenants)
 	}
 
-	// The pool must be whole again and no session budget leaked.
+	// The pool must be whole again and no session budget leaked. A
+	// client sees done before its run's execution goroutine has
+	// exited, so wait for every run to exit before reading /healthz.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.reg.waitIdle(ctx); err != nil {
+		t.Fatalf("runs still in flight after 5s: %v", err)
+	}
 	var h struct {
 		Sessions int `json:"sessions"`
 		Active   int `json:"active"`

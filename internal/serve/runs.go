@@ -75,8 +75,12 @@ func (s *Server) execute(r *run) {
 	defer s.reg.runExited()
 	defer close(r.done)
 	defer r.cancel()
-	defer r.leave()
-	r.finish(s.dispatch(r))
+	reports, err := s.dispatch(r)
+	// Leave the session before finish publishes the done line: until
+	// then the finished run still counts against -max-sessions, and a
+	// tenant arriving just after done could be refused.
+	r.leave()
+	r.finish(reports, err)
 }
 
 // dispatch acquires the worker grant and hands the run to the shared
