@@ -239,23 +239,30 @@ var judgeSink int
 // on the challenge collection, every answer read from the Zoo's tables.
 func BenchmarkZooAnswer(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	benchmarkZooAnswer(b, zooModels(b, suite), suite.Benchmark.Questions, suite.ChallengeSet.Questions)
+	benchmarkZooAnswer(b, zooModels(b, suite), chipvqa.InferenceOptions{},
+		suite.Benchmark.Questions, suite.ChallengeSet.Questions)
 }
 
 // BenchmarkZooAnswerUncalibrated times the same models on a
 // 100-per-category extended fold, questions the Zoo was not calibrated
 // on: the general answer path the stream_16x and adaptive_bank
-// workloads take.
+// workloads take, at full resolution (adaptive_bank) and at 16x
+// (stream_16x), where every answer first runs perception.
 func BenchmarkZooAnswerUncalibrated(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
 	fold, err := suite.Extended("zoo-answer", 100)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchmarkZooAnswer(b, zooModels(b, suite), fold.Questions)
+	models := zooModels(b, suite)
+	for _, factor := range []int{1, 16} {
+		b.Run(fmt.Sprintf("%dx", factor), func(b *testing.B) {
+			benchmarkZooAnswer(b, models, chipvqa.InferenceOptions{DownsampleFactor: factor}, fold.Questions)
+		})
+	}
 }
 
-func benchmarkZooAnswer(b *testing.B, models []chipvqa.Model, sets ...[]*chipvqa.Question) {
+func benchmarkZooAnswer(b *testing.B, models []chipvqa.Model, opts chipvqa.InferenceOptions, sets ...[]*chipvqa.Question) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -263,7 +270,7 @@ func benchmarkZooAnswer(b *testing.B, models []chipvqa.Model, sets ...[]*chipvqa
 		for _, m := range models {
 			for _, qs := range sets {
 				for _, q := range qs {
-					n += len(m.Answer(q, chipvqa.InferenceOptions{}))
+					n += len(m.Answer(q, opts))
 				}
 			}
 		}

@@ -211,7 +211,7 @@ func MixedScene(title string, schematicLabel string, tableRows [][2]string) *vis
 				Type: visual.ElemCell, Name: fmt.Sprintf("t%d-%d", r, c), Label: row[c],
 				X: x0 + float64(c)*cw, Y: y0 + float64(r)*ch,
 				X2: x0 + float64(c+1)*cw, Y2: y0 + float64(r+1)*ch,
-				Attrs:    map[string]string{"row": fmt.Sprint(r), "col": fmt.Sprint(c)},
+				Attrs:    visual.CellAttrs(r, c),
 				Salience: 0.68, Critical: c == 1,
 			})
 		}

@@ -17,14 +17,17 @@ import (
 // Validate per question, per discipline, over one genWindow of the
 // fold BenchmarkExtraAt times. Generation is most of what a streamed
 // extended fold allocates, so a budget overrun shows up here before it
-// shows up as stream_16x allocs_per_op.
+// shows up as stream_16x allocs_per_op. Each budget is the measured
+// mean (Digital 46.9, Analog 26.8, Architecture 24.4, Manufacture 18.2,
+// Physical 24.3) plus less than one allocation, so table cells that
+// build their own attribute maps again fail here.
 func TestExtraAtAllocBudgets(t *testing.T) {
 	budgets := map[dataset.Category]float64{
-		dataset.Digital:      63,
+		dataset.Digital:      47,
 		dataset.Analog:       27,
-		dataset.Architecture: 28,
-		dataset.Manufacture:  21,
-		dataset.Physical:     29,
+		dataset.Architecture: 25,
+		dataset.Manufacture:  19,
+		dataset.Physical:     25,
 	}
 	gens, err := registeredGenerators()
 	if err != nil {

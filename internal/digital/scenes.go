@@ -103,7 +103,7 @@ func TruthTableScene(t *TruthTable, outName, title string) *visual.Scene {
 		s.Add(visual.Element{
 			Type: visual.ElemCell, Name: "h" + col, Label: label,
 			X: x0 + float64(c)*cw, Y: y0, X2: x0 + float64(c+1)*cw, Y2: y0 + ch,
-			Attrs: map[string]string{"row": "h", "col": col}, Salience: 0.9,
+			Attrs: visual.CellAttrs(-1, c), Salience: 0.9,
 		})
 	}
 	for m, out := range t.Out {
@@ -115,14 +115,14 @@ func TruthTableScene(t *TruthTable, outName, title string) *visual.Scene {
 				Type: visual.ElemCell, Name: "c" + row + "-" + col,
 				Label: strconv.Itoa((m >> (n - 1 - c)) & 1),
 				X:     x0 + float64(c)*cw, Y: y, X2: x0 + float64(c+1)*cw, Y2: y + ch,
-				Attrs: map[string]string{"row": row, "col": col},
+				Attrs: visual.CellAttrs(m, c),
 			})
 		}
 		s.Add(visual.Element{
 			Type: visual.ElemCell, Name: "out" + row,
 			Label: strconv.Itoa(boolBit(out)),
 			X:     x0 + float64(cols-1)*cw, Y: y, X2: x0 + float64(cols)*cw, Y2: y + ch,
-			Attrs:    map[string]string{"row": row, "col": "out"},
+			Attrs:    visual.CellAttrs(m, -1),
 			Salience: 0.7, Critical: true,
 		})
 	}
@@ -144,7 +144,7 @@ func RegisterScene(word, bits int, title string) *visual.Scene {
 			Type: visual.ElemCell, Name: "bit" + col,
 			Label: strconv.Itoa(bit),
 			X:     x0 + float64(i)*cw, Y: y0, X2: x0 + float64(i+1)*cw, Y2: y0 + ch,
-			Attrs:    map[string]string{"row": "0", "col": col},
+			Attrs:    visual.CellAttrs(0, i),
 			Salience: 0.75, Critical: true,
 		})
 		s.Add(visual.Element{

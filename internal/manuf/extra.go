@@ -2,6 +2,7 @@ package manuf
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
@@ -100,11 +101,10 @@ func extraDOF(id, inst string) *dataset.Question {
 
 func extraAerialCD(id, inst string) *dataset.Question {
 	r := rng.NewStream("manuf-extra-aerial", inst)
-	sim := NewAerialSimulator(KrF())
-	cd := float64(200 + 20*r.IntN(5))
-	pitch := cd * float64(2+r.IntN(3))
-	features, x0 := LineInGrating(cd, pitch, 5)
-	printed := sim.PrintedCD(features, x0)
+	ci := r.IntN(5)
+	pi := r.IntN(3)
+	cd, pitch := aerialGrating(ci, pi)
+	printed := aerialPrintedCD()[ci][pi]
 	scene := visual.NewAnnotatedFigure(visual.KindFigure, "Aerial image of a line grating",
 		"five-line grating with the centre line's image profile plotted",
 		[]string{fmt.Sprintf("drawn CD: %g nm, pitch: %g nm", cd, pitch),
@@ -131,3 +131,27 @@ func extraMEEF(id, inst string) *dataset.Question {
 			"and reduction ratio shown, what CD error appears on the wafer, in nm?",
 		scene, delta, "nm", 0.02, 0.6)
 }
+
+// aerialGrating is the drawn CD and pitch of extraAerialCD's grating
+// for its two draws: CD 200 to 280 nm in 20 nm steps, pitch 2 to 4 CDs.
+func aerialGrating(ci, pi int) (cd, pitch float64) {
+	cd = float64(200 + 20*ci)
+	return cd, cd * float64(2+pi)
+}
+
+// aerialPrintedCD is the printed linewidth of every grating
+// extraAerialCD can draw, indexed like aerialGrating, each entry the
+// same PrintedCD call the question would make. The search walks the
+// image 1 nm at a time with ten erf calls a step, and only 15 gratings
+// exist, so the table is filled once, on first use.
+var aerialPrintedCD = sync.OnceValue(func() (t [5][3]float64) {
+	sim := NewAerialSimulator(KrF())
+	for ci := range t {
+		for pi := range t[ci] {
+			cd, pitch := aerialGrating(ci, pi)
+			features, x0 := LineInGrating(cd, pitch, 5)
+			t[ci][pi] = sim.PrintedCD(features, x0)
+		}
+	}
+	return t
+})

@@ -1,6 +1,9 @@
 package visual
 
-import "strconv"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
 // NewBlockDiagram builds a left-to-right chain of labelled boxes joined
 // by arrows, with optional annotation lines below — the workhorse for
@@ -46,7 +49,7 @@ func NewTableScene(kind Kind, title string, header []string, rows [][]string, cr
 		s.Add(Element{
 			Type: ElemCell, Name: "h" + col, Label: h,
 			X: x0 + float64(c)*cw, Y: y0, X2: x0 + float64(c+1)*cw, Y2: y0 + ch,
-			Attrs: map[string]string{"row": "h", "col": col}, Salience: 0.9,
+			Attrs: CellAttrs(-1, c), Salience: 0.9,
 		})
 	}
 	for r, row := range rows {
@@ -57,13 +60,56 @@ func NewTableScene(kind Kind, title string, header []string, rows [][]string, cr
 			s.Add(Element{
 				Type: ElemCell, Name: "c" + rs + "-" + col, Label: cell,
 				X: x0 + float64(c)*cw, Y: y, X2: x0 + float64(c+1)*cw, Y2: y + ch,
-				Attrs:    map[string]string{"row": rs, "col": col},
+				Attrs:    CellAttrs(r, c),
 				Salience: 0.7, Critical: criticalCols[c],
 			})
 		}
 	}
 	s.Height = int(y0) + (len(rows)+2)*int(ch) + 40
 	return s
+}
+
+// CellAttrs returns the attributes of the table cell at (row, col):
+// {"row": row, "col": col} in decimal, where a negative row is the
+// header row "h" and a negative col the "out" column. Every cell at the
+// same (row, col) of a small table gets the same map, built on first
+// use, so a generated table allocates no map per cell; the map is
+// read-only, as Element.Attrs are. Cells outside the shared range get a
+// fresh map with the same contents.
+func CellAttrs(row, col int) map[string]string {
+	if uint(row+1) >= cellAttrRows || uint(col+1) >= cellAttrCols {
+		return newCellAttrs(row, col)
+	}
+	p := &cellAttrs[row+1][col+1]
+	if m := p.Load(); m != nil {
+		return *m
+	}
+	m := newCellAttrs(row, col)
+	if p.CompareAndSwap(nil, &m) {
+		return m
+	}
+	return *p.Load()
+}
+
+// cellAttrRows and cellAttrCols bound the cells CellAttrs shares, the
+// header row and "out" column included: a 5-variable truth table and
+// every table the generators build fit.
+const cellAttrRows, cellAttrCols = 33, 17
+
+// cellAttrs holds CellAttrs' shared maps, indexed by (row+1, col+1).
+// A slot is set once, by compare-and-swap, so concurrent first calls
+// agree on one map without a lock.
+var cellAttrs [cellAttrRows][cellAttrCols]atomic.Pointer[map[string]string]
+
+func newCellAttrs(row, col int) map[string]string {
+	r, c := "h", "out"
+	if row >= 0 {
+		r = strconv.Itoa(row)
+	}
+	if col >= 0 {
+		c = strconv.Itoa(col)
+	}
+	return map[string]string{"row": r, "col": c}
 }
 
 // NewAnnotatedFigure builds a figure-style scene: a big picture box plus

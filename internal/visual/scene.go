@@ -114,7 +114,11 @@ type Element struct {
 	X2,
 	Y2 float64 // second anchor for two-point elements (wires, arrows, rects)
 	Points []Point // polyline data for traces and curves
-	Attrs  map[string]string
+	// Attrs holds the element's named properties. Attribute maps are
+	// read-only once the element is built: they may be shared across
+	// elements and questions (CellAttrs, and the pack decoder's maps
+	// for byte-identical attribute blocks), so copy one to change it.
+	Attrs map[string]string
 
 	// Salience in (0,1]: how visually prominent the element is. Large
 	// boxes and gates are near 1; small value annotations are lower.

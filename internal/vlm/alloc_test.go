@@ -30,7 +30,7 @@ func TestPerceivesZeroAlloc(t *testing.T) {
 	sink := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, q := range qs {
-			if m.perceives(q, 16) {
+			if m.perceives(q, m.key.String(q.ID), 16) {
 				sink++
 			}
 		}
@@ -81,7 +81,7 @@ func TestConstantAnswersZeroAlloc(t *testing.T) {
 		check("malformed "+q.Visual.Kind.String(), func() string { return m.malformedResponse(q) })
 	}
 	expr := &dataset.Question{Golden: dataset.Answer{Kind: dataset.AnswerExpression, Text: "F = A'B + AB'"}}
-	check("wrong-expression", func() string { return m.wrongShortAnswer(expr) })
+	check("wrong-expression", func() string { return m.wrongShortAnswer(expr, m.key.String(expr.ID)) })
 	check("perception-failure", func() string { return m.perceptionFailureResponse(expr) })
 	_ = sink
 }

@@ -40,7 +40,7 @@ func newRefModel(m *SimulatedVLM) *refModel {
 // verbatim with the helpers it called (suffixed Ref) as the oracle the
 // table path must match byte for byte.
 func (m *refModel) answerRef(q *dataset.Question, opts eval.InferenceOptions) string {
-	if !m.perceives(q, opts.DownsampleFactor) {
+	if !m.perceives(q, m.key.String(q.ID), opts.DownsampleFactor) {
 		return m.perceptionFailureResponse(q)
 	}
 	dec := m.decisionForRef(q)

@@ -58,7 +58,10 @@ func (e entry) variant() int       { return int(e >> variantShift) }
 type SimulatedVLM struct {
 	profile    Profile
 	perception PerceptionPolicy
-	bank       *answerBank // shared by the Zoo's models
+	// key is rng.NewHasher(profile.Name), the prefix of every answer
+	// draw; a draw at question q extends key.String(q.ID).
+	key  rng.Hasher
+	bank *answerBank // shared by the Zoo's models
 	// Decision tables, indexed like bank.ids; decUnknown where a
 	// question has no such form.
 	mc    []entry // multiple-choice form
@@ -84,24 +87,35 @@ func (m *SimulatedVLM) SetPerception(p PerceptionPolicy) { m.perception = p }
 // calibrated solve stage — and emits the model's textual response. The
 // simulation reads the question directly, so it assembles no §IV text
 // prompt. A question the Zoo calibrated on is answered from its tables.
+//
+// Every draw of one answer extends one prefix, the model's key and the
+// question ID, hashed only once a draw needs it: a full-resolution
+// answer from the tables hashes nothing.
 func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) string {
-	if !m.perceives(q, opts.DownsampleFactor) {
-		return m.perceptionFailureResponse(q)
+	var key rng.Hasher // 0 until a draw needs it; a prefix that hashes to 0 is just hashed twice
+	if opts.DownsampleFactor > 1 && q.Visual != nil {
+		key = m.key.String(q.ID)
+		if !m.perceives(q, key, opts.DownsampleFactor) {
+			return m.perceptionFailureResponse(q)
+		}
 	}
 	if resp, ok := m.calibratedAnswer(q); ok {
 		return resp
 	}
-	switch m.decisionFor(q) {
+	if key == 0 {
+		key = m.key.String(q.ID)
+	}
+	switch m.decisionFor(q, key) {
 	case decSolve:
 		return goldenResponse(q)
 	case decGuessCorrect:
 		return dataset.ChoiceLetter(q.Golden.Choice)
 	case decGuessWrong:
-		return m.wrongLetter(q)
+		return m.wrongLetter(q, key)
 	case decMalformed:
 		return m.malformedResponse(q)
 	default:
-		return m.wrongShortAnswer(q)
+		return m.wrongShortAnswer(q, key)
 	}
 }
 
@@ -111,15 +125,16 @@ func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) s
 // when too little of the critical content survives. Each critical
 // element's loss is a few flops, so it is derived in place, and its
 // recovery draw is keyed by (model, question, "perc", element, factor)
-// through one prefix hash: the stage takes no lock and allocates nothing.
+// through one prefix hash, qkey = m.key.String(q.ID): the stage takes
+// no lock and allocates nothing.
 //
 //hot:perception the §IV-B resolution runs call this per (model, question)
-func (m *SimulatedVLM) perceives(q *dataset.Question, factor int) bool {
+func (m *SimulatedVLM) perceives(q *dataset.Question, qkey rng.Hasher, factor int) bool {
 	if factor <= 1 || q.Visual == nil {
 		return true
 	}
 	scale := m.perception.LossScaleBase - m.perception.LossScalePerception*m.profile.Perception
-	key := rng.NewHasher(m.profile.Name, q.ID, "perc")
+	key := qkey.String("perc")
 	critical, recovered := 0, 0
 	for i := range q.Visual.Elements {
 		e := &q.Visual.Elements[i]
@@ -190,8 +205,8 @@ func (m *SimulatedVLM) tableFor(q *dataset.Question) ([]entry, int) {
 
 // decisionFor is the decision of a question calibratedAnswer does not
 // answer: the calibrated one for its ID and form, if any, else a draw
-// against the profile's targets.
-func (m *SimulatedVLM) decisionFor(q *dataset.Question) decision {
+// against the profile's targets, keyed by qkey = m.key.String(q.ID).
+func (m *SimulatedVLM) decisionFor(q *dataset.Question, qkey rng.Hasher) decision {
 	if i, ok := m.bank.index[q.ID]; ok {
 		table, _ := m.tableFor(q)
 		if d := table[i].decision(); d != decUnknown {
@@ -206,7 +221,7 @@ func (m *SimulatedVLM) decisionFor(q *dataset.Question) decision {
 	} else {
 		target = m.profile.NoChoice[q.Category]
 	}
-	if rng.NewHasher(m.profile.Name, q.ID, "fallback", q.Type.String()).Bernoulli(target) {
+	if qkey.String("fallback").String(q.Type.String()).Bernoulli(target) {
 		return decSolve
 	}
 	if q.Type == dataset.MultipleChoice {
@@ -236,14 +251,14 @@ func quantity(x float64, unit string) string {
 	return string(append(b, unit...))
 }
 
-func (m *SimulatedVLM) wrongLetter(q *dataset.Question) string {
-	return dataset.ChoiceLetter((q.Golden.Choice + m.wrongLetterOffset(q.ID)) % 4)
+func (m *SimulatedVLM) wrongLetter(q *dataset.Question, qkey rng.Hasher) string {
+	return dataset.ChoiceLetter((q.Golden.Choice + wrongLetterOffset(qkey)) % 4)
 }
 
 // wrongLetterOffset is how many options past the golden one the model's
-// wrong guess at question id lands, 1 to 3.
-func (m *SimulatedVLM) wrongLetterOffset(id string) int {
-	s := rng.NewHasher(m.profile.Name, id, "wrong-letter").Stream()
+// wrong guess lands, 1 to 3, at the question whose prefix is qkey.
+func wrongLetterOffset(qkey rng.Hasher) int {
+	s := qkey.String("wrong-letter").Stream()
 	return 1 + s.IntN(3)
 }
 
@@ -275,9 +290,9 @@ func malformedSentence(kind visual.Kind) string {
 		"It depicts the structure described in the question."
 }
 
-func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
+func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question, qkey rng.Hasher) string {
 	if q.Golden.Kind == dataset.AnswerNumber {
-		return quantity(q.Golden.Number*wrongFactors[m.wrongNumberIndex(q.ID)]+1, q.Golden.Unit)
+		return quantity(q.Golden.Number*wrongFactors[wrongNumberIndex(qkey)]+1, q.Golden.Unit)
 	}
 	return wrongTextAnswer(q.Golden.Kind)
 }
@@ -286,10 +301,10 @@ func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question) string {
 // well outside tolerance: the answer is golden*factor+1.
 var wrongFactors = [...]float64{3.1, 0.31, -1.7}
 
-// wrongNumberIndex picks the model's slip at question id from
-// wrongFactors.
-func (m *SimulatedVLM) wrongNumberIndex(id string) int {
-	s := rng.NewHasher(m.profile.Name, id, "wrong-num").Stream()
+// wrongNumberIndex picks the model's slip from wrongFactors at the
+// question whose prefix is qkey.
+func wrongNumberIndex(qkey rng.Hasher) int {
+	s := qkey.String("wrong-num").Stream()
 	return s.IntN(len(wrongFactors))
 }
 

@@ -86,7 +86,7 @@ func TestPerceivesMatchesReference(t *testing.T) {
 		for _, qs := range [][]*dataset.Question{b.Questions, ext} {
 			for _, q := range qs {
 				for _, f := range factors {
-					if got, want := m.perceives(q, f), m.perceivesReference(q, f); got != want {
+					if got, want := m.perceives(q, m.key.String(q.ID), f), m.perceivesReference(q, f); got != want {
 						t.Errorf("%s %s %dx: perceives = %v, reference %v", m.Name(), q.ID, f, got, want)
 						failures++
 					}
@@ -97,18 +97,18 @@ func TestPerceivesMatchesReference(t *testing.T) {
 			}
 		}
 		for _, q := range ext {
-			if got, want := m.decisionFor(q), m.fallbackReference(q); got != want {
+			if got, want := m.decisionFor(q, m.key.String(q.ID)), m.fallbackReference(q); got != want {
 				t.Errorf("%s %s: fallback decision %v, reference %v", m.Name(), q.ID, got, want)
 			}
 			if q.Type == dataset.MultipleChoice {
 				off := 1 + rng.Pick(3, m.profile.Name, q.ID, "wrong-letter")
-				if got, want := m.wrongLetter(q), dataset.ChoiceLetter((q.Golden.Choice+off)%4); got != want {
+				if got, want := m.wrongLetter(q, m.key.String(q.ID)), dataset.ChoiceLetter((q.Golden.Choice+off)%4); got != want {
 					t.Errorf("%s %s: wrong letter %q, reference %q", m.Name(), q.ID, got, want)
 				}
 			} else if q.Golden.Kind == dataset.AnswerNumber {
 				factor := []float64{3.1, 0.31, -1.7}[rng.Pick(3, m.profile.Name, q.ID, "wrong-num")]
 				want := fmt.Sprintf("%g %s", q.Golden.Number*factor+1, q.Golden.Unit)
-				if got := m.wrongShortAnswer(q); got != want {
+				if got := m.wrongShortAnswer(q, m.key.String(q.ID)); got != want {
 					t.Errorf("%s %s: wrong number %q, reference %q", m.Name(), q.ID, got, want)
 				}
 			}

@@ -144,6 +144,7 @@ func calibrate(p Profile, bank *answerBank, byCat map[dataset.Category][]*datase
 	m := &SimulatedVLM{
 		profile:    p,
 		perception: DefaultPerception(),
+		key:        rng.NewHasher(p.Name),
 		bank:       bank,
 		mc:         tables[:n:n],
 		sa:         tables[n : 2*n : 2*n],
@@ -167,9 +168,9 @@ func (m *SimulatedVLM) set(table []entry, form int, q *dataset.Question, d decis
 	v := 0
 	switch {
 	case d == decGuessWrong:
-		v = m.wrongLetterOffset(q.ID)
+		v = wrongLetterOffset(m.key.String(q.ID))
 	case d == decWrongAnswer && m.bank.forms[form][i].kind == dataset.AnswerNumber:
-		v = m.wrongNumberIndex(q.ID)
+		v = wrongNumberIndex(m.key.String(q.ID))
 	}
 	table[i] = entry(d) | entry(v)<<variantShift
 }
