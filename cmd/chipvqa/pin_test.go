@@ -74,6 +74,12 @@ func TestCLIOutputsPinned(t *testing.T) {
 			"3f67c410387306cebccee6aa30844594f0523e79a0db51cbe22ea9548641a34b"},
 		{"adaptive", cmdAdaptive, []string{"-seed", "cli-pin", "-n", "4"},
 			"f96ee261cfb69aaae1894d61b2259930593fa8e7c0ad05a7ef74e98101ea020c"},
+		{"agent", cmdAgent, nil,
+			"405b366c51e10ab056fd1c4829b75bd9e45358eec9773fa484080f0a812824b4"},
+		{"compare", cmdCompare, nil,
+			"111a07d46a3c901860cce6bc6678264dfb5d1e138706a4a46ad2651e3a79d89b"},
+		{"compare -a GPT4o -b GPT4o", cmdCompare, []string{"-a", "GPT4o", "-b", "GPT4o"},
+			"d3107ec558a5f673275dc9e5d6a524ced0ad15f9e8a4388b691bf59d0feff131"},
 	}
 	for _, c := range cases {
 		out, err := captureStdout(t, func() error { return c.cmd(context.Background(), c.args) })
