@@ -1,9 +1,7 @@
 package eval
 
 import (
-	"context"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -26,22 +24,6 @@ func TestWorkersNormalization(t *testing.T) {
 			t.Errorf("Workers=%d: effective %d, want %d", c.workers, got, c.want)
 		}
 	}
-}
-
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	ctx := context.Background()
-	for _, workers := range []int{1, 2, 8, 100} {
-		const n = 57
-		var counts [n]atomic.Int32
-		forEach(ctx, workers, n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-	// n = 0 must not deadlock or call fn.
-	forEach(ctx, 4, 0, func(int) { t.Fatal("fn called for empty range") })
 }
 
 func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
@@ -81,25 +63,6 @@ func TestEvaluateAllEmptyBenchmark(t *testing.T) {
 	}, b)
 	if len(reps) != 1 || len(reps[0].Results) != 0 {
 		t.Fatalf("empty benchmark reports %+v", reps)
-	}
-}
-
-func TestBootstrapCIWorkerInvariant(t *testing.T) {
-	correct := make([]bool, 142)
-	for i := range correct {
-		correct[i] = i%3 != 0
-	}
-	r := reportWith("inv", correct)
-	// The chunked resample schedule must make the interval identical for
-	// any worker count, including counts that do not divide the chunks.
-	base := r.bootstrapCI(2000, 0.95, 1)
-	for _, w := range []int{2, 3, 8, 64} {
-		if got := r.bootstrapCI(2000, 0.95, w); got != base {
-			t.Errorf("workers=%d: %v != serial %v", w, got, base)
-		}
-	}
-	if pub := r.BootstrapCI(2000, 0.95); pub != base {
-		t.Errorf("public BootstrapCI %v != serial core %v", pub, base)
 	}
 }
 

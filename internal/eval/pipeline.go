@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -611,19 +612,49 @@ func (st judgeStage) Judge(_ context.Context, ev *Event) {
 	ev.Correct = st.judge.CorrectWith(ev.Question, ev.Response, ev.scratch)
 }
 
-// reportSink appends each event to its model's report. Events arrive
-// in Seq order and the grid is model-major, so every report's Results
-// fill in question order, and a cancelled run leaves each report with
-// a clean prefix (earlier models complete, later models empty).
+// reportSink files each delivered event under its model's report, by
+// name. It is the one sink of every Runner entry point: a static grid
+// delivers model-major, an adaptive run interleaves models in its
+// scheduler's order, and either way each report's Results fill in the
+// order that model's events were delivered, so a cancelled run leaves
+// each report with a clean prefix. The pipeline calls Consume from one
+// goroutine at a time, so last needs no lock.
 type reportSink struct {
-	nq      int // questions per model; divides Seq into (model, question)
 	reports []*Report
+	// last is the index of the model the previous event named. A
+	// static grid changes it once per model; any other name scans the
+	// reports, which costs no allocation, unlike a per-run map.
+	last int
 }
 
+// newReportSink names reports[i] after models[i] and returns their
+// sink. Routing by name needs the names to be distinct.
+func newReportSink(models []Model, reports []*Report) (reportSink, error) {
+	for i, m := range models {
+		name := m.Name()
+		for _, rep := range reports[:i] {
+			if rep.ModelName == name {
+				return reportSink{}, fmt.Errorf("eval: duplicate model %q", name)
+			}
+		}
+		reports[i].ModelName = name
+	}
+	return reportSink{reports: reports}, nil
+}
+
+// Consume appends ev to its model's report, and drops an event whose
+// model is not in the run.
 func (s *reportSink) Consume(ev Event) {
-	// nq > 0: an empty grid issues no events.
-	mi := ev.Seq / s.nq
-	s.reports[mi].Results = append(s.reports[mi].Results, QuestionResult{
+	name := ev.Model.Name()
+	if s.reports[s.last].ModelName != name {
+		mi := slices.IndexFunc(s.reports, func(rep *Report) bool { return rep.ModelName == name })
+		if mi < 0 {
+			return
+		}
+		s.last = mi
+	}
+	rep := s.reports[s.last]
+	rep.Results = append(rep.Results, QuestionResult{
 		QuestionID: ev.Question.ID,
 		Category:   ev.Question.Category,
 		Response:   ev.Response,

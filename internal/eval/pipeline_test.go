@@ -204,7 +204,7 @@ func TestObserverTimestampsUseClockSeam(t *testing.T) {
 		Source:   gridSource{models: []Model{m}, questions: b.Questions},
 		Infer:    modelInference{},
 		Judge:    judgeStage{judge: Judge{}},
-		Sink:     &reportSink{nq: b.Len(), reports: []*Report{rep}},
+		Sink:     &reportSink{reports: []*Report{rep}},
 		Observer: ObserverFunc(func(ev Event) { stamps = append(stamps, ev.At) }),
 		Workers:  4,
 		Clock:    func() time.Time { return fixed },
@@ -254,6 +254,42 @@ func TestNoClockReadWithoutObserver(t *testing.T) {
 	for i, s := range sink.stamps {
 		if !s.IsZero() {
 			t.Fatalf("event %d stamped %v without an observer", i, s)
+		}
+	}
+}
+
+// TestReportSinkRoutesByName delivers events whose models interleave,
+// as an adaptive run's do, plus events of a model outside the run:
+// each event lands in its own model's report in delivery order, and
+// the outsider's are dropped.
+func TestReportSinkRoutesByName(t *testing.T) {
+	b := testBenchmark(4)
+	answer := func(*dataset.Question) string { return "c" }
+	a, c, x := fixedModel{"a", answer}, fixedModel{"c", answer}, fixedModel{"x", answer}
+	reports := []*Report{{}, {}}
+	sink, err := newReportSink([]Model{a, c}, reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports[0].ModelName != "a" || reports[1].ModelName != "c" {
+		t.Fatalf("reports named %q, %q; want a, c", reports[0].ModelName, reports[1].ModelName)
+	}
+	order := []struct {
+		m  Model
+		qi int
+	}{{c, 0}, {a, 0}, {x, 0}, {a, 1}, {a, 2}, {c, 1}, {x, 1}, {c, 2}, {a, 3}, {c, 3}}
+	for seq, o := range order {
+		sink.Consume(Event{Seq: seq, Model: o.m, Question: b.Questions[o.qi], Response: o.m.Name()})
+	}
+	for _, rep := range reports {
+		if len(rep.Results) != b.Len() {
+			t.Fatalf("%s: %d results, want %d", rep.ModelName, len(rep.Results), b.Len())
+		}
+		for qi, res := range rep.Results {
+			if res.QuestionID != b.Questions[qi].ID || res.Response != rep.ModelName {
+				t.Errorf("%s result %d = %+v, want question %s answered by %s",
+					rep.ModelName, qi, res, b.Questions[qi].ID, rep.ModelName)
+			}
 		}
 	}
 }

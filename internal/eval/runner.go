@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"repro/internal/dataset"
@@ -113,43 +111,6 @@ func (r Runner) EffectiveWorkers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return r.Workers
-}
-
-// forEach runs fn(i) for every i in [0, n) on a fixed pool of at most
-// workers goroutines pulling indices from a shared counter. workers <= 1
-// (or tiny n) degenerates to an inline serial loop. Cancellation is
-// cooperative at item granularity: the context is checked before each
-// claim, an item in flight always completes, and no index is ever
-// claimed twice. fn must be safe to call from multiple goroutines.
-func forEach(ctx context.Context, workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // run evaluates every event sched issues and hands each to sink in

@@ -96,7 +96,7 @@ func TestDynamicSchedulerSequentialChain(t *testing.T) {
 			Scheduler: sched,
 			Infer:     modelInference{},
 			Judge:     judgeStage{judge: Judge{}},
-			Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
+			Sink:      &reportSink{reports: []*Report{rep}},
 			Workers:   workers,
 		}
 		if err := p.Run(context.Background()); err != nil {
@@ -133,7 +133,7 @@ func TestSchedulerWinsOverSource(t *testing.T) {
 		Source:    gridSource{models: []Model{m}, questions: b.Questions},
 		Infer:     modelInference{},
 		Judge:     judgeStage{judge: Judge{}},
-		Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
+		Sink:      &reportSink{reports: []*Report{rep}},
 		Workers:   4,
 	}
 	if err := p.Run(context.Background()); err != nil {
@@ -200,7 +200,7 @@ func TestSchedulerSeqContractBreach(t *testing.T) {
 					Scheduler: &seqScheduler{model: m, questions: b.Questions, seqs: c.seqs, wait: c.wait},
 					Infer:     modelInference{},
 					Judge:     judgeStage{judge: Judge{}},
-					Sink:      &reportSink{nq: b.Len(), reports: []*Report{rep}},
+					Sink:      &reportSink{reports: []*Report{rep}},
 					Workers:   workers,
 				}
 				done := make(chan error, 1)
@@ -255,13 +255,21 @@ func TestSchedGate(t *testing.T) {
 }
 
 // TestEvaluateAdaptiveValidation covers the entry-point error paths.
+// Static and adaptive runs refuse two models of one name with the same
+// error, since the report sink files events by name.
 func TestEvaluateAdaptiveValidation(t *testing.T) {
 	m := fixedModel{"m", func(*dataset.Question) string { return "c" }}
 	if _, err := (Runner{}).EvaluateAdaptiveContext(context.Background(), []Model{m}, nil); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := (Runner{}).EvaluateAdaptiveContext(context.Background(), []Model{m, m}, &chainScheduler{}); err == nil {
-		t.Error("duplicate model accepted")
+	dup := []Model{m, fixedModel{"n", m.fn}, m}
+	_, static := (Runner{}).EvaluateAllContext(context.Background(), dup, testBenchmark(3))
+	_, adaptive := (Runner{}).EvaluateAdaptiveContext(context.Background(), dup, &chainScheduler{})
+	const want = `eval: duplicate model "m"`
+	for i, err := range []error{static, adaptive} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s run: err = %v, want %s", []string{"static", "adaptive"}[i], err, want)
+		}
 	}
 	reports, err := (Runner{}).EvaluateAdaptiveContext(context.Background(), nil, &chainScheduler{})
 	if err != nil || len(reports) != 0 {

@@ -1,12 +1,9 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/rng"
 )
@@ -24,10 +21,11 @@ func (ci ConfidenceInterval) String() string {
 	return fmt.Sprintf("%.3f [%.3f, %.3f] @ %.0f%%", ci.Point, ci.Lo, ci.Hi, ci.Level*100)
 }
 
-// bootstrapChunk is the number of resamples sharing one rng stream.
-// Chunking makes the resample schedule independent of how many workers
-// execute it: chunk c always draws from the stream keyed by c, so a
-// serial run and any parallel run produce identical statistics.
+// bootstrapChunk is the number of resamples sharing one rng stream:
+// chunk c draws from the stream keyed by c, so a resample's draw
+// depends on its index alone. TestBootstrapCIMatchesReference and the
+// compare digests of TestCLIOutputsPinned pin the intervals this
+// schedule gives.
 const bootstrapChunk = 256
 
 // BootstrapCI computes a percentile-bootstrap confidence interval for a
@@ -36,13 +34,7 @@ const bootstrapChunk = 256
 // which is worth reporting next to any Table II-style comparison.
 // Resampling is deterministic per (model, resamples, level): the
 // resamples are split into fixed chunks, each with its own keyed rng
-// stream, and the chunks run on up to GOMAXPROCS workers.
-func (r *Report) BootstrapCI(resamples int, level float64) ConfidenceInterval {
-	return r.bootstrapCI(resamples, level, runtime.GOMAXPROCS(0))
-}
-
-// bootstrapCI is the worker-count-explicit core of BootstrapCI, split
-// out so tests can prove the result is identical for any worker count.
+// stream.
 //
 // The resampling is batched (DESIGN.md §12). A bootstrap resample of a
 // binary statistic draws n questions uniformly with replacement and
@@ -56,15 +48,14 @@ func (r *Report) BootstrapCI(resamples int, level float64) ConfidenceInterval {
 // the per-question verdicts are packed into a bitset once (K is its
 // popcount), each chunk's stream key extends a shared precomputed hash
 // prefix instead of formatting fmt.Sprint key strings, resample counts
-// accumulate into a pooled per-chunk histogram, and the two percentile
-// order statistics are selected by a rank walk over the merged
-// histogram rather than sorting all resample statistics.
-// TestBootstrapCIMatchesReference pins the batched machinery against a
-// naive sort-based transcription of the same scheme; chunk streams
-// keyed by chunk index keep the result independent of worker count.
+// accumulate into one histogram, and the two percentile order
+// statistics are selected by a rank walk over it rather than sorting
+// all resample statistics. TestBootstrapCIMatchesReference pins the
+// batched machinery against a naive sort-based transcription of the
+// same scheme.
 //
 //hot:stats bootstrap resampling; per-chunk work must not allocate
-func (r *Report) bootstrapCI(resamples int, level float64, workers int) ConfidenceInterval {
+func (r *Report) BootstrapCI(resamples int, level float64) ConfidenceInterval {
 	n := len(r.Results)
 	if n == 0 {
 		return ConfidenceInterval{Level: level}
@@ -85,32 +76,15 @@ func (r *Report) bootstrapCI(resamples int, level float64, workers int) Confiden
 		k += bits.OnesCount64(w)
 	}
 	cdf := binomialCDF(n, k)
-	// hist[h] counts resamples whose hit count is exactly h. Merging
-	// per-chunk histograms is commutative addition, so the merged result
-	// is independent of chunk completion order and of the worker count.
+	// hist[h] counts resamples whose hit count is exactly h.
 	hist := make([]int, n+1)
-	var histMu sync.Mutex
 	prefix := rng.NewHasher("bootstrap", r.ModelName).Int(resamples).Float(level)
-	chunks := (resamples + bootstrapChunk - 1) / bootstrapChunk
-	//lint:ignore ctxflow the resample loop is a ~50µs CPU burst on the caller's goroutine; a cancellation seam here would cost a ctx plumb through the public CI API for no observable gain
-	forEach(context.Background(), workers, chunks, func(c int) {
+	for c := 0; c*bootstrapChunk < resamples; c++ {
 		gen := prefix.Int(c).Stream()
-		local := getHist(n + 1)
-		lo := c * bootstrapChunk
-		hi := lo + bootstrapChunk
-		if hi > resamples {
-			hi = resamples
+		for range min(bootstrapChunk, resamples-c*bootstrapChunk) {
+			hist[invertCDF(cdf, gen.Float64())]++
 		}
-		for b := lo; b < hi; b++ {
-			local[invertCDF(cdf, gen.Float64())]++
-		}
-		histMu.Lock()
-		for h, cnt := range local {
-			hist[h] += cnt
-		}
-		histMu.Unlock()
-		putHist(local)
-	})
+	}
 	alpha := (1 - level) / 2
 	loIdx := clampRank(int(alpha*float64(resamples)), resamples)
 	hiIdx := clampRank(int((1-alpha)*float64(resamples)), resamples)
@@ -198,31 +172,6 @@ func nthHits(hist []int, k int) int {
 		}
 	}
 	return len(hist) - 1
-}
-
-// histPool recycles per-chunk hit-count histograms across bootstrap
-// calls. A chunk closure checks one out, fills it, merges it and
-// returns it.
-var histPool sync.Pool
-
-// getHist returns a zeroed histogram with at least size slots.
-func getHist(size int) []int {
-	if v := histPool.Get(); v != nil {
-		h := *(v.(*[]int))
-		if cap(h) >= size {
-			h = h[:size]
-			for i := range h {
-				h[i] = 0
-			}
-			return h
-		}
-	}
-	return make([]int, size)
-}
-
-// putHist returns a histogram to the pool.
-func putHist(h []int) {
-	histPool.Put(&h)
 }
 
 // McNemarResult is the outcome of a paired comparison of two models on

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -16,7 +15,7 @@ import (
 // slice, sorting it and indexing the percentiles, the way the
 // pre-batching implementation did. It is the oracle the batched
 // histogram/rank-walk machinery must match bit for bit.
-func referenceBootstrapCI(r *Report, resamples int, level float64, workers int) ConfidenceInterval {
+func referenceBootstrapCI(r *Report, resamples int, level float64) ConfidenceInterval {
 	n := len(r.Results)
 	if n == 0 {
 		return ConfidenceInterval{Level: level}
@@ -34,7 +33,7 @@ func referenceBootstrapCI(r *Report, resamples int, level float64, workers int) 
 	stats := make([]float64, resamples)
 	chunks := (resamples + bootstrapChunk - 1) / bootstrapChunk
 	prefix := rng.NewHasher("bootstrap", r.ModelName).Int(resamples).Float(level)
-	forEach(context.Background(), workers, chunks, func(c int) {
+	for c := 0; c < chunks; c++ {
 		gen := prefix.Int(c).Stream()
 		lo := c * bootstrapChunk
 		hi := lo + bootstrapChunk
@@ -51,7 +50,7 @@ func referenceBootstrapCI(r *Report, resamples int, level float64, workers int) 
 			}
 			stats[b] = float64(h) / float64(n)
 		}
-	})
+	}
 	sort.Float64s(stats)
 	alpha := (1 - level) / 2
 	loIdx := clampRank(int(alpha*float64(resamples)), resamples)
@@ -78,7 +77,7 @@ func statsTestReport(name string, n int, p float64) *Report {
 // histogram rank-walk selection) reproduces the naive sort-based
 // transcription of the same scheme bit for bit, across sizes that
 // cover partial chunks, multiple chunks, boundary resample counts,
-// degenerate reports and several worker counts.
+// and degenerate reports.
 func TestBootstrapCIMatchesReference(t *testing.T) {
 	configs := []struct {
 		n         int
@@ -97,13 +96,11 @@ func TestBootstrapCIMatchesReference(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		rep := statsTestReport(fmt.Sprintf("m-%d-%v", cfg.n, cfg.p), cfg.n, cfg.p)
-		for _, workers := range []int{1, 3, 8} {
-			got := rep.bootstrapCI(cfg.resamples, cfg.level, workers)
-			want := referenceBootstrapCI(rep, cfg.resamples, cfg.level, workers)
-			if got != want {
-				t.Errorf("n=%d resamples=%d level=%v workers=%d:\n got %+v\nwant %+v",
-					cfg.n, cfg.resamples, cfg.level, workers, got, want)
-			}
+		got := rep.BootstrapCI(cfg.resamples, cfg.level)
+		want := referenceBootstrapCI(rep, cfg.resamples, cfg.level)
+		if got != want {
+			t.Errorf("n=%d resamples=%d level=%v:\n got %+v\nwant %+v",
+				cfg.n, cfg.resamples, cfg.level, got, want)
 		}
 	}
 }
@@ -165,7 +162,7 @@ func TestBootstrapCINormalApprox(t *testing.T) {
 		}
 	}
 	p := float64(k) / 142
-	ci := rep.bootstrapCI(2000, 0.95, 1)
+	ci := rep.BootstrapCI(2000, 0.95)
 	se := math.Sqrt(p * (1 - p) / 142)
 	tol := 3.0 / 142 // three hit-count steps
 	if math.Abs(ci.Lo-(p-1.96*se)) > tol {
@@ -200,15 +197,15 @@ func TestBootstrapCIBoundaryIndexing(t *testing.T) {
 		if got := clampRank(int((1-(1-c.level)/2)*100), 100); got != c.hiIdx {
 			t.Errorf("level=%v: hi rank = %d, want %d", c.level, got, c.hiIdx)
 		}
-		ci := rep.bootstrapCI(100, c.level, 1)
+		ci := rep.BootstrapCI(100, c.level)
 		if ci.Lo > ci.Hi {
 			t.Errorf("level=%v: interval inverted: %+v", c.level, ci)
 		}
 	}
 	// The order statistics the clamped ranks select must agree with an
 	// explicit sort at the boundary count.
-	got := rep.bootstrapCI(100, 0.99, 1)
-	want := referenceBootstrapCI(rep, 100, 0.99, 1)
+	got := rep.BootstrapCI(100, 0.99)
+	want := referenceBootstrapCI(rep, 100, 0.99)
 	if got != want {
 		t.Errorf("resamples=100 level=0.99: got %+v want %+v", got, want)
 	}

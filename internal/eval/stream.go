@@ -35,7 +35,8 @@ import (
 // into caller-retained reports (one per model, same order). stream must
 // call its yield for each shard in canonical order (dataset.Shard
 // semantics) and return yield's error unchanged; both shard producers
-// in this repository do. On cancel the error is ctx.Err() and each
+// in this repository do. The models' names must be distinct: each
+// event is filed under its model's report by name. On cancel the error is ctx.Err() and each
 // report holds a consistent prefix: shards before the cut-off are
 // complete, the shard at the cut-off contributes a prefix of its own
 // model-major order.
@@ -53,15 +54,18 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for i, m := range models {
-		reports[i].ModelName = m.Name()
-		reports[i].Results = reports[i].Results[:0]
+	sink, err := newReportSink(models, reports)
+	if err != nil {
+		return err
+	}
+	for _, rep := range reports {
+		rep.Results = rep.Results[:0]
 	}
 	if len(models) == 0 {
 		return nil
 	}
 	// What the shards share, in one allocation for the whole call.
-	c := &shardCall{sink: reportSink{reports: reports}}
+	c := &shardCall{sink: sink}
 	return stream(func(sh dataset.Shard) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -72,14 +76,13 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 		if len(sh.Questions) == 0 {
 			return nil
 		}
-		c.sink.nq = len(sh.Questions)
 		return r.run(ctx, newSourceScheduler(gridSource{models: models, questions: sh.Questions}), &c.sink, &c.ring)
 	})
 }
 
 // shardCall is the state one EvaluateShardsContext call keeps across
-// its shards: the sink, re-pointed at each shard's grid, and the
-// reorder ring every shard's pipeline borrows.
+// its shards: the sink and the reorder ring every shard's pipeline
+// borrows.
 type shardCall struct {
 	sink reportSink
 	ring reorderRing

@@ -63,7 +63,7 @@ func isHotMarked(doc *ast.CommentGroup) bool {
 }
 
 // checkHotBody walks one hot function's body (function literals
-// included — a closure passed to forEach runs on the same hot path)
+// included — a closure a hot function calls runs on the same hot path)
 // and reports the allocation patterns.
 func checkHotBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	name := fd.Name.Name
