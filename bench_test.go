@@ -321,7 +321,7 @@ func BenchmarkTableIINoChoice(b *testing.B) {
 // E4 — Table III: agent system versus direct GPT-4o.
 func BenchmarkTableIII(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	vals, err := suite.TableIII()
+	vals, err := suite.TableIII(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func BenchmarkTableIII(b *testing.B) {
 		vals[0], vals[1], vals[2], vals[3])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := suite.TableIII(); err != nil {
+		if _, err := suite.TableIII(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -609,14 +609,14 @@ func BenchmarkFineTuneStudy(b *testing.B) {
 // McNemar on the Table II leaders.
 func BenchmarkStatisticalComparison(b *testing.B) {
 	suite := chipvqa.MustNewSuite()
-	res, cis, err := suite.Compare("GPT4o", "LLaMA-3.2-90B")
+	res, cis, err := suite.Compare(context.Background(), "GPT4o", "LLaMA-3.2-90B")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Logf("GPT4o %s vs LLaMA-3.2-90B %s; McNemar %s", cis[0], cis[1], res)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := suite.Compare("GPT4o", "LLaMA-3.2-90B"); err != nil {
+		if _, _, err := suite.Compare(context.Background(), "GPT4o", "LLaMA-3.2-90B"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -202,15 +202,9 @@ func (s *Suite) NewAgent(toolName string) (Model, error) {
 // TableIII runs the agent study: GPT-4o direct versus the agent, on both
 // collections, returning the four Pass@1 values in the paper's order
 // (with-choice GPT4o, with-choice agent, no-choice GPT4o, no-choice
-// agent).
-func (s *Suite) TableIII() ([4]float64, error) {
-	return s.TableIIIContext(context.Background())
-}
-
-// TableIIIContext is TableIII with cooperative cancellation; a
-// cancelled run returns the context error (partial Pass@1 values would
-// be misleading, so none are computed).
-func (s *Suite) TableIIIContext(ctx context.Context) ([4]float64, error) {
+// agent). A cancelled run returns the context error (partial Pass@1
+// values would be misleading, so none are computed).
+func (s *Suite) TableIII(ctx context.Context) ([4]float64, error) {
 	gpt4o, err := s.Model("GPT4o")
 	if err != nil {
 		return [4]float64{}, err
@@ -296,14 +290,9 @@ func (s *Suite) AdaptiveCalibrate(ctx context.Context, seed string, perCategory 
 
 // Compare runs the paired McNemar test between two models on the
 // standard collection, plus a bootstrap confidence interval for each.
-func (s *Suite) Compare(modelA, modelB string) (eval.McNemarResult, [2]eval.ConfidenceInterval, error) {
-	return s.CompareContext(context.Background(), modelA, modelB)
-}
-
-// CompareContext is Compare with cooperative cancellation: on cancel
-// the context error comes back and no partial statistics are computed
-// (the paired test needs both full runs).
-func (s *Suite) CompareContext(ctx context.Context, modelA, modelB string) (eval.McNemarResult, [2]eval.ConfidenceInterval, error) {
+// On cancel the context error comes back and no partial statistics are
+// computed (the paired test needs both full runs).
+func (s *Suite) Compare(ctx context.Context, modelA, modelB string) (eval.McNemarResult, [2]eval.ConfidenceInterval, error) {
 	var cis [2]eval.ConfidenceInterval
 	ra, err := s.evaluateContext(ctx, modelA, s.Benchmark, 1)
 	if err != nil {

@@ -2,6 +2,7 @@ package chipvqa_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -64,7 +65,7 @@ func TestSuiteTableII(t *testing.T) {
 
 func TestSuiteTableIII(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	vals, err := suite.TableIII()
+	vals, err := suite.TableIII(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSuiteChallengeAndExtendedFacade(t *testing.T) {
 
 func TestSuiteCompareFacade(t *testing.T) {
 	suite := chipvqa.MustNewSuite()
-	res, cis, err := suite.Compare("GPT4o", "kosmos-2")
+	res, cis, err := suite.Compare(context.Background(), "GPT4o", "kosmos-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +279,10 @@ func TestSuiteCompareFacade(t *testing.T) {
 	if cis[0].Point <= cis[1].Point {
 		t.Errorf("CI points ordered wrong: %v vs %v", cis[0], cis[1])
 	}
-	if _, _, err := suite.Compare("ghost", "GPT4o"); err == nil {
+	if _, _, err := suite.Compare(context.Background(), "ghost", "GPT4o"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, _, err := suite.Compare("GPT4o", "ghost"); err == nil {
+	if _, _, err := suite.Compare(context.Background(), "GPT4o", "ghost"); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

@@ -341,7 +341,7 @@ func cmdAgent(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	vals, err := suite.TableIIIContext(ctx)
+	vals, err := suite.TableIII(ctx)
 	if err != nil {
 		return err
 	}
@@ -708,7 +708,7 @@ func cmdCompare(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, cis, err := suite.CompareContext(ctx, *a, *b)
+	res, cis, err := suite.Compare(ctx, *a, *b)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		}
 	}
 
-	vals, err := suite.TableIII()
+	vals, err := suite.TableIII(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
