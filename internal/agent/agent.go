@@ -67,9 +67,11 @@ func descriptionFidelity(k visual.Kind) float64 {
 // Agent is the designer+tool system; it implements eval.Model so the
 // standard runner produces Table III.
 type Agent struct {
-	DesignerName string
-	Tool         *vlm.SimulatedVLM
-	Cfg          Config
+	Tool *vlm.SimulatedVLM
+	Cfg  Config
+	// name names the designer and the tool. New builds it once: the
+	// report sink asks for it on every delivered event.
+	name string
 }
 
 var _ eval.Model = (*Agent)(nil)
@@ -77,13 +79,11 @@ var _ eval.Model = (*Agent)(nil)
 // New builds the paper's configuration: a GPT-4-Turbo designer using the
 // given vision tool (GPT-4o in the paper).
 func New(tool *vlm.SimulatedVLM) *Agent {
-	return &Agent{DesignerName: "GPT-4-Turbo", Tool: tool, Cfg: Default()}
+	return &Agent{Tool: tool, Cfg: Default(), name: "Agent(GPT-4-Turbo+" + tool.Name() + ")"}
 }
 
 // Name implements eval.Model.
-func (a *Agent) Name() string {
-	return fmt.Sprintf("Agent(%s+%s)", a.DesignerName, a.Tool.Name())
-}
+func (a *Agent) Name() string { return a.name }
 
 // Answer implements eval.Model by running the designer-tool loop.
 func (a *Agent) Answer(q *dataset.Question, opts eval.InferenceOptions) string {

@@ -98,6 +98,10 @@ func TestAgentName(t *testing.T) {
 	if !strings.Contains(ag.Name(), "GPT-4-Turbo") || !strings.Contains(ag.Name(), "GPT4o") {
 		t.Errorf("name %q should identify designer and tool", ag.Name())
 	}
+	// The report sink asks for the name on every delivered event.
+	if n := testing.AllocsPerRun(100, func() { _ = ag.Name() }); n != 0 {
+		t.Errorf("Name allocates %v times per call, want 0", n)
+	}
 }
 
 func TestDescriptionFidelityOrdering(t *testing.T) {
