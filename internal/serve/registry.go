@@ -312,36 +312,23 @@ func (g *registry) cancelAll() int {
 	return forced
 }
 
-// waitIdle blocks until no executions are in flight or ctx is done.
-func (g *registry) waitIdle(ctx context.Context) error {
+// waitIdle blocks until no executions are in flight, reporting true,
+// or until done closes, reporting false. A nil done never closes: Drain
+// waits that way after cancelAll, whose cancellations bound every run's
+// remaining work, so the wait terminates.
+func (g *registry) waitIdle(done <-chan struct{}) bool {
 	for {
 		g.mu.Lock()
 		n := g.inflight
 		ch := g.changed
 		g.mu.Unlock()
 		if n == 0 {
-			return nil
+			return true
 		}
 		select {
 		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
+		case <-done:
+			return false
 		}
-	}
-}
-
-// waitIdleForever blocks until no executions are in flight. It is only
-// called after cancelAll, whose ctx cancellations bound every run's
-// remaining work, so the wait terminates.
-func (g *registry) waitIdleForever() {
-	for {
-		g.mu.Lock()
-		n := g.inflight
-		ch := g.changed
-		g.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		<-ch
 	}
 }

@@ -251,10 +251,10 @@ func (s *Server) Handler() http.Handler {
 // force-cancelled; 0 means everything finished within the deadline.
 func (s *Server) Drain(ctx context.Context) int {
 	s.reg.beginDrain()
-	if s.reg.waitIdle(ctx) == nil {
+	if s.reg.waitIdle(ctx.Done()) {
 		return 0
 	}
 	forced := s.reg.cancelAll()
-	s.reg.waitIdleForever()
+	s.reg.waitIdle(nil)
 	return forced
 }
