@@ -147,22 +147,3 @@ func (a *AerialSimulator) ApplyBiasOPC(cd, pitch float64, lines int) (bias float
 	got := printAt(bias)
 	return bias, math.Abs(got-cd) <= 2
 }
-
-// ImageLogSlope returns the normalised image log slope (NILS) at the
-// nominal line edge — the standard lithographic-quality metric; higher
-// is better, and it collapses as pitch approaches the resolution limit.
-//
-//lint:ignore unreachable called only by TestNILSCollapsesAtTightPitch
-func (a *AerialSimulator) ImageLogSlope(cd, pitch float64, lines int) float64 {
-	features, x0 := LineInGrating(cd, pitch, lines)
-	edge := x0 + cd/2
-	const h = 0.5
-	i1 := a.Intensity(features, edge-h)
-	i2 := a.Intensity(features, edge+h)
-	mid := a.Intensity(features, edge)
-	if mid <= 0 {
-		return 0
-	}
-	slope := (i1 - i2) / (2 * h) / mid // d(ln I)/dx magnitude
-	return slope * cd
-}

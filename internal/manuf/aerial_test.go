@@ -114,19 +114,6 @@ func TestBiasOPCRestoresCD(t *testing.T) {
 	}
 }
 
-func TestNILSCollapsesAtTightPitch(t *testing.T) {
-	sim := testSim()
-	const cd = 200
-	loose := sim.ImageLogSlope(cd, 10*cd, 5)
-	tight := sim.ImageLogSlope(cd, 2*cd, 5)
-	if loose <= 0 {
-		t.Fatalf("loose-pitch NILS %v", loose)
-	}
-	if tight >= loose {
-		t.Errorf("NILS should collapse with pitch: tight %v vs loose %v", tight, loose)
-	}
-}
-
 func TestQuickPrintedCDMonotoneInMaskCD(t *testing.T) {
 	// Property: drawing a line wider never prints it narrower.
 	sim := testSim()

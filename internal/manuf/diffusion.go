@@ -24,18 +24,6 @@ func (s DiffusionStep) ConstantSourceProfile(cs, x float64) float64 {
 	return cs * math.Erfc(x/l)
 }
 
-// LimitedSourceProfile returns the Gaussian drive-in profile for a fixed
-// dose Q (atoms/cm^2): C(x) = Q/sqrt(pi D t) * exp(-x^2/(4 D t)).
-//
-//lint:ignore unreachable called only by TestLimitedSourceDoseConservation and TestMiscHelpers
-func (s DiffusionStep) LimitedSourceProfile(q, x float64) float64 {
-	dt := s.D * s.TimeS
-	if dt == 0 {
-		return 0
-	}
-	return q / math.Sqrt(math.Pi*dt) * math.Exp(-x*x/(4*dt))
-}
-
 // JunctionDepthConstantSource solves C(xj) = Cb for the constant-source
 // profile: xj = 2 sqrt(Dt) * erfcinv(Cb/Cs), via bisection.
 func (s DiffusionStep) JunctionDepthConstantSource(cs, cb float64) float64 {
@@ -53,15 +41,6 @@ func (s DiffusionStep) JunctionDepthConstantSource(cs, cb float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// ArrheniusD returns D = D0 * exp(-Ea / (k*T)) with Ea in eV and T in
-// kelvin.
-//
-//lint:ignore unreachable called only by TestArrhenius
-func ArrheniusD(d0, eaEV, tempK float64) float64 {
-	const kBoltzmannEV = 8.617333262e-5
-	return d0 * math.Exp(-eaEV/(kBoltzmannEV*tempK))
 }
 
 // OxideGrowthDealGrove returns the oxide thickness (um) grown in time t

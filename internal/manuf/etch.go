@@ -62,30 +62,3 @@ func (p EtchProcess) String() string {
 	return fmt.Sprintf("%s: %.0f nm/min, selectivity %.0f:1, anisotropy %.1f",
 		p.Name, p.Rate, p.Selectivity, p.Anisotropy)
 }
-
-// FilmStack is a top-down list of film thicknesses (nm) to etch through.
-type FilmStack struct {
-	Layers []Film
-}
-
-// Film is one layer of a stack.
-type Film struct {
-	Material    string
-	ThicknessNM float64
-}
-
-// TotalEtchTime returns the minutes to clear the whole stack given a
-// per-material rate table; unknown materials yield an error.
-//
-//lint:ignore unreachable called only by TestFilmStack
-func (s FilmStack) TotalEtchTime(rates map[string]float64) (float64, error) {
-	total := 0.0
-	for _, f := range s.Layers {
-		r, ok := rates[f.Material]
-		if !ok || r <= 0 {
-			return 0, fmt.Errorf("manuf: no etch rate for %q", f.Material)
-		}
-		total += f.ThicknessNM / r
-	}
-	return total, nil
-}

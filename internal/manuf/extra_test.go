@@ -49,9 +49,6 @@ func TestMiscHelpers(t *testing.T) {
 	if s.ConstantSourceProfile(10, 0) != 10 || s.ConstantSourceProfile(10, 1) != 0 {
 		t.Error("zero-Dt constant source profile")
 	}
-	if s.LimitedSourceProfile(10, 0) != 0 {
-		t.Error("zero-Dt limited source profile")
-	}
 }
 
 // TestAerialPrintedCDTable checks every entry of the printed-CD table

@@ -8,27 +8,6 @@ func PoissonYield(areaCM2, defectDensity float64) float64 {
 	return math.Exp(-areaCM2 * defectDensity)
 }
 
-// MurphyYield returns the die yield under Murphy's model:
-// Y = ((1 - exp(-A*D)) / (A*D))^2.
-//
-//lint:ignore unreachable called only by TestYieldModels and TestQuickYieldOrdering
-func MurphyYield(areaCM2, defectDensity float64) float64 {
-	ad := areaCM2 * defectDensity
-	if ad == 0 {
-		return 1
-	}
-	f := (1 - math.Exp(-ad)) / ad
-	return f * f
-}
-
-// SeedsYield returns Y = 1/(1 + A*D), the Seeds (exponential defect
-// distribution) model.
-//
-//lint:ignore unreachable called only by TestQuickYieldOrdering
-func SeedsYield(areaCM2, defectDensity float64) float64 {
-	return 1 / (1 + areaCM2*defectDensity)
-}
-
 // GrossDiePerWafer estimates the die count on a circular wafer with the
 // standard edge-corrected formula:
 // N = pi*(d/2)^2/A - pi*d/sqrt(2*A), with wafer diameter d (mm) and die
