@@ -623,7 +623,7 @@ func BenchmarkStatisticalComparison(b *testing.B) {
 }
 
 // The 2000-resample bootstrap CI over one Table II report alone
-// (chunk-parallel, batched binomial resampling), without the McNemar
+// (chunked, batched binomial resampling), without the McNemar
 // test and the two model sweeps BenchmarkStatisticalComparison adds.
 func BenchmarkBootstrapCI(b *testing.B) {
 	suite := chipvqa.MustNewSuite()

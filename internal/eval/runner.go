@@ -159,9 +159,12 @@ func sizeResults(rs []QuestionResult, n int) []QuestionResult {
 // EvaluateAll runs every model and returns reports in input order. The
 // (model, question) grid is flattened into one task list so the worker
 // pool stays busy across model boundaries — a cheap model finishing
-// early does not idle its workers while an expensive one lags.
+// early does not idle its workers while an expensive one lags. The
+// models' names must be distinct: EvaluateAllContext reports a
+// duplicate as an error, and EvaluateAll, with no error to return,
+// leaves every report's Results empty.
 func (r Runner) EvaluateAll(models []Model, b *dataset.Benchmark) []*Report {
-	//lint:ignore errdrop context.Background never cancels, so the only possible error is nil
+	//lint:ignore errdrop context.Background never cancels, and the one other error, a duplicate model name, leaves the reports empty as documented
 	out, _ := r.EvaluateAllContext(context.Background(), models, b)
 	return out
 }

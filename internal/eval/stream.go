@@ -36,10 +36,10 @@ import (
 // call its yield for each shard in canonical order (dataset.Shard
 // semantics) and return yield's error unchanged; both shard producers
 // in this repository do. The models' names must be distinct: each
-// event is filed under its model's report by name. On cancel the error is ctx.Err() and each
-// report holds a consistent prefix: shards before the cut-off are
-// complete, the shard at the cut-off contributes a prefix of its own
-// model-major order.
+// event is filed under its model's report by name. On cancel the error
+// is ctx.Err() and each report holds a consistent prefix: shards before
+// the cut-off are complete, the shard at the cut-off contributes a
+// prefix of its own model-major order.
 //
 // An Observer on the Runner sees events with shard-local Seq values
 // (each shard runs its own pipeline); order within a shard is still
