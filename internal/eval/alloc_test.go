@@ -41,8 +41,8 @@ func TestNormalizeZeroAlloc(t *testing.T) {
 }
 
 // TestParseNumberZeroAlloc pins ParseNumber — including the SI-prefix
-// unit resolution with uppercase spellings — at zero steady-state
-// allocations.
+// unit resolution with uppercase spellings and the ohm and micro signs —
+// at zero steady-state allocations.
 func TestParseNumberZeroAlloc(t *testing.T) {
 	inputs := []string{
 		"2.2 kOhm",
@@ -52,6 +52,10 @@ func TestParseNumberZeroAlloc(t *testing.T) {
 		"about 43 nm of silicon",
 		"1.5e3 Hz",
 		"answer: 7",
+		"2.2 k\u03a9",
+		"3 M\u2126",
+		"1000 \u00b5A",
+		"1000 \u03bcA",
 	}
 	for _, in := range inputs {
 		in := in

@@ -55,6 +55,21 @@ func TestParseNumber(t *testing.T) {
 		// Unicode regression: full case-mapping must not desync byte
 		// offsets (found by fuzzing: 'İ' lowers to a longer sequence).
 		{"İİİİİİ 42 Hz", 42, "hz", true},
+		// The ohm as capital omega (U+03A9) and as the ohm sign
+		// (U+2126), and micro as the micro sign (U+00B5) and as small
+		// mu (U+03BC).
+		{"2.2 k\u03a9", 2200, "ohm", true},
+		{"3 M\u03a9", 3e6, "ohm", true},
+		{"10 m\u03a9", 0.01, "ohm", true},
+		{"50 \u03a9", 50, "ohm", true},
+		{"2.2 k\u2126", 2200, "ohm", true},
+		{"50 \u2126", 50, "ohm", true},
+		{"1000 \u00b5A", 1e-3, "a", true},
+		{"1000 \u03bcA", 1e-3, "a", true},
+		{"4.7 \u00b5F", 4.7e-6, "f", true},
+		{"1.5 \u03bcs", 1.5e-6, "s", true},
+		{"0.085 \u03a9/sq", 0.085, "ohm/sq", true},
+		{"1 k\u2126/sq", 1000, "ohm/sq", true},
 	}
 	for _, c := range cases {
 		v, u, ok := ParseNumber(c.in)

@@ -170,7 +170,7 @@ func appendNormalizedRunes(dst []byte, s string, base int, lastSpace bool) []byt
 
 // baseUnits are unit spellings reduced to a canonical token.
 var baseUnits = map[string]string{
-	"ohm": "ohm", "ohms": "ohm", "Ω": "ohm",
+	"ohm": "ohm", "ohms": "ohm", "\u03a9": "ohm", "\u2126": "ohm",
 	"v": "v", "volt": "v", "volts": "v",
 	"a": "a", "amp": "a", "amps": "a", "ampere": "a", "amperes": "a",
 	"s": "s", "siemens": "s_siemens", "sec": "s", "second": "s", "seconds": "s",
@@ -190,7 +190,7 @@ var baseUnits = map[string]string{
 	"violations": "count", "misses": "count", "hits": "count",
 	"mispredictions": "count", "x": "count", "%": "percent", "percent": "percent",
 	"cpi": "count", "mhz2": "mhz",
-	"sq": "count", "ohm/sq": "ohm/sq", "ohms/sq": "ohm/sq",
+	"sq": "count", "ohm/sq": "ohm/sq", "ohms/sq": "ohm/sq", "\u03a9/sq": "ohm/sq", "\u2126/sq": "ohm/sq",
 	"gate": "count", "gates": "count", "delays": "count",
 }
 
@@ -267,18 +267,32 @@ numDone:
 	return value, unit, true
 }
 
+// leadingUnitToken returns the unit token at the start of s: ASCII
+// letters, '/' and '%', and the non-ASCII unit signs of unitRunes.
 func leadingUnitToken(s string) string {
 	end := 0
 	for end < len(s) {
 		c := s[end]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '/' || c == '%' {
+		switch {
+		case c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '/' || c == '%':
 			end++
-		} else {
-			break
+		case c >= utf8.RuneSelf:
+			r, n := utf8.DecodeRuneInString(s[end:])
+			if !strings.ContainsRune(unitRunes, r) {
+				return s[:end]
+			}
+			end += n
+		default:
+			return s[:end]
 		}
 	}
 	return s[:end]
 }
+
+// unitRunes are the non-ASCII signs a unit token may hold: the ohm as
+// capital omega (U+03A9) and as the ohm sign (U+2126), and micro as the
+// micro sign (U+00B5) and as small mu (U+03BC).
+const unitRunes = "\u03a9\u2126\u00b5\u03bc"
 
 // caseSensitivePrefixes maps SI prefixes preserving the mega/milli case
 // distinction; tried longest first.
@@ -288,17 +302,18 @@ var caseSensitivePrefixes = []struct {
 }{
 	{"meg", 1e6}, {"Meg", 1e6}, {"MEG", 1e6},
 	{"G", 1e9}, {"M", 1e6}, {"k", 1e3}, {"K", 1e3},
-	{"m", 1e-3}, {"u", 1e-6}, {"n", 1e-9}, {"p", 1e-12}, {"f", 1e-15},
+	{"m", 1e-3}, {"u", 1e-6}, {"\u00b5", 1e-6}, {"\u03bc", 1e-6},
+	{"n", 1e-9}, {"p", 1e-12}, {"f", 1e-15},
 	{"N", 1e-9}, {"P", 1e-12},
 }
 
 // applyUnit resolves an attached unit token like "kOhm", "mV", "ns" into
 // (scaledValue, canonicalBaseUnit). Well-known compound spellings are
 // handled first; otherwise a case-sensitive SI prefix is split off.
-// tok is ASCII by construction (leadingUnitToken admits only
-// [a-zA-Z/%]), so an in-place ASCII fold into a stack buffer replaces
-// the old strings.ToLower copy; only the unknown-unit fallback return
-// still materialises a lowered string.
+// tok is ASCII apart from the unit signs leadingUnitToken admits, which
+// have no ASCII case to fold, so an in-place ASCII fold into a stack
+// buffer replaces the old strings.ToLower copy; only the unknown-unit
+// fallback return still materialises a lowered string.
 //
 //hot:number unit resolution on the numeric judge path
 func applyUnit(v float64, tok string) (float64, string) {
@@ -335,7 +350,8 @@ func applyUnit(v float64, tok string) (float64, string) {
 }
 
 // appendLowerASCII appends s to dst with A-Z folded to a-z. Exact for
-// the ASCII-only tokens leadingUnitToken produces.
+// the tokens leadingUnitToken produces, whose non-ASCII unit signs
+// have no lower case to fold to.
 func appendLowerASCII(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
