@@ -16,11 +16,12 @@ func (b *Benchmark) Challenge() *Benchmark {
 
 // StripChoices returns a short-answer variant of the question. For a
 // question that is already short answer, it returns a copy unchanged.
+// Either way the copy's Memo is empty.
 func (q *Question) StripChoices() *Question {
-	cp := *q
+	cp := q.Clone()
 	cp.Challenge = true
 	if q.Type != MultipleChoice {
-		return &cp
+		return cp
 	}
 	cp.Type = ShortAnswer
 	cp.Choices = nil
@@ -45,7 +46,7 @@ func (q *Question) StripChoices() *Question {
 	default:
 		cp.Golden = Answer{Kind: AnswerPhrase, Text: golden.Text, Accept: golden.Accept}
 	}
-	return &cp
+	return cp
 }
 
 // looksLikeExpression is a heuristic for option contents that are boolean

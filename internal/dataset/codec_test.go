@@ -163,9 +163,9 @@ func TestParsePackParallelMatchesSerial(t *testing.T) {
 	b := fixtureBenchmark()
 	many := &Benchmark{Name: "par"}
 	for i := 0; i < 100; i++ {
-		q := *b.Questions[i%len(b.Questions)]
+		q := b.Questions[i%len(b.Questions)].Clone()
 		q.ID = fmt.Sprintf("par-%03d", i)
-		many.Questions = append(many.Questions, &q)
+		many.Questions = append(many.Questions, q)
 	}
 	raw := fixturePack(t, many)
 	serial, err := parsePack(string(raw), 1)

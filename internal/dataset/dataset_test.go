@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -390,4 +391,35 @@ func TestDistinctOptions(t *testing.T) {
 		}
 	}()
 	DistinctOptions("x", "a", "a")
+}
+
+// TestCloneCopiesEveryFieldButMemo builds a question with every field
+// set and checks that Clone and StripChoices copy each field except
+// Memo, which starts empty. A field added to Question must be set here,
+// and copied by Clone.
+func TestCloneCopiesEveryFieldButMemo(t *testing.T) {
+	q := &Question{
+		ID: "q", Category: Analog, Type: ShortAnswer, Topic: "bode", Prompt: "p?",
+		Choices: []string{"x"}, Golden: Answer{Kind: AnswerNumber, Number: 2, Unit: "V", Text: "2 V"},
+		Visual: visual.NewScene(visual.KindFigure, "s"), Challenge: true, Ord: 7, Difficulty: 0.5,
+	}
+	q.Memo.Fill("record")
+	for _, cp := range []*Question{q.Clone(), q.StripChoices()} {
+		if cp.Memo.Load() != nil {
+			t.Errorf("copy of %s holds the original's Memo record", q.ID)
+		}
+		want, got := reflect.ValueOf(q).Elem(), reflect.ValueOf(cp).Elem()
+		for i := range want.NumField() {
+			name := want.Type().Field(i).Name
+			if name == "Memo" {
+				continue
+			}
+			if want.Field(i).IsZero() {
+				t.Errorf("the fixture leaves Question.%s zero", name)
+			}
+			if !reflect.DeepEqual(want.Field(i).Interface(), got.Field(i).Interface()) {
+				t.Errorf("copy has %s %v, want %v", name, got.Field(i), want.Field(i))
+			}
+		}
+	}
 }

@@ -7,6 +7,8 @@ package dataset
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/visual"
 )
@@ -142,6 +144,45 @@ type Question struct {
 	// simulated models; roughly "college course" (≤0.4) through
 	// "practical research topic" (≥0.8) per the paper's framing.
 	Difficulty float64
+
+	// Memo holds what the simulated models derive from the question
+	// alone, built by the first model that answers it. It lives and
+	// dies with the question, is in neither the JSON nor the pack
+	// encoding, and a Clone starts with an empty one.
+	Memo Memo `json:"-"`
+}
+
+// Memo is a write-once slot for one opaque record. It is set at most
+// once, by compare-and-swap, so concurrent first users agree on one
+// record without a lock. A reader must check that the record still
+// fits the question, which may have changed since it was set.
+type Memo struct {
+	_ [0]sync.Mutex // go vet's copylocks check rejects a by-value copy
+	v atomic.Value
+}
+
+// Load returns the record, or nil if none is set.
+func (m *Memo) Load() any { return m.v.Load() }
+
+// Fill sets the record to r if none is set, and returns the record
+// the slot then holds: r, or the one set before. It panics if r's
+// concrete type differs from that record's, so every user of the slot
+// must store the same type.
+func (m *Memo) Fill(r any) any {
+	if m.v.CompareAndSwap(nil, r) {
+		return r
+	}
+	return m.v.Load()
+}
+
+// Clone returns a copy of q with an empty Memo. The copy shares q's
+// Choices, Golden.Accept and Visual, which are read-only.
+func (q *Question) Clone() *Question {
+	return &Question{
+		ID: q.ID, Category: q.Category, Type: q.Type, Topic: q.Topic,
+		Prompt: q.Prompt, Choices: q.Choices, Golden: q.Golden, Visual: q.Visual,
+		Challenge: q.Challenge, Ord: q.Ord, Difficulty: q.Difficulty,
+	}
 }
 
 // Validate checks structural invariants of a question.

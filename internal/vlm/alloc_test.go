@@ -8,6 +8,7 @@ package vlm
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/visual"
@@ -81,7 +82,7 @@ func TestConstantAnswersZeroAlloc(t *testing.T) {
 		check("malformed "+q.Visual.Kind.String(), func() string { return m.malformedResponse(q) })
 	}
 	expr := &dataset.Question{Golden: dataset.Answer{Kind: dataset.AnswerExpression, Text: "F = A'B + AB'"}}
-	check("wrong-expression", func() string { return m.wrongShortAnswer(expr, m.key.String(expr.ID)) })
+	check("wrong-expression", func() string { return wrongTextAnswer(expr.Golden.Kind) })
 	check("perception-failure", func() string { return m.perceptionFailureResponse(expr) })
 	_ = sink
 }
@@ -107,6 +108,61 @@ func TestAnswerZeroAllocCalibrated(t *testing.T) {
 				t.Errorf("%s %dx: Answer allocates %.1f times per sweep of both collections; want 0", m.Name(), factor, allocs)
 			}
 			_ = sink
+		}
+	}
+}
+
+// TestAnswerZeroAllocSecondTouch pins Answer at 0 allocs on questions
+// the tables do not answer, once each has been answered: the second
+// answer reads the question's Memo record. The questions are an
+// extended fold and Ord-less clones of both collections, whose
+// decisions come from the tables by ID, so that every decision kind
+// occurs; every model answers them at full resolution and at 16x.
+func TestAnswerZeroAllocSecondTouch(t *testing.T) {
+	b, chal, zoo := buildAll(t)
+	ext, err := core.BuildExtended("second-touch", 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := append([]*dataset.Question(nil), ext.Questions...)
+	for _, set := range [][]*dataset.Question{b.Questions, chal.Questions} {
+		for _, q := range set {
+			c := q.Clone()
+			c.Ord = 0
+			qs = append(qs, c)
+		}
+	}
+	const wrongText = decWrongAnswer + 1 // a wrong answer to a non-numeric golden
+	seen := map[decision]bool{}
+	for _, m := range zoo.Models() {
+		for _, q := range qs {
+			if f, _ := m.calibrated(q); f != nil {
+				t.Fatalf("%s %s: answered from the tables", m.Name(), q.ID)
+			}
+			d := m.decisionFor(q, m.key.String(q.ID))
+			if d == decWrongAnswer && q.Golden.Kind != dataset.AnswerNumber {
+				d = wrongText
+			}
+			seen[d] = true
+		}
+		for _, factor := range []int{1, 16} {
+			opts := eval.InferenceOptions{DownsampleFactor: factor}
+			sink := 0
+			// AllocsPerRun's warm-up run gives each question its first answer.
+			allocs := testing.AllocsPerRun(5, func() {
+				for _, q := range qs {
+					sink += len(m.Answer(q, opts))
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %dx: a second answer allocates %.1f times per sweep; want 0", m.Name(), factor, allocs)
+			}
+			_ = sink
+		}
+	}
+	for _, d := range []decision{decSolve, decGuessCorrect, decGuessWrong, decMalformed, decWrongAnswer, wrongText} {
+		if !seen[d] {
+			t.Errorf("no question takes decision %d", d)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -129,6 +130,15 @@ func (m *refModel) wrongShortAnswerRef(q *dataset.Question) string {
 	}
 }
 
+// quantity is the formatter the answer path called per answer before
+// each question's responses were built once.
+func quantity(x float64, unit string) string {
+	var buf [48]byte
+	b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
+	b = append(b, ' ')
+	return string(append(b, unit...))
+}
+
 // answerOrPanic returns answer's response, or the value it panicked
 // with: a question the reference cannot answer must fail the same way.
 func answerOrPanic(answer func() string) (resp string, panicked any) {
@@ -151,7 +161,9 @@ func checkAnswerMatchesRef(t *testing.T, m *SimulatedVLM, ref *refModel, q *data
 // TestAnswerMatchesRefOnZoo compares every response of the 12-model zoo
 // with answerRef's: on the standard and challenge collections, which
 // the tables answer, and on a pack-loaded copy, a JSON round-trip copy
-// and an extended fold, which take the general path.
+// and an extended fold, which take the general path. The extended fold
+// is answered twice: the first pass builds each question's Memo record,
+// the second reads it.
 func TestAnswerMatchesRefOnZoo(t *testing.T) {
 	b, chal, zoo := buildAll(t)
 	var pack, js bytes.Buffer
@@ -180,14 +192,14 @@ func TestAnswerMatchesRefOnZoo(t *testing.T) {
 		ref := newRefModel(m)
 		for _, qs := range calibrated {
 			for _, q := range qs {
-				if _, ok := m.calibratedAnswer(q); !ok {
+				if f, _ := m.calibrated(q); f == nil {
 					t.Fatalf("%s %s (challenge %v): not answered from the tables", m.Name(), q.ID, q.Challenge)
 				}
 			}
 		}
 		for _, qs := range general {
 			for _, q := range qs {
-				if _, ok := m.calibratedAnswer(q); ok {
+				if f, _ := m.calibrated(q); f != nil {
 					t.Fatalf("%s %s (ord %d): a copy answered from the tables", m.Name(), q.ID, q.Ord)
 				}
 			}
@@ -200,12 +212,33 @@ func TestAnswerMatchesRefOnZoo(t *testing.T) {
 			}
 		}
 	}
+	records := make([]any, len(ext.Questions))
+	for i, q := range ext.Questions {
+		if records[i] = q.Memo.Load(); records[i] == nil {
+			t.Fatalf("%s: no Memo record after the first pass", q.ID)
+		}
+	}
+	for _, m := range zoo.Models() {
+		ref := newRefModel(m)
+		for _, q := range ext.Questions {
+			for _, factor := range []int{1, 2, 8, 16} {
+				checkAnswerMatchesRef(t, m, ref, q, factor)
+			}
+		}
+	}
+	for i, q := range ext.Questions {
+		if q.Memo.Load() != records[i] {
+			t.Fatalf("%s: the second pass replaced the Memo record", q.ID)
+		}
+	}
 }
 
 // FuzzAnswerMatchesRef mutates a copy of a calibrated question (its
 // golden number, unit, text, choice and kind, its options, ordinal, ID,
 // type and challenge flag, in any combination) and compares Answer with
-// answerRef on it. mask selects the mutations; n, x and s feed them.
+// answerRef on it, twice: the first answer builds the copy's Memo
+// record, the second reads it. mask selects the mutations; n, x and s
+// feed them.
 func FuzzAnswerMatchesRef(f *testing.F) {
 	b, chal, zoo := buildAll(f)
 	refs := make([]*refModel, len(zoo.Models()))
@@ -224,8 +257,7 @@ func FuzzAnswerMatchesRef(f *testing.F) {
 		if challenge {
 			set = chal.Questions
 		}
-		cp := *set[int(qi)%len(set)]
-		q := &cp
+		q := set[int(qi)%len(set)].Clone()
 		mutations := []func(){
 			func() { q.Golden.Number = x },
 			func() { q.Golden.Unit = s },
@@ -254,6 +286,7 @@ func FuzzAnswerMatchesRef(f *testing.F) {
 		}
 		i := int(mi) % len(refs)
 		factor := []int{1, 2, 4, 8, 16, 32}[int(fi)%6]
+		checkAnswerMatchesRef(t, zoo.Models()[i], refs[i], q, factor)
 		checkAnswerMatchesRef(t, zoo.Models()[i], refs[i], q, factor)
 	})
 }

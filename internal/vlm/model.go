@@ -86,7 +86,9 @@ func (m *SimulatedVLM) SetPerception(p PerceptionPolicy) { m.perception = p }
 // perception over the scene graph at the requested resolution, then the
 // calibrated solve stage — and emits the model's textual response. The
 // simulation reads the question directly, so it assembles no §IV text
-// prompt. A question the Zoo calibrated on is answered from its tables.
+// prompt. A question the Zoo calibrated on is answered from its tables;
+// any other is answered from its own Memo record, and only its decision
+// is drawn per answer.
 //
 // Every draw of one answer extends one prefix, the model's key and the
 // question ID, hashed only once a draw needs it: a full-resolution
@@ -99,24 +101,39 @@ func (m *SimulatedVLM) Answer(q *dataset.Question, opts eval.InferenceOptions) s
 			return m.perceptionFailureResponse(q)
 		}
 	}
-	if resp, ok := m.calibratedAnswer(q); ok {
-		return resp
+	f, e := m.calibrated(q)
+	if f == nil {
+		if key == 0 {
+			key = m.key.String(q.ID)
+		}
+		f = questionAnswers(q)
+		e = entryFor(m.decisionFor(q, key), f.kind, key)
 	}
-	if key == 0 {
-		key = m.key.String(q.ID)
-	}
-	switch m.decisionFor(q, key) {
+	return m.respond(q, f, e)
+}
+
+// respond renders the decision and variant of e as a response to q,
+// from q's responses f.
+func (m *SimulatedVLM) respond(q *dataset.Question, f *formAnswers, e entry) string {
+	switch e.decision() {
 	case decSolve:
-		return goldenResponse(q)
+		if f.golden == "" && f.qtype == dataset.MultipleChoice {
+			// The golden choice names no option; index them anyway, to
+			// fail as rendering the golden option always has.
+			return q.Choices[q.Golden.Choice]
+		}
+		return f.golden
 	case decGuessCorrect:
-		return dataset.ChoiceLetter(q.Golden.Choice)
+		return dataset.ChoiceLetter(f.choice)
 	case decGuessWrong:
-		return m.wrongLetter(q, key)
+		return dataset.ChoiceLetter((f.choice + e.variant()) % 4)
 	case decMalformed:
 		return m.malformedResponse(q)
-	default:
-		return m.wrongShortAnswer(q, key)
 	}
+	if f.kind == dataset.AnswerNumber {
+		return f.wrong[e.variant()]
+	}
+	return wrongTextAnswer(f.kind)
 }
 
 // perceives runs the perception stage: at full resolution the scene
@@ -157,39 +174,26 @@ func (m *SimulatedVLM) perceives(q *dataset.Question, qkey rng.Hasher, factor in
 	return frac >= m.perception.RecallThreshold
 }
 
-// calibratedAnswer answers q from the Zoo's tables when q is the
-// calibrated question its Ord names: the same ID, and the golden the
-// bank's responses were built from. ok is false for any other question,
-// and for one whose decision the tables leave to the fallback draw;
-// Answer then takes the general path, whose response is the same for a
-// question the tables do answer.
+// calibrated returns the bank's responses to q and q's table entry
+// when q is the calibrated question its Ord names: the same ID, and the
+// golden the bank's responses were built from. f is nil for any other
+// question, and for one whose decision the tables leave to the
+// fallback draw; Answer then takes the general path, whose response is
+// the same for a question the tables do answer.
 //
 //hot:vlm per-event answer to a calibrated question (DESIGN.md §12)
-func (m *SimulatedVLM) calibratedAnswer(q *dataset.Question) (resp string, ok bool) {
+func (m *SimulatedVLM) calibrated(q *dataset.Question) (f *formAnswers, e entry) {
 	i := int(q.Ord) - 1
 	if uint(i) >= uint(len(m.bank.ids)) || m.bank.ids[i] != q.ID {
-		return "", false
+		return nil, 0
 	}
 	table, form := m.tableFor(q)
-	e := table[i]
-	f := &m.bank.forms[form][i]
+	e = table[i]
+	f = &m.bank.forms[form][i]
 	if e.decision() == decUnknown || !f.matches(q) {
-		return "", false
+		return nil, 0
 	}
-	switch e.decision() {
-	case decSolve:
-		return f.golden, true
-	case decGuessCorrect:
-		return dataset.ChoiceLetter(f.choice), true
-	case decGuessWrong:
-		return dataset.ChoiceLetter((f.choice + e.variant()) % 4), true
-	case decMalformed:
-		return m.malformedResponse(q), true
-	}
-	if f.kind == dataset.AnswerNumber {
-		return f.wrong[e.variant()], true
-	}
-	return wrongTextAnswer(f.kind), true
+	return f, e
 }
 
 // tableFor returns the decision table and the bank form of q's format.
@@ -203,7 +207,7 @@ func (m *SimulatedVLM) tableFor(q *dataset.Question) ([]entry, int) {
 	return m.saStd, ownForm
 }
 
-// decisionFor is the decision of a question calibratedAnswer does not
+// decisionFor is the decision of a question calibrated does not
 // answer: the calibrated one for its ID and form, if any, else a draw
 // against the profile's targets, keyed by qkey = m.key.String(q.ID).
 func (m *SimulatedVLM) decisionFor(q *dataset.Question, qkey rng.Hasher) decision {
@@ -230,29 +234,27 @@ func (m *SimulatedVLM) decisionFor(q *dataset.Question, qkey rng.Hasher) decisio
 	return decWrongAnswer
 }
 
-// goldenResponse renders the correct answer the way a well-behaved model
-// would phrase it: a multiple-choice answer as its letter and option.
-func goldenResponse(q *dataset.Question) string {
-	if q.Type == dataset.MultipleChoice {
-		return dataset.ChoiceLetter(q.Golden.Choice) + ") " + q.Choices[q.Golden.Choice]
-	}
-	if q.Golden.Kind == dataset.AnswerNumber && q.Golden.Text == "" {
-		return quantity(q.Golden.Number, q.Golden.Unit)
-	}
-	return q.Golden.Text
-}
-
-// quantity formats a number and its unit as fmt's "%g %s" does, with
-// the response string as its only allocation.
-func quantity(x float64, unit string) string {
-	var buf [48]byte
-	b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
+// appendQuantity appends a number and its unit to b as fmt's "%g %s"
+// formats them.
+func appendQuantity(b []byte, x float64, unit string) []byte {
+	b = strconv.AppendFloat(b, x, 'g', -1, 64)
 	b = append(b, ' ')
-	return string(append(b, unit...))
+	return append(b, unit...)
 }
 
-func (m *SimulatedVLM) wrongLetter(q *dataset.Question, qkey rng.Hasher) string {
-	return dataset.ChoiceLetter((q.Golden.Choice + wrongLetterOffset(qkey)) % 4)
+// entryFor is the entry of decision d at the question whose prefix is
+// qkey and whose golden is of the given kind: d with the variant its
+// wrong answer takes, drawn from the same hashers at calibration and
+// per answer.
+func entryFor(d decision, kind dataset.AnswerKind, qkey rng.Hasher) entry {
+	v := 0
+	switch {
+	case d == decGuessWrong:
+		v = wrongLetterOffset(qkey)
+	case d == decWrongAnswer && kind == dataset.AnswerNumber:
+		v = wrongNumberIndex(qkey)
+	}
+	return entry(d) | entry(v)<<variantShift
 }
 
 // wrongLetterOffset is how many options past the golden one the model's
@@ -288,13 +290,6 @@ var malformedSentences = func() (t [visual.NumKinds]string) {
 func malformedSentence(kind visual.Kind) string {
 	return "The image shows a " + kind.String() + " with several connected components. " +
 		"It depicts the structure described in the question."
-}
-
-func (m *SimulatedVLM) wrongShortAnswer(q *dataset.Question, qkey rng.Hasher) string {
-	if q.Golden.Kind == dataset.AnswerNumber {
-		return quantity(q.Golden.Number*wrongFactors[wrongNumberIndex(qkey)]+1, q.Golden.Unit)
-	}
-	return wrongTextAnswer(q.Golden.Kind)
 }
 
 // wrongFactors are the classic slips of a wrong numeric answer, each

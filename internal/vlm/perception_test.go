@@ -55,6 +55,11 @@ func (m *SimulatedVLM) fallbackReference(q *dataset.Question) decision {
 	return decWrongAnswer
 }
 
+// wrongAnswer is m's response to q when its decision is d, a wrong one.
+func (m *SimulatedVLM) wrongAnswer(q *dataset.Question, d decision) string {
+	return m.respond(q, questionAnswers(q), entryFor(d, q.Golden.Kind, m.key.String(q.ID)))
+}
+
 // extendedShard returns the first shard of a streamed extended fold:
 // questions the zoo was not calibrated on, across all five disciplines.
 func extendedShard(t *testing.T) []*dataset.Question {
@@ -102,13 +107,13 @@ func TestPerceivesMatchesReference(t *testing.T) {
 			}
 			if q.Type == dataset.MultipleChoice {
 				off := 1 + rng.Pick(3, m.profile.Name, q.ID, "wrong-letter")
-				if got, want := m.wrongLetter(q, m.key.String(q.ID)), dataset.ChoiceLetter((q.Golden.Choice+off)%4); got != want {
+				if got, want := m.wrongAnswer(q, decGuessWrong), dataset.ChoiceLetter((q.Golden.Choice+off)%4); got != want {
 					t.Errorf("%s %s: wrong letter %q, reference %q", m.Name(), q.ID, got, want)
 				}
 			} else if q.Golden.Kind == dataset.AnswerNumber {
 				factor := []float64{3.1, 0.31, -1.7}[rng.Pick(3, m.profile.Name, q.ID, "wrong-num")]
 				want := fmt.Sprintf("%g %s", q.Golden.Number*factor+1, q.Golden.Unit)
-				if got := m.wrongShortAnswer(q, m.key.String(q.ID)); got != want {
+				if got := m.wrongAnswer(q, decWrongAnswer); got != want {
 					t.Errorf("%s %s: wrong number %q, reference %q", m.Name(), q.ID, got, want)
 				}
 			}

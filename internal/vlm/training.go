@@ -94,7 +94,7 @@ func (f *FineTuned) Answer(q *dataset.Question, opts eval.InferenceOptions) stri
 		boost = f.boostMC[q.Category]
 	}
 	if rng.Bernoulli(boost, "finetune", f.base.Name(), f.tag, q.ID) {
-		return goldenResponse(q)
+		return f.base.respond(q, questionAnswers(q), entry(decSolve))
 	}
 	return baseResp
 }

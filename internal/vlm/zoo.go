@@ -70,16 +70,19 @@ type answerBank struct {
 	forms [numForms][]formAnswers
 }
 
-// formAnswers is one form of a calibrated question: the golden fields
-// its responses are built from, which matches compares with the asked
-// question, and the responses themselves.
+// formAnswers is one form of a question: the golden fields its
+// responses are built from, which matches compares with the asked
+// question, and the responses themselves. The bank holds one per form
+// of each calibrated question; any other question holds its own in its
+// Memo (questionAnswers).
 type formAnswers struct {
 	kind       dataset.AnswerKind
+	qtype      dataset.QType
 	choice     int
 	number     float64
 	unit, text string
 	option     string // the golden option's text, multiple choice only
-	golden     string // goldenResponse(q)
+	golden     string // the correct response
 	wrong      [len(wrongFactors)]string
 }
 
@@ -103,37 +106,77 @@ func newAnswerBank(b *dataset.Benchmark) *answerBank {
 	return bank
 }
 
+// newFormAnswers renders q's responses, all in one allocation. The
+// correct one is phrased as a well-behaved model would: a
+// multiple-choice answer as its letter and option, a short answer as
+// its golden text or quantity.
 func newFormAnswers(q *dataset.Question) formAnswers {
 	g := &q.Golden
-	f := formAnswers{kind: g.Kind, choice: g.Choice, number: g.Number, unit: g.Unit, text: g.Text}
-	if q.Type == dataset.MultipleChoice {
+	f := formAnswers{kind: g.Kind, qtype: q.Type, choice: g.Choice, number: g.Number, unit: g.Unit, text: g.Text}
+	var buf [4 * 48]byte
+	b := buf[:0]
+	switch {
+	case q.Type == dataset.MultipleChoice:
 		if uint(g.Choice) >= uint(len(q.Choices)) {
-			return f // matches never holds, so the tables never answer it
+			return f // matches never holds, and respond indexes Choices to fail as before
 		}
 		f.option = q.Choices[g.Choice]
+		b = append(append(append(b, dataset.ChoiceLetter(g.Choice)...), ") "...), f.option...)
+	case g.Kind == dataset.AnswerNumber && g.Text == "":
+		b = appendQuantity(b, g.Number, g.Unit)
 	}
-	f.golden = goldenResponse(q)
-	if g.Kind == dataset.AnswerNumber {
-		for k, factor := range wrongFactors {
-			f.wrong[k] = quantity(g.Number*factor+1, g.Unit)
+	golden := len(b)
+	var ends [len(wrongFactors)]int
+	for k, factor := range wrongFactors {
+		if g.Kind == dataset.AnswerNumber {
+			b = appendQuantity(b, g.Number*factor+1, g.Unit)
 		}
+		ends[k] = len(b)
+	}
+	all := string(b)
+	f.golden = all[:golden]
+	if golden == 0 {
+		f.golden = g.Text
+	}
+	start := golden
+	for k, end := range ends {
+		f.wrong[k] = all[start:end]
+		start = end
 	}
 	return f
 }
 
-// matches reports whether q has the golden this form's responses were
-// built from: every golden field a response reads, and for multiple
-// choice the golden option's text.
+// matches reports whether q has the format and golden this form's
+// responses were built from: every golden field a response reads, and
+// for multiple choice the golden option's text.
 func (f *formAnswers) matches(q *dataset.Question) bool {
 	g := &q.Golden
-	if g.Kind != f.kind || g.Choice != f.choice || math.Float64bits(g.Number) != math.Float64bits(f.number) ||
-		g.Unit != f.unit || g.Text != f.text {
+	if q.Type != f.qtype || g.Kind != f.kind || g.Choice != f.choice ||
+		math.Float64bits(g.Number) != math.Float64bits(f.number) || g.Unit != f.unit || g.Text != f.text {
 		return false
 	}
 	if q.Type != dataset.MultipleChoice {
 		return true
 	}
 	return uint(g.Choice) < uint(len(q.Choices)) && q.Choices[g.Choice] == f.option
+}
+
+// questionAnswers returns the responses of a question the bank does
+// not answer: the record in q's Memo, built and set by the first model
+// that asks. A record that no longer matches q, because q changed after
+// it was set, is not replaced; such a question gets fresh responses per
+// answer.
+func questionAnswers(q *dataset.Question) *formAnswers {
+	f, _ := q.Memo.Load().(*formAnswers)
+	if f == nil {
+		r := newFormAnswers(q)
+		f, _ = q.Memo.Fill(&r).(*formAnswers)
+	}
+	if f.matches(q) {
+		return f
+	}
+	r := newFormAnswers(q)
+	return &r
 }
 
 // calibrate derives per-question decisions from the profile's Table II
@@ -161,18 +204,10 @@ func calibrate(p Profile, bank *answerBank, byCat map[dataset.Category][]*datase
 }
 
 // set records decision d for q in one of m's tables, at the index of
-// q's ID, with the variant its wrong answer takes on the given form:
-// the same draws wrongLetter and wrongShortAnswer make.
+// q's ID, with the variant its wrong answer takes on the given form.
 func (m *SimulatedVLM) set(table []entry, form int, q *dataset.Question, d decision) {
 	i := m.bank.index[q.ID]
-	v := 0
-	switch {
-	case d == decGuessWrong:
-		v = wrongLetterOffset(m.key.String(q.ID))
-	case d == decWrongAnswer && m.bank.forms[form][i].kind == dataset.AnswerNumber:
-		v = wrongNumberIndex(m.key.String(q.ID))
-	}
-	table[i] = entry(d) | entry(v)<<variantShift
+	table[i] = entryFor(d, m.bank.forms[form][i].kind, m.key.String(q.ID))
 }
 
 // solvesChallenge reports whether m solves q in the challenge run.
