@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"image"
+	"runtime"
 	"testing"
 
 	chipvqa "repro"
@@ -693,6 +694,35 @@ func BenchmarkItemAnalysis(b *testing.B) {
 		if _, err := eval.ItemAnalysis(reports); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Extension — the adaptive tournament: the 12-model zoo over the
+// "bench" calibration bank (200 questions per discipline), one
+// tournament per iteration with its own tie-break seed, on one worker
+// and on NumCPU. Each tournament's serial Record path (posterior update,
+// stopping rules, item selection) sets its pace at either count.
+func BenchmarkTournament(b *testing.B) {
+	ctx := context.Background()
+	suite := chipvqa.MustNewSuite()
+	cal, err := suite.AdaptiveCalibrate(ctx, "bench", 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := zooModels(b, suite)
+	for _, w := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			r := eval.Runner{Workers: w}
+			asked := 0
+			for i := 0; i < b.N; i++ {
+				res, err := cal.Run(ctx, r, models, chipvqa.AdaptiveConfig{Seed: fmt.Sprintf("bench-%d", i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				asked += res.QuestionsAsked
+			}
+			b.ReportMetric(float64(asked)/b.Elapsed().Seconds(), "questions/s")
+		})
 	}
 }
 

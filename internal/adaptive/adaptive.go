@@ -94,9 +94,16 @@ const (
 	gridN  = 81
 )
 
-func gridTheta(k int) float64 {
-	return gridLo + (gridHi-gridLo)*float64(k)/float64(gridN-1)
-}
+// thetaGrid holds the grid points, so the posterior loops read them
+// instead of dividing per point.
+var thetaGrid = func() (g [gridN]float64) {
+	for k := range g {
+		g[k] = gridLo + (gridHi-gridLo)*float64(k)/float64(gridN-1)
+	}
+	return g
+}()
+
+func gridTheta(k int) float64 { return thetaGrid[k] }
 
 // Estimator tracks one model's ability posterior under the 2PL model
 // with a standard-normal prior (expected-a-posteriori estimation).

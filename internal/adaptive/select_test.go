@@ -3,6 +3,8 @@ package adaptive
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -41,8 +43,11 @@ func linearSelect(bank []BankItem, asked []bool, ability float64, seed string, k
 // Parameter pools for random banks. Drawing from short prefixes makes
 // many items share (Disc, Diff); the Diff pool is symmetric around the
 // probe abilities, so items of different classes tie on information.
+// Past its first five values discPool is extreme (extremeDiscs): banks
+// drawing from six or more mix items whose information is 0, subnormal,
+// near the float maximum or +Inf into ordinary ones.
 var (
-	discPool = []float64{1, 0.5, 2, 1.5, 0.75}
+	discPool = append([]float64{1, 0.5, 2, 1.5, 0.75}, extremeDiscs...)
 	diffPool = []float64{0, -1, 1, -0.5, 0.5, -2, 2, -3.9, 3.9}
 	probes   = []float64{0, 0.5, -0.5, 1, -1, 2, -4, 4}
 )
@@ -70,6 +75,48 @@ func randomBank(s *rng.Stream, n, nDisc, nDiff int) []BankItem {
 		bank[i] = BankItem{Question: &dataset.Question{ID: id}, Params: p}
 	}
 	return bank
+}
+
+// extremeDiscs are discriminations whose disc·disc underflows to 0
+// (1e-170), is subnormal (1e-160), is within a few binades of the float
+// maximum (1e154) or overflows to +Inf (1e160).
+var extremeDiscs = []float64{1e-170, 1e160, 1e-160, 1e154}
+
+// TestInformationBound: Information never exceeds its class's bound at
+// any ability: at Diff, where P(1-P) peaks, at Diff a few ulps and a
+// few 2^-40 steps away, at every grid point and at ±1e300. The bound
+// must also be monotone in Disc, for the bound-ordered class scan.
+func TestInformationBound(t *testing.T) {
+	discs := append([]float64{0.5, 1, 2, 0.7, 1.3, 1.9999999999999998}, extremeDiscs...)
+	for _, disc := range discs {
+		bound := infoBound(disc)
+		for _, diff := range []float64{0, 0.3, -1.7, 3.9, -3.9} {
+			p := ItemParams{Disc: disc, Diff: diff}
+			thetas := []float64{1e300, -1e300}
+			for up, down, k := diff, diff, 0; k <= 4; k++ {
+				thetas = append(thetas, up, down)
+				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			}
+			for j := -64; j <= 64; j++ {
+				thetas = append(thetas, diff+float64(j)*math.Ldexp(1, -40))
+			}
+			for k := range gridN {
+				thetas = append(thetas, gridTheta(k))
+			}
+			for _, th := range thetas {
+				if info := p.Information(th); !(info <= bound) {
+					t.Fatalf("disc %v diff %v theta %v: information %v above bound %v", disc, diff, th, info, bound)
+				}
+			}
+		}
+	}
+	sorted := slices.Clone(discs)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if infoBound(sorted[i]) < infoBound(sorted[i-1]) {
+			t.Errorf("bound of disc %v below bound of disc %v", sorted[i], sorted[i-1])
+		}
+	}
 }
 
 func dupID(bank []BankItem, id string) bool {
@@ -104,6 +151,11 @@ func FuzzSelectMatchesLinearScan(f *testing.F) {
 	f.Add(uint64(6), uint8(255), uint8(1), uint8(9), uint8(2)) // symmetric info ties
 	f.Add(uint64(7), uint8(0), uint8(4), uint8(3), uint8(0))   // single item
 	f.Add(uint64(8), uint8(200), uint8(5), uint8(0), uint8(0)) // continuous Diff
+
+	// Extreme discriminations (extremeDiscs) among ordinary ones.
+	f.Add(uint64(9), uint8(150), uint8(9), uint8(9), uint8(0))  // every extreme disc
+	f.Add(uint64(10), uint8(80), uint8(7), uint8(2), uint8(1))  // zero and +Inf information, keys tied
+	f.Add(uint64(11), uint8(200), uint8(8), uint8(0), uint8(3)) // subnormal information, continuous Diff
 	f.Fuzz(func(t *testing.T, seed uint64, n, nDisc, nDiff, coarse uint8) {
 		s := rng.NewStream("select-fuzz", fmt.Sprint(seed))
 		bank := randomBank(&s, 1+int(n), int(nDisc)%(len(discPool)+1), int(nDiff)%(len(diffPool)+1))

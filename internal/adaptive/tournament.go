@@ -100,13 +100,15 @@ func (c Config) withDefaults(bankSize, nModels int) Config {
 	return c
 }
 
-// seat is one model's tournament state.
+// seat is one model's tournament state. pending is the bank index of
+// the seat's issued, unrecorded item: a seat has at most one.
 type seat struct {
-	model  eval.Model
-	est    Estimator
-	nAsked int
-	frozen bool
-	reason string
+	model   eval.Model
+	est     Estimator
+	nAsked  int
+	pending int
+	frozen  bool
+	reason  string
 }
 
 // slot is one bank item in selection order: its precomputed
@@ -120,10 +122,12 @@ type slot struct {
 // hold slots[start:end], ordered by (key, QuestionID), so within a
 // class — where every item carries the same information at any
 // ability — the first unasked slot is the class's selection winner.
-// rows caches the class's log-likelihood row for a wrong (0) and a
-// right (1) answer, each filled on first use.
+// bound is at least every value Information returns for the class at
+// any ability (see infoBound). rows caches the class's log-likelihood
+// row for a wrong (0) and a right (1) answer, each filled on first use.
 type itemClass struct {
 	disc, diff float64
+	bound      float64
 	start, end int
 	filled     [2]bool
 	rows       [2][gridN]float64
@@ -147,13 +151,12 @@ type itemClass struct {
 type Tournament struct {
 	mu        sync.Mutex
 	bank      []BankItem
-	itemIndex map[string]int // QuestionID -> bank index
 	seatIndex map[string]int // model name -> seat index
 	seats     []seat
 	cfg       Config
 
 	slots   []slot      // bank items grouped by class
-	classes []itemClass // distinct item parameters
+	classes []itemClass // distinct item parameters, Disc descending
 	classOf []int       // bank index -> class
 	// cursors[si*len(classes)+c] is seat si's first unasked slot of
 	// class c: selection always takes a class's first unasked slot, so
@@ -192,9 +195,9 @@ func newTournament(models []eval.Model, bank []BankItem, cfg Config, key func(se
 	if len(bank) == 0 {
 		return nil, fmt.Errorf("adaptive: empty item bank")
 	}
+	seen := make(map[string]struct{}, len(bank))
 	t := &Tournament{
 		bank:      bank,
-		itemIndex: make(map[string]int, len(bank)),
 		seatIndex: make(map[string]int, len(models)),
 		seats:     make([]seat, 0, len(models)),
 		cfg:       cfg.withDefaults(len(bank), len(models)),
@@ -212,10 +215,10 @@ func newTournament(models []eval.Model, bank []BankItem, cfg Config, key func(se
 			return nil, fmt.Errorf("adaptive: bank item %q has invalid params (disc %v, diff %v): want finite, disc > 0",
 				it.Question.ID, p.Disc, p.Diff)
 		}
-		if _, dup := t.itemIndex[it.Question.ID]; dup {
+		if _, dup := seen[it.Question.ID]; dup {
 			return nil, fmt.Errorf("adaptive: duplicate bank question %q", it.Question.ID)
 		}
-		t.itemIndex[it.Question.ID] = i
+		seen[it.Question.ID] = struct{}{}
 	}
 	for _, m := range models {
 		name := m.Name()
@@ -234,9 +237,10 @@ func newTournament(models []eval.Model, bank []BankItem, cfg Config, key func(se
 }
 
 // buildClasses groups the bank by the exact bits of (Disc, Diff),
-// orders each group by (key, QuestionID), and points every seat's
-// cursors at the start of every class. Grouping sorts flat slices, so
-// the tables cost a constant number of allocations per tournament.
+// orders the groups by Disc descending and each group by
+// (key, QuestionID), and points every seat's cursors at the start of
+// every class. Grouping sorts flat slices, so the tables cost a
+// constant number of allocations per tournament.
 func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 	t.slots = make([]slot, len(t.bank))
 	for i, it := range t.bank {
@@ -244,7 +248,7 @@ func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 	}
 	slices.SortFunc(t.slots, func(a, b slot) int {
 		pa, pb := &t.bank[a.bank].Params, &t.bank[b.bank].Params
-		if c := cmp.Compare(math.Float64bits(pa.Disc), math.Float64bits(pb.Disc)); c != 0 {
+		if c := cmp.Compare(math.Float64bits(pb.Disc), math.Float64bits(pa.Disc)); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(math.Float64bits(pa.Diff), math.Float64bits(pb.Diff)); c != 0 {
@@ -268,7 +272,7 @@ func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 		cl := &t.classes[t.classOf[sl.bank]]
 		if cl.end == 0 {
 			p := t.bank[sl.bank].Params
-			cl.disc, cl.diff, cl.start = p.Disc, p.Diff, i
+			cl.disc, cl.diff, cl.bound, cl.start = p.Disc, p.Diff, infoBound(p.Disc), i
 		}
 		cl.end = i + 1
 	}
@@ -276,6 +280,22 @@ func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 	for i := range t.cursors {
 		t.cursors[i] = t.classes[i%n].start
 	}
+}
+
+// infoBound bounds Information(θ) for an item of discrimination disc
+// at every θ. Information computes fl(fl(A·P)·fl(1−P)) with
+// A = fl(disc·disc) and P in [0,1]. The exact P(1−P) is at most 1/4,
+// and the three roundings raise the product by less than 3 ulps (or,
+// for a subnormal result, by at most half a subnormal ulp each), so
+// A/4 raised by four ulps is never below it. The bound is monotone in
+// disc, so over classes sorted by Disc descending no class after one
+// whose bound is below the best information found can beat or tie it.
+func infoBound(disc float64) float64 {
+	b := disc * disc * 0.25
+	for i := 0; i < 4; i++ {
+		b = math.Nextafter(b, math.Inf(1))
+	}
+	return b
 }
 
 // sameParams reports whether two items have bit-identical (Disc, Diff).
@@ -325,8 +345,8 @@ func (t *Tournament) Record(ev *eval.Event) {
 		return
 	}
 	s := &t.seats[si]
-	bi, ok := t.itemIndex[ev.Question.ID]
-	if !ok {
+	bi := s.pending
+	if t.bank[bi].Question != ev.Question {
 		return
 	}
 	s.est.observeRow(t.logLikRow(bi, ev.Correct))
@@ -410,6 +430,7 @@ func (t *Tournament) issue(si int) {
 		return
 	}
 	bi := t.take(si, c)
+	s.pending = bi
 	s.nAsked++
 	t.issuedTotal++
 	t.ready[(t.head+t.queued)%len(t.ready)] = eval.Event{
@@ -433,7 +454,11 @@ func (t *Tournament) issue(si int) {
 // reordering of the bank slice... the §6 invariant for dynamic
 // sources. Because it is total, ranking each class by its first
 // unasked item — items of one class carry bit-identical information —
-// picks exactly the item a scan of the whole bank would.
+// picks exactly the item a scan of the whole bank would, and the scan
+// may visit the classes in any order: it stops at the first class
+// whose bound is below the best information found, since classes run
+// in Disc order and so every later bound is lower still. A tie with
+// the bound is still evaluated.
 //
 //hot:adaptive per-record item selection
 func (t *Tournament) selectClass(si int, ability float64) int {
@@ -443,6 +468,9 @@ func (t *Tournament) selectClass(si int, ability float64) int {
 	var bestSlot slot
 	for c := range t.classes {
 		cl := &t.classes[c]
+		if best >= 0 && cl.bound < bestInfo {
+			break
+		}
 		if cursors[c] == cl.end {
 			continue
 		}

@@ -74,8 +74,11 @@ func (r OoOResult) IPC() float64 {
 // instruction may start once its RAW producers have completed (perfect
 // renaming removes WAR/WAW), a functional unit of its class is free, and
 // issue bandwidth remains this cycle. Oldest-ready-first arbitration
-// keeps the schedule deterministic. Stores depend on their Src1/Src2;
-// memory is otherwise perfectly disambiguated.
+// keeps the schedule deterministic. It is a greedy list schedule, so
+// more issue slots can lengthen it: an independent instruction may take
+// a unit that a critical one, ready a cycle later, then waits for.
+// Stores depend on their Src1/Src2; memory is otherwise perfectly
+// disambiguated.
 func SimulateOoO(prog []Instr, cfg OoOConfig) (OoOResult, error) {
 	n := len(prog)
 	res := OoOResult{Instructions: n}
