@@ -7,9 +7,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/rng"
+	"repro/internal/vlm"
 )
 
 // linearSelect is the whole-bank scan the class tables replaced, kept
@@ -82,28 +84,43 @@ func randomBank(s *rng.Stream, n, nDisc, nDiff int) []BankItem {
 // maximum (1e154) or overflows to +Inf (1e160).
 var extremeDiscs = []float64{1e-170, 1e160, 1e-160, 1e154}
 
+// boundThetas are the abilities the bound tests probe for an item:
+// ±1e300, Diff itself (where P(1-P) peaks) and a few ulps beside it,
+// up to 64 steps of 2^-40, 2^-26 and 2^-12 either side of it, every
+// grid point, and where |z| = disc·|θ−Diff| nears, reaches and passes
+// the clamp at 35.
+func boundThetas(disc, diff float64) []float64 {
+	thetas := []float64{1e300, -1e300}
+	for up, down, k := diff, diff, 0; k <= 4; k++ {
+		thetas = append(thetas, up, down)
+		up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+	}
+	for _, step := range []int{-40, -26, -12} {
+		for j := -64; j <= 64; j++ {
+			thetas = append(thetas, diff+float64(j)*math.Ldexp(1, step))
+		}
+	}
+	for k := range gridN {
+		thetas = append(thetas, gridTheta(k))
+	}
+	for _, z := range []float64{34.5, 35, 36, 1e3} {
+		thetas = append(thetas, diff+z/disc, diff-z/disc)
+	}
+	return thetas
+}
+
+var boundDiffs = []float64{0, 0.3, -1.7, 3.9, -3.9}
+
 // TestInformationBound: Information never exceeds its class's bound at
-// any ability: at Diff, where P(1-P) peaks, at Diff a few ulps and a
-// few 2^-40 steps away, at every grid point and at ±1e300. The bound
-// must also be monotone in Disc, for the bound-ordered class scan.
+// any of boundThetas. The bound must also be monotone in Disc, for the
+// bound-ordered class scan.
 func TestInformationBound(t *testing.T) {
 	discs := append([]float64{0.5, 1, 2, 0.7, 1.3, 1.9999999999999998}, extremeDiscs...)
 	for _, disc := range discs {
 		bound := infoBound(disc)
-		for _, diff := range []float64{0, 0.3, -1.7, 3.9, -3.9} {
+		for _, diff := range boundDiffs {
 			p := ItemParams{Disc: disc, Diff: diff}
-			thetas := []float64{1e300, -1e300}
-			for up, down, k := diff, diff, 0; k <= 4; k++ {
-				thetas = append(thetas, up, down)
-				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
-			}
-			for j := -64; j <= 64; j++ {
-				thetas = append(thetas, diff+float64(j)*math.Ldexp(1, -40))
-			}
-			for k := range gridN {
-				thetas = append(thetas, gridTheta(k))
-			}
-			for _, th := range thetas {
+			for _, th := range boundThetas(disc, diff) {
 				if info := p.Information(th); !(info <= bound) {
 					t.Fatalf("disc %v diff %v theta %v: information %v above bound %v", disc, diff, th, info, bound)
 				}
@@ -117,6 +134,84 @@ func TestInformationBound(t *testing.T) {
 			t.Errorf("bound of disc %v below bound of disc %v", sorted[i], sorted[i-1])
 		}
 	}
+}
+
+// TestDiffBound: the Diff-aware test (below) never skips a class when
+// the best information found equals the class's own computed
+// information at any of boundThetas; so the bound, as the scan
+// evaluates it, is at least Information there. The discs are
+// discPool's five ordinary ones, every one of extremeDiscs, and both
+// edges of diffBound's normal range, where disc² is 2^±900. For
+// ordinary discs the bound must also prune: at z = 0 a best a hair
+// above the peak skips the class, and at |z| ≥ 35 a best of
+// disc²·1e-6 does.
+func TestDiffBound(t *testing.T) {
+	type discCase struct {
+		disc    float64
+		inRange bool // disc² in [2^-900, 2^900]
+	}
+	cases := []discCase{{0x1p450, true}, {0x1p-450, true},
+		{math.Nextafter(0x1p450, 1e300), false}, {math.Nextafter(0x1p-450, 0), false}}
+	for _, disc := range discPool[:5] {
+		cases = append(cases, discCase{disc, true})
+	}
+	for _, disc := range extremeDiscs {
+		cases = append(cases, discCase{disc, false})
+	}
+	for _, dc := range cases {
+		disc := dc.disc
+		a1, a2 := diffBound(disc)
+		if dc.inRange == math.IsInf(a1, 1) {
+			t.Fatalf("disc %v: a1 %v, want +Inf exactly outside the normal range", disc, a1)
+		}
+		for _, diff := range boundDiffs {
+			cl := itemClass{disc: disc, diff: diff, a1: a1, a2: a2}
+			p := ItemParams{Disc: disc, Diff: diff}
+			for _, th := range boundThetas(disc, diff) {
+				if info := p.Information(th); cl.below(th, info) {
+					t.Fatalf("disc %v diff %v theta %v: skipped against its own information %v", disc, diff, th, info)
+				}
+			}
+			if disc < 0.5 || disc > 2 {
+				continue
+			}
+			if peak := disc * disc / 4; !cl.below(diff, peak*(1+0x1p-30)) {
+				t.Errorf("disc %v diff %v: not skipped at z = 0 against %v", disc, diff, peak*(1+0x1p-30))
+			}
+			for _, z := range []float64{35, -35, 1e3, -1e3} {
+				if th := diff + z/disc; !cl.below(th, disc*disc*1e-6) {
+					t.Errorf("disc %v diff %v theta %v: not skipped at |z| >= 35 against %v", disc, diff, th, disc*disc*1e-6)
+				}
+			}
+		}
+	}
+}
+
+// FuzzInformationWithinDiffBound: for any valid item and any ability,
+// below never reports a class under its own computed information.
+func FuzzInformationWithinDiffBound(f *testing.F) {
+	f.Add(1.0, 0.0, 0.0)
+	f.Add(1.3, 0.3, 0.3000000000000001)
+	f.Add(2.0, 1.0, 18.5)       // z = 35
+	f.Add(0.5, -3.9, 1e300)     // clamped far above
+	f.Add(0.75, 3.9, -1e300)    // clamped far below
+	f.Add(1e-160, 0.0, 0.0)     // subnormal disc²
+	f.Add(1e154, 1.0, 1.0)      // disc² near the float maximum
+	f.Add(0x1p450, 0.0, 1e-136) // disc² = 2^900, the edge of the normal range
+	// Above the bound without a1's and a2's margins, and (subnormal
+	// information) without diffBound's range check.
+	f.Add(5.8147097943648554e+134, 0.0, 3.3333333333333335e-137)
+	f.Add(1.1666666666666668e-160, 0.0, -44.0)
+	f.Fuzz(func(t *testing.T, disc, diff, theta float64) {
+		if !finite(disc) || !finite(diff) || disc <= 0 {
+			t.Skip()
+		}
+		a1, a2 := diffBound(disc)
+		cl := itemClass{disc: disc, diff: diff, a1: a1, a2: a2}
+		if info := (ItemParams{Disc: disc, Diff: diff}).Information(theta); cl.below(theta, info) {
+			t.Fatalf("disc %v diff %v theta %v: skipped against its own information %v", disc, diff, theta, info)
+		}
+	})
 }
 
 func dupID(bank []BankItem, id string) bool {
@@ -156,6 +251,13 @@ func FuzzSelectMatchesLinearScan(f *testing.F) {
 	f.Add(uint64(9), uint8(150), uint8(9), uint8(9), uint8(0))  // every extreme disc
 	f.Add(uint64(10), uint8(80), uint8(7), uint8(2), uint8(1))  // zero and +Inf information, keys tied
 	f.Add(uint64(11), uint8(200), uint8(8), uint8(0), uint8(3)) // subnormal information, continuous Diff
+
+	// Diffs symmetric around the probes, so classes of one disc tie on
+	// information bit for bit: the Diff-aware bound of a class that
+	// ties the best must not skip it.
+	f.Add(uint64(12), uint8(200), uint8(3), uint8(5), uint8(1)) // ties decided by QuestionID
+	f.Add(uint64(13), uint8(255), uint8(5), uint8(9), uint8(2)) // ties decided by key, then QuestionID
+	f.Add(uint64(14), uint8(120), uint8(6), uint8(3), uint8(0)) // zero information among ties
 	f.Fuzz(func(t *testing.T, seed uint64, n, nDisc, nDiff, coarse uint8) {
 		s := rng.NewStream("select-fuzz", fmt.Sprint(seed))
 		bank := randomBank(&s, 1+int(n), int(nDisc)%(len(discPool)+1), int(nDiff)%(len(diffPool)+1))
@@ -241,5 +343,51 @@ func TestTournamentBankOrderInvariant(t *testing.T) {
 		if got := run(shuffled(&s, bank)); got != want {
 			t.Fatalf("shuffle %d: transcript differs from bank order:\n%s\nvs\n%s", i, got, want)
 		}
+	}
+}
+
+// maxInfoEvalsPerItem is the ceiling TestSelectionWorkCount holds the
+// bench bank's mean exact Information evaluations per issued item to.
+// The Disc bound alone evaluates 48.96; with the Diff bound the mean
+// reads 9.20.
+const maxInfoEvalsPerItem = 10
+
+// TestSelectionWorkCount counts the classes selection pays exp for.
+// On the bench bank (the zoo calibrated on a 200-per-discipline fold,
+// the bank adaptive_bank and BenchmarkTournament run) five tournaments
+// must evaluate Information at most maxInfoEvalsPerItem times per
+// issued item on average. A bound that stays correct but stops
+// pruning fails this without any timing.
+func TestSelectionWorkCount(t *testing.T) {
+	std, err := core.BuildBenchmark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold, err := core.BuildExtended("bench", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := vlm.NewZoo(std).EvalModels()
+	r := eval.Runner{Workers: -1}
+	cal, err := NewCalibration(context.Background(), r, models, fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, issued := 0, 0
+	for i := 0; i < 5; i++ {
+		trn, err := NewTournament(models, cal.Bank, Config{Seed: fmt.Sprintf("bench-%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.EvaluateAdaptiveContext(context.Background(), models, trn); err != nil {
+			t.Fatal(err)
+		}
+		evals += trn.infoEvals
+		issued += trn.QuestionsAsked()
+	}
+	mean := float64(evals) / float64(issued)
+	t.Logf("%d Information evaluations over %d issued items: %.2f per item", evals, issued, mean)
+	if mean > maxInfoEvalsPerItem {
+		t.Errorf("%.2f Information evaluations per issued item, want at most %d", mean, maxInfoEvalsPerItem)
 	}
 }

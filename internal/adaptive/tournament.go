@@ -123,11 +123,14 @@ type slot struct {
 // class — where every item carries the same information at any
 // ability — the first unasked slot is the class's selection winner.
 // bound is at least every value Information returns for the class at
-// any ability (see infoBound). rows caches the class's log-likelihood
-// row for a wrong (0) and a right (1) answer, each filled on first use.
+// any ability (see infoBound); a1 and a2 bound it at one ability from
+// the class's distance to Diff as well (see diffBound and below). rows
+// caches the class's log-likelihood row for a wrong (0) and a right (1)
+// answer, each filled on first use.
 type itemClass struct {
 	disc, diff float64
 	bound      float64
+	a1, a2     float64
 	start, end int
 	filled     [2]bool
 	rows       [2][gridN]float64
@@ -172,6 +175,7 @@ type Tournament struct {
 	nextSeq     int
 	outstanding int // claimed, not yet recorded
 	issuedTotal int
+	infoEvals   int // Information calls in selectClass, for the work-count test
 }
 
 // NewTournament validates the bank and models and seeds item 0 for
@@ -273,6 +277,7 @@ func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 		if cl.end == 0 {
 			p := t.bank[sl.bank].Params
 			cl.disc, cl.diff, cl.bound, cl.start = p.Disc, p.Diff, infoBound(p.Disc), i
+			cl.a1, cl.a2 = diffBound(p.Disc)
 		}
 		cl.end = i + 1
 	}
@@ -296,6 +301,49 @@ func infoBound(disc float64) float64 {
 		b = math.Nextafter(b, math.Inf(1))
 	}
 	return b
+}
+
+// diffBound returns the coefficients of a bound on Information(θ)
+// that also uses the item's distance to Diff: with
+// z = clampZ(disc·(θ−diff)), computed as Prob computes it,
+//
+//	Information(θ) ≤ a1/(4 + z² + z⁴/12 + z⁶/360) + a2.
+//
+// Exactly, P(1−P) = 1/(2+2cosh z), and 2cosh z ≥ 2 + z² + z⁴/12 +
+// z⁶/360, the first terms of its Taylor series, which has no negative
+// term. Information computes fl(fl(A·p)·fl(1−p)) with A = fl(disc·disc)
+// and p = fl(1/fl(1+fl(exp(−z)))), so p = P(1+η), where η gathers
+// exp's error and two roundings: a few ulps. 1−p is exact for p ≥ 1/2
+// (Sterbenz) and rounded once below it, so
+// fl(1−p) ≤ ((1−P) + |η|)(1+u) with u = 2⁻⁵³. The |η| term is absolute:
+// near |z| = 35 the cancellation in 1−p leaves an error of about
+// ulp(1) against 1−P ≈ 6e-16, which no relative factor covers. So
+// Information is at most A·P(1−P)(1+|η|)(1+u)³ + 2A·|η|. For
+// |η| ≤ 2⁻⁴¹ (Go's exp errs by a few ulps), a1 = A·(1+2⁻⁴⁰) covers the
+// first term together with the dozen roundings of below's own test,
+// and a2 = A·2⁻⁴⁰ the second. The argument needs every step normal:
+// for A in [2⁻⁹⁰⁰, 2⁹⁰⁰] every intermediate is (p and 1−p are at
+// least 6e-16 after clamping), and below's product can only overflow
+// where the exact product exceeds a1 anyway. Outside that range a1 is
+// +Inf, so the class is never skipped by this bound and Information
+// decides.
+func diffBound(disc float64) (a1, a2 float64) {
+	a := disc * disc
+	if !(a >= 0x1p-900 && a <= 0x1p900) {
+		return math.Inf(1), 0
+	}
+	return a * (1 + 0x1p-40), a * 0x1p-40
+}
+
+// below reports whether the class's information at ability is
+// strictly below best, from its diffBound and without exp: it tests
+// a1 < (best−a2)·(4+z²+z⁴/12+z⁶/360), the bound rearranged so that it
+// needs no division. A class whose information ties best is never
+// below it, and the test is monotone in best.
+func (cl *itemClass) below(ability, best float64) bool {
+	z := clampZ(cl.disc * (ability - cl.diff))
+	z2 := z * z
+	return cl.a1 < (best-cl.a2)*(4+z2*(1+z2*(1.0/12+z2*(1.0/360))))
 }
 
 // sameParams reports whether two items have bit-identical (Disc, Diff).
@@ -457,8 +505,10 @@ func (t *Tournament) issue(si int) {
 // picks exactly the item a scan of the whole bank would, and the scan
 // may visit the classes in any order: it stops at the first class
 // whose bound is below the best information found, since classes run
-// in Disc order and so every later bound is lower still. A tie with
-// the bound is still evaluated.
+// in Disc order and so every later bound is lower still. Before paying
+// exp for a class, it skips the class when its bound at this ability
+// (below) is strictly below the best. A tie with either bound is still
+// evaluated.
 //
 //hot:adaptive per-record item selection
 func (t *Tournament) selectClass(si int, ability float64) int {
@@ -471,9 +521,10 @@ func (t *Tournament) selectClass(si int, ability float64) int {
 		if best >= 0 && cl.bound < bestInfo {
 			break
 		}
-		if cursors[c] == cl.end {
+		if cursors[c] == cl.end || best >= 0 && cl.below(ability, bestInfo) {
 			continue
 		}
+		t.infoEvals++
 		info := ItemParams{Disc: cl.disc, Diff: cl.diff}.Information(ability)
 		if best >= 0 && info < bestInfo {
 			continue

@@ -176,13 +176,6 @@ func TestTLBPageFault(t *testing.T) {
 	}
 }
 
-func TestMultiLevelEntries(t *testing.T) {
-	got := MultiLevelEntries([]int{10, 10})
-	if got[0] != 1024 || got[1] != 1024 {
-		t.Errorf("entries %v", got)
-	}
-}
-
 // --- Topology -------------------------------------------------------------
 
 func TestTopologyDiameters(t *testing.T) {
@@ -211,24 +204,6 @@ func TestTopologyDiameters(t *testing.T) {
 	}
 	if _, err := Diameter(Hypercube, 12); err == nil {
 		t.Error("non-power-of-two hypercube accepted")
-	}
-}
-
-func TestBisectionAndDegree(t *testing.T) {
-	if b, _ := BisectionWidth(Mesh2D, 16); b != 4 {
-		t.Errorf("mesh bisection %d", b)
-	}
-	if b, _ := BisectionWidth(Torus2D, 16); b != 8 {
-		t.Errorf("torus bisection %d", b)
-	}
-	if b, _ := BisectionWidth(Hypercube, 16); b != 8 {
-		t.Errorf("hypercube bisection %d", b)
-	}
-	if d, _ := LinksPerNode(Hypercube, 16); d != 4 {
-		t.Errorf("hypercube degree %d", d)
-	}
-	if d, _ := LinksPerNode(Ring, 9); d != 2 {
-		t.Errorf("ring degree %d", d)
 	}
 }
 

@@ -114,15 +114,3 @@ func (c *Cache) Run(trace []uint64) (hits, misses int) {
 func AMAT(hitTime, missPenalty, missRate float64) float64 {
 	return hitTime + missRate*missPenalty
 }
-
-// StrideTrace generates n accesses starting at base with the given byte
-// stride: an array walk.
-//
-//lint:ignore unreachable called only by TestStrideTrace
-func StrideTrace(base uint64, stride int, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = base + uint64(i*stride)
-	}
-	return out
-}

@@ -113,16 +113,6 @@ func TestQuickMissesBounded(t *testing.T) {
 	}
 }
 
-func TestStrideTrace(t *testing.T) {
-	tr := StrideTrace(0x100, 64, 4)
-	want := []uint64{0x100, 0x140, 0x180, 0x1c0}
-	for i := range want {
-		if tr[i] != want[i] {
-			t.Fatalf("trace %v, want %v", tr, want)
-		}
-	}
-}
-
 func TestAMAT(t *testing.T) {
 	if a := AMAT(1, 100, 0.05); a != 6 {
 		t.Errorf("AMAT = %v, want 6", a)

@@ -82,61 +82,6 @@ func Diameter(t Topology, n int) (int, error) {
 	}
 }
 
-// BisectionWidth returns the bisection link count of a topology over n
-// nodes.
-//
-//lint:ignore unreachable called only by TestBisectionAndDegree
-func BisectionWidth(t Topology, n int) (int, error) {
-	switch t {
-	case Mesh2D:
-		side, err := isqrtExact(n)
-		if err != nil {
-			return 0, err
-		}
-		return side, nil
-	case Torus2D:
-		side, err := isqrtExact(n)
-		if err != nil {
-			return 0, err
-		}
-		return 2 * side, nil
-	case Ring:
-		return 2, nil
-	case Hypercube:
-		if n&(n-1) != 0 {
-			return 0, fmt.Errorf("arch: hypercube needs power-of-two nodes, got %d", n)
-		}
-		return n / 2, nil
-	case Crossbar:
-		return n * n / 4, nil
-	default:
-		return 0, fmt.Errorf("arch: unknown topology %d", int(t))
-	}
-}
-
-// LinksPerNode returns the per-node link (degree) count.
-//
-//lint:ignore unreachable called only by TestBisectionAndDegree
-func LinksPerNode(t Topology, n int) (int, error) {
-	switch t {
-	case Mesh2D:
-		return 4, nil // interior node
-	case Torus2D:
-		return 4, nil
-	case Ring:
-		return 2, nil
-	case Hypercube:
-		if n&(n-1) != 0 {
-			return 0, fmt.Errorf("arch: hypercube needs power-of-two nodes, got %d", n)
-		}
-		return log2i(n), nil
-	case Crossbar:
-		return n - 1, nil
-	default:
-		return 0, fmt.Errorf("arch: unknown topology %d", int(t))
-	}
-}
-
 func absInt(v int) int {
 	if v < 0 {
 		return -v

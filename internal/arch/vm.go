@@ -81,15 +81,3 @@ func (t *TLB) Lookup(vpn uint64, pageTable map[uint64]uint64) (uint64, bool, err
 	t.slots[victim] = tlbSlot{valid: true, vpn: vpn, pfn: pfn, used: t.tick}
 	return pfn, false, nil
 }
-
-// MultiLevelEntries returns the per-level entry counts of a multi-level
-// page table given the per-level index bit widths.
-//
-//lint:ignore unreachable called only by TestMultiLevelEntries
-func MultiLevelEntries(levelBits []int) []int {
-	out := make([]int, len(levelBits))
-	for i, b := range levelBits {
-		out[i] = 1 << b
-	}
-	return out
-}
