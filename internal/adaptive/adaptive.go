@@ -123,30 +123,40 @@ func (e *Estimator) setPrior() {
 		th := gridTheta(k)
 		e.logpost[k] = -0.5 * th * th
 	}
-	e.ability, e.se = e.summary()
+	e.ability, e.se, _ = e.summary()
 }
 
-// observeRow folds one outcome's log-likelihood row (see fillLogLik)
-// into the posterior and refreshes the summary. Callers that see the
-// same (item parameters, outcome) many times fill the row once and
-// reuse it: the posterior is bit-identical to filling a fresh row for
-// each outcome.
-func (e *Estimator) observeRow(row *[gridN]float64) {
+// observeRow folds one outcome's log-likelihood row (see
+// fillLogLikRows) into the posterior and refreshes the summary,
+// returning how many grid points the summary skipped exp for. Callers
+// that see the same (item parameters, outcome) many times fill the row
+// once and reuse it: the posterior is bit-identical to filling a fresh
+// row for each outcome.
+func (e *Estimator) observeRow(row *[gridN]float64) (skipped int) {
 	for k := range e.logpost {
 		e.logpost[k] += row[k]
 	}
-	e.ability, e.se = e.summary()
+	e.ability, e.se, skipped = e.summary()
+	return skipped
 }
 
-// fillLogLik writes the log-likelihood of one outcome on item p at
-// every grid point: the single definition of the posterior update.
-func fillLogLik(row *[gridN]float64, p ItemParams, correct bool) {
-	for k := range row {
+// fillLogLikRows writes the log-likelihood of a wrong (rows[0]) and a
+// right (rows[1]) answer on item p at every grid point: the single
+// definition of the posterior update. The rows share one exp and one
+// log1p per point: with z the clamped exponent and
+// L = log1p(exp(-|z|)), the outcome z favours (a right answer for
+// z ≥ 0) has log-likelihood -L and the other -|z|-L, the operations
+// log σ(±z) performs on each side of 0 without overflow (at z = 0,
+// -0-L is -L).
+func fillLogLikRows(rows *[2][gridN]float64, p ItemParams) {
+	for k := range gridN {
 		z := clampZ(p.Disc * (gridTheta(k) - p.Diff))
-		if correct {
-			row[k] = logSigmoid(z)
+		if z >= 0 {
+			l := math.Log1p(math.Exp(-z))
+			rows[0][k], rows[1][k] = -z-l, -l
 		} else {
-			row[k] = logSigmoid(-z)
+			l := math.Log1p(math.Exp(z))
+			rows[0][k], rows[1][k] = -l, z-l
 		}
 	}
 }
@@ -159,8 +169,16 @@ func fillLogLik(row *[gridN]float64, p ItemParams, correct bool) {
 func (e *Estimator) Estimate() (ability, se float64) { return e.ability, e.se }
 
 // summary computes the posterior mean and standard deviation from
-// logpost: 81 exp calls, paid once per observation.
-func (e *Estimator) summary() (ability, se float64) {
+// logpost, and counts the grid points whose exp it skipped. A point
+// far enough below the maximum is absorbed: its weight is too small to
+// change any of the three running sums, so skipping its exp leaves
+// every bit of the result as adding it would (DESIGN.md §15). The test
+// uses expBound, a power of two at least twice the weight, against
+// each sum's partial value so far: a term below |S|·2⁻⁵⁴ leaves a
+// nonzero S unchanged under round-to-nearest, and the 2⁻⁵⁶ used here
+// leaves room for the products' roundings. A zero sum never absorbs,
+// so the left tail, added while the sums are still small, pays exp.
+func (e *Estimator) summary() (ability, se float64, skipped int) {
 	maxLP := e.logpost[0]
 	for _, lp := range e.logpost[1:] {
 		if lp > maxLP {
@@ -169,8 +187,16 @@ func (e *Estimator) summary() (ability, se float64) {
 	}
 	var wSum, mSum, m2Sum float64
 	for k := range e.logpost {
-		w := math.Exp(e.logpost[k] - maxLP)
+		d := e.logpost[k] - maxLP
 		th := gridTheta(k)
+		if d < -36 {
+			if b := expBound(d); b < wSum*0x1p-56 && b*math.Abs(th) < math.Abs(mSum)*0x1p-56 &&
+				b*th*th < m2Sum*0x1p-56 {
+				skipped++
+				continue
+			}
+		}
+		w := math.Exp(d)
 		wSum += w
 		mSum += w * th
 		m2Sum += w * th * th
@@ -180,7 +206,20 @@ func (e *Estimator) summary() (ability, se float64) {
 	if variance < 0 {
 		variance = 0
 	}
-	return ability, math.Sqrt(variance)
+	return ability, math.Sqrt(variance), skipped
+}
+
+// expBound returns 2^(trunc(d·log₂e)+1), with the exponent clamped at
+// -1000, for d < -36, without calling exp: a normal power of two at
+// least twice exp(d). Truncation rounds the negative exponent up, the
+// +1 doubles, and the product's rounding costs far less than that
+// factor; below the clamp exp(d) is under 2⁻¹⁰⁰⁰ anyway.
+func expBound(d float64) float64 {
+	x := d * math.Log2E
+	if x < -1001 {
+		x = -1001
+	}
+	return math.Float64frombits(uint64(int64(x)+1+1023) << 52)
 }
 
 // RankAgreement is the Kendall-style agreement between a reference
@@ -234,15 +273,6 @@ func clampZ(z float64) float64 {
 		return -35
 	}
 	return z
-}
-
-// logSigmoid is log(1/(1+exp(-z))), computed without overflow on
-// either tail.
-func logSigmoid(z float64) float64 {
-	if z >= 0 {
-		return -math.Log1p(math.Exp(-z))
-	}
-	return z - math.Log1p(math.Exp(z))
 }
 
 func sigmoid(z float64) float64 {

@@ -346,19 +346,21 @@ func TestTournamentBankOrderInvariant(t *testing.T) {
 	}
 }
 
-// maxInfoEvalsPerItem is the ceiling TestSelectionWorkCount holds the
-// bench bank's mean exact Information evaluations per issued item to.
-// The Disc bound alone evaluates 48.96; with the Diff bound the mean
-// reads 9.20.
-const maxInfoEvalsPerItem = 10
+// Ceilings TestSelectionWorkCount holds the bench bank's means per
+// issued item to. The Disc bound alone evaluates Information 48.96
+// times per item; with the Diff bound the mean reads 9.20. Walking
+// every class until the Disc bound's stop visits 179.4 classes per
+// item; walking only the seat's live classes visits 49.3.
+const (
+	maxInfoEvalsPerItem = 10
+	maxVisitsPerItem    = 55
+)
 
-// TestSelectionWorkCount counts the classes selection pays exp for.
-// On the bench bank (the zoo calibrated on a 200-per-discipline fold,
-// the bank adaptive_bank and BenchmarkTournament run) five tournaments
-// must evaluate Information at most maxInfoEvalsPerItem times per
-// issued item on average. A bound that stays correct but stops
-// pruning fails this without any timing.
-func TestSelectionWorkCount(t *testing.T) {
+// benchTournaments runs five tournaments to completion on the bench
+// bank: the zoo calibrated on a 200-per-discipline fold, the bank
+// adaptive_bank and BenchmarkTournament run.
+func benchTournaments(t *testing.T) []*Tournament {
+	t.Helper()
 	std, err := core.BuildBenchmark()
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +375,8 @@ func TestSelectionWorkCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, issued := 0, 0
-	for i := 0; i < 5; i++ {
+	trns := make([]*Tournament, 5)
+	for i := range trns {
 		trn, err := NewTournament(models, cal.Bank, Config{Seed: fmt.Sprintf("bench-%d", i)})
 		if err != nil {
 			t.Fatal(err)
@@ -382,12 +384,32 @@ func TestSelectionWorkCount(t *testing.T) {
 		if _, err := r.EvaluateAdaptiveContext(context.Background(), models, trn); err != nil {
 			t.Fatal(err)
 		}
+		trns[i] = trn
+	}
+	return trns
+}
+
+// TestSelectionWorkCount counts the classes selection visits and the
+// ones it pays exp for. Over the five benchTournaments, the mean per
+// issued item must stay at most maxInfoEvalsPerItem Information
+// evaluations and maxVisitsPerItem visits. A bound that stays correct
+// but stops pruning, or a live list that keeps exhausted classes,
+// fails this without any timing.
+func TestSelectionWorkCount(t *testing.T) {
+	evals, visits, issued := 0, 0, 0
+	for _, trn := range benchTournaments(t) {
 		evals += trn.infoEvals
+		visits += trn.visits
 		issued += trn.QuestionsAsked()
 	}
-	mean := float64(evals) / float64(issued)
-	t.Logf("%d Information evaluations over %d issued items: %.2f per item", evals, issued, mean)
-	if mean > maxInfoEvalsPerItem {
-		t.Errorf("%.2f Information evaluations per issued item, want at most %d", mean, maxInfoEvalsPerItem)
+	perItem := float64(evals) / float64(issued)
+	t.Logf("%d Information evaluations over %d issued items: %.2f per item", evals, issued, perItem)
+	if perItem > maxInfoEvalsPerItem {
+		t.Errorf("%.2f Information evaluations per issued item, want at most %d", perItem, maxInfoEvalsPerItem)
+	}
+	perItem = float64(visits) / float64(issued)
+	t.Logf("%d classes visited over %d issued items: %.2f per item", visits, issued, perItem)
+	if perItem > maxVisitsPerItem {
+		t.Errorf("%.2f classes visited per issued item, want at most %d", perItem, maxVisitsPerItem)
 	}
 }

@@ -125,15 +125,22 @@ type slot struct {
 // bound is at least every value Information returns for the class at
 // any ability (see infoBound); a1 and a2 bound it at one ability from
 // the class's distance to Diff as well (see diffBound and below). rows
-// caches the class's log-likelihood row for a wrong (0) and a right (1)
-// answer, each filled on first use.
+// caches the class's log-likelihood rows for a wrong (0) and a right
+// (1) answer, both filled on the class's first recorded outcome.
 type itemClass struct {
 	disc, diff float64
 	bound      float64
 	a1, a2     float64
 	start, end int
-	filled     [2]bool
+	filled     bool
 	rows       [2][gridN]float64
+}
+
+// cursor is one seat's state in one class: at is the seat's first
+// unasked slot of the class, and next and prev link the seat's live
+// classes, those with an unasked slot, in class order.
+type cursor struct {
+	at, next, prev int32
 }
 
 // Tournament runs an adaptive evaluation over a calibrated item bank:
@@ -161,10 +168,11 @@ type Tournament struct {
 	slots   []slot      // bank items grouped by class
 	classes []itemClass // distinct item parameters, Disc descending
 	classOf []int       // bank index -> class
-	// cursors[si*len(classes)+c] is seat si's first unasked slot of
-	// class c: selection always takes a class's first unasked slot, so
-	// a seat's asked items form a prefix of every class.
-	cursors []int
+	// cursors[si*(len(classes)+1)+c] is seat si's cursor in class c:
+	// selection always takes a class's first unasked slot, so a seat's
+	// asked items form a prefix of every class. Entry len(classes) of
+	// each seat's block heads its circular list of live classes.
+	cursors []cursor
 
 	// ready is a ring of issued events not yet claimed by a worker. A
 	// seat has at most one issued, unrecorded item, so one slot per
@@ -176,6 +184,8 @@ type Tournament struct {
 	outstanding int // claimed, not yet recorded
 	issuedTotal int
 	infoEvals   int // Information calls in selectClass, for the work-count test
+	visits      int // classes selectClass visited, for the work-count test
+	expSkips    int // grid points the summary skipped exp for, for the skip-share test
 }
 
 // NewTournament validates the bank and models and seeds item 0 for
@@ -198,6 +208,9 @@ func newTournament(models []eval.Model, bank []BankItem, cfg Config, key func(se
 	}
 	if len(bank) == 0 {
 		return nil, fmt.Errorf("adaptive: empty item bank")
+	}
+	if len(bank) >= math.MaxInt32 {
+		return nil, fmt.Errorf("adaptive: %d bank items, want fewer than %d", len(bank), math.MaxInt32)
 	}
 	seen := make(map[string]struct{}, len(bank))
 	t := &Tournament{
@@ -242,9 +255,9 @@ func newTournament(models []eval.Model, bank []BankItem, cfg Config, key func(se
 
 // buildClasses groups the bank by the exact bits of (Disc, Diff),
 // orders the groups by Disc descending and each group by
-// (key, QuestionID), and points every seat's cursors at the start of
-// every class. Grouping sorts flat slices, so the tables cost a
-// constant number of allocations per tournament.
+// (key, QuestionID), points every seat's cursors at the start of every
+// class and links every class live. Grouping sorts flat slices, so the
+// tables cost a constant number of allocations per tournament.
 func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 	t.slots = make([]slot, len(t.bank))
 	for i, it := range t.bank {
@@ -281,9 +294,13 @@ func (t *Tournament) buildClasses(key func(seed, questionID string) uint64) {
 		}
 		cl.end = i + 1
 	}
-	t.cursors = make([]int, len(t.seats)*n)
+	t.cursors = make([]cursor, len(t.seats)*(n+1))
 	for i := range t.cursors {
-		t.cursors[i] = t.classes[i%n].start
+		c := i % (n + 1)
+		t.cursors[i] = cursor{next: int32((c + 1) % (n + 1)), prev: int32((c + n) % (n + 1))}
+		if c < n {
+			t.cursors[i].at = int32(t.classes[c].start)
+		}
 	}
 }
 
@@ -397,7 +414,7 @@ func (t *Tournament) Record(ev *eval.Event) {
 	if t.bank[bi].Question != ev.Question {
 		return
 	}
-	s.est.observeRow(t.logLikRow(bi, ev.Correct))
+	t.expSkips += s.est.observeRow(t.logLikRow(bi, ev.Correct))
 	ability, se := s.est.Estimate()
 	ev.Adaptive = true
 	ev.Ability = ability
@@ -421,16 +438,17 @@ func (t *Tournament) Record(ev *eval.Event) {
 }
 
 // logLikRow returns the log-likelihood row of an outcome on bank item
-// bi, shared by every item of its class and filled on first use.
+// bi, shared by every item of its class. The first outcome recorded on
+// the class fills both rows.
 func (t *Tournament) logLikRow(bi int, correct bool) *[gridN]float64 {
 	cl := &t.classes[t.classOf[bi]]
+	if !cl.filled {
+		fillLogLikRows(&cl.rows, t.bank[bi].Params)
+		cl.filled = true
+	}
 	o := 0
 	if correct {
 		o = 1
-	}
-	if !cl.filled[o] {
-		fillLogLik(&cl.rows[o], t.bank[bi].Params, correct)
-		cl.filled[o] = true
 	}
 	return &cl.rows[o]
 }
@@ -503,25 +521,27 @@ func (t *Tournament) issue(si int) {
 // sources. Because it is total, ranking each class by its first
 // unasked item — items of one class carry bit-identical information —
 // picks exactly the item a scan of the whole bank would, and the scan
-// may visit the classes in any order: it stops at the first class
-// whose bound is below the best information found, since classes run
-// in Disc order and so every later bound is lower still. Before paying
-// exp for a class, it skips the class when its bound at this ability
-// (below) is strictly below the best. A tie with either bound is still
-// evaluated.
+// may visit the classes in any order. It walks the seat's live
+// classes only, and stops at the first class whose bound is below the
+// best information found, since classes run in Disc order and so every
+// later bound is lower still. Before paying exp for a class, it skips
+// the class when its bound at this ability (below) is strictly below
+// the best. A tie with either bound is still evaluated.
 //
 //hot:adaptive per-record item selection
 func (t *Tournament) selectClass(si int, ability float64) int {
-	cursors := t.cursors[si*len(t.classes) : (si+1)*len(t.classes)]
+	n := len(t.classes)
+	cursors := t.cursors[si*(n+1) : (si+1)*(n+1)]
 	best := -1
 	var bestInfo float64
 	var bestSlot slot
-	for c := range t.classes {
+	for c := int(cursors[n].next); c != n; c = int(cursors[c].next) {
+		t.visits++
 		cl := &t.classes[c]
 		if best >= 0 && cl.bound < bestInfo {
 			break
 		}
-		if cursors[c] == cl.end || best >= 0 && cl.below(ability, bestInfo) {
+		if best >= 0 && cl.below(ability, bestInfo) {
 			continue
 		}
 		t.infoEvals++
@@ -529,7 +549,7 @@ func (t *Tournament) selectClass(si int, ability float64) int {
 		if best >= 0 && info < bestInfo {
 			continue
 		}
-		sl := t.slots[cursors[c]]
+		sl := t.slots[cursors[c].at]
 		switch {
 		case best < 0 || info > bestInfo:
 		case sl.key < bestSlot.key:
@@ -544,11 +564,18 @@ func (t *Tournament) selectClass(si int, ability float64) int {
 }
 
 // take marks class c's first unasked item asked for seat si and
-// returns its bank index.
+// returns its bank index, unlinking the class from the seat's live
+// list once it has no unasked item left.
 func (t *Tournament) take(si, c int) int {
-	cur := &t.cursors[si*len(t.classes)+c]
-	bi := t.slots[*cur].bank
-	*cur++
+	n := len(t.classes)
+	cursors := t.cursors[si*(n+1) : (si+1)*(n+1)]
+	cur := &cursors[c]
+	bi := t.slots[cur.at].bank
+	cur.at++
+	if int(cur.at) == t.classes[c].end {
+		cursors[cur.prev].next = cur.next
+		cursors[cur.next].prev = cur.prev
+	}
 	return bi
 }
 

@@ -1,7 +1,5 @@
 package phys
 
-import "math"
-
 // HTree models a symmetric H-tree clock distribution network over a
 // square die: levels alternate horizontal/vertical splits, and every
 // root-to-leaf path has identical length, giving zero structural skew.
@@ -81,26 +79,4 @@ func OptimalBufferCount(r, c, tb float64, maxK int) (int, float64) {
 		}
 	}
 	return bestK, bestD
-}
-
-// MeshVsTreeSkew contrasts clock mesh and tree skew: a mesh shorts sink
-// arrivals together, reducing skew by roughly the mesh smoothing factor.
-//
-//lint:ignore unreachable called only by TestMeshVsTreeSkew
-func MeshVsTreeSkew(treeSkew float64, smoothing float64) float64 {
-	if smoothing < 1 {
-		smoothing = 1
-	}
-	return treeSkew / smoothing
-}
-
-// FanoutOf4Delay returns the FO4-style stage delay scaling: base delay
-// times log4 of the fanout (>=1).
-//
-//lint:ignore unreachable called only by TestFanoutOf4Delay
-func FanoutOf4Delay(base float64, fanout float64) float64 {
-	if fanout < 1 {
-		fanout = 1
-	}
-	return base * math.Log(fanout) / math.Log(4)
 }

@@ -100,17 +100,6 @@ func ParsePolish(expr []string, blocks map[string]Block) (*SlicingNode, error) {
 	return stack[0], nil
 }
 
-// AspectRatio returns w/h of the subtree.
-//
-//lint:ignore unreachable called only by TestAspectRatio
-func (n *SlicingNode) AspectRatio() float64 {
-	w, h := n.Shape()
-	if h == 0 {
-		return 0
-	}
-	return w / h
-}
-
 func maxF(a, b float64) float64 {
 	if a > b {
 		return a

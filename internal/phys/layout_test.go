@@ -184,13 +184,6 @@ func TestQuickDeadSpaceNonNegative(t *testing.T) {
 	}
 }
 
-func TestAspectRatio(t *testing.T) {
-	n := LeafNode(Block{W: 8, H: 4})
-	if ar := n.AspectRatio(); ar != 2 {
-		t.Errorf("aspect %v", ar)
-	}
-}
-
 // --- DRC ------------------------------------------------------------------
 
 func TestSpacingAndOverlap(t *testing.T) {

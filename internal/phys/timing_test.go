@@ -160,21 +160,3 @@ func TestBufferedDelayOptimum(t *testing.T) {
 		}
 	}
 }
-
-func TestMeshVsTreeSkew(t *testing.T) {
-	if s := MeshVsTreeSkew(40, 4); s != 10 {
-		t.Errorf("mesh skew %v", s)
-	}
-	if s := MeshVsTreeSkew(40, 0.5); s != 40 {
-		t.Errorf("smoothing below 1 should clamp: %v", s)
-	}
-}
-
-func TestFanoutOf4Delay(t *testing.T) {
-	if d := FanoutOf4Delay(10, 4); math.Abs(d-10) > 1e-9 {
-		t.Errorf("FO4 at fanout 4 = %v, want base", d)
-	}
-	if d := FanoutOf4Delay(10, 16); math.Abs(d-20) > 1e-9 {
-		t.Errorf("FO4 at fanout 16 = %v, want 2x base", d)
-	}
-}
