@@ -1,20 +1,5 @@
 package digital
 
-import "fmt"
-
-// ToTwosComplement encodes a signed value in an n-bit two's-complement
-// word, reporting overflow when the value does not fit.
-//
-//lint:ignore unreachable called only by TestTwosComplementKnown, TestTwosComplementOverflow and TestQuickTwosComplementRoundTrip
-func ToTwosComplement(value, bits int) (word int, err error) {
-	min := -(1 << (bits - 1))
-	max := 1<<(bits-1) - 1
-	if value < min || value > max {
-		return 0, fmt.Errorf("digital: %d does not fit in %d-bit two's complement", value, bits)
-	}
-	return value & (1<<bits - 1), nil
-}
-
 // FromTwosComplement decodes an n-bit two's-complement word to a signed
 // value.
 func FromTwosComplement(word, bits int) int {
@@ -55,14 +40,6 @@ func Add(a, b, bits int, carryIn bool) AddResult {
 	return AddResult{Sum: sum, CarryOut: carryOut, Overflow: overflow}
 }
 
-// Sub computes a-b in n bits via two's complement (a + ~b + 1).
-//
-//lint:ignore unreachable called only by TestSub
-func Sub(a, b, bits int) AddResult {
-	mask := 1<<bits - 1
-	return Add(a, ^b&mask, bits, true)
-}
-
 // BitString renders the low n bits of a word, MSB first.
 func BitString(word, bits int) string {
 	out := make([]byte, bits)
@@ -78,22 +55,3 @@ func BitString(word, bits int) string {
 
 // GrayEncode converts binary to Gray code.
 func GrayEncode(v int) int { return v ^ v>>1 }
-
-// Parity returns the even-parity bit of the low n bits of word (1 when
-// the count of ones is odd, making the total even).
-//
-//lint:ignore unreachable called only by TestParity
-func Parity(word, bits int) int {
-	p := 0
-	for i := 0; i < bits; i++ {
-		p ^= word >> i & 1
-	}
-	return p
-}
-
-// SignExtend widens an n-bit two's-complement word to m bits.
-//
-//lint:ignore unreachable called only by TestSignExtend
-func SignExtend(word, fromBits, toBits int) int {
-	return FromTwosComplement(word, fromBits) & (1<<toBits - 1)
-}

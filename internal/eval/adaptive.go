@@ -36,5 +36,5 @@ func (r Runner) EvaluateAdaptiveContext(ctx context.Context, models []Model, sch
 	if len(models) == 0 {
 		return reports, nil
 	}
-	return reports, r.run(ctx, sched, &sink, nil)
+	return reports, r.run(ctx, sched, &sink, nil, nil)
 }

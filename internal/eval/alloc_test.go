@@ -149,3 +149,35 @@ func TestPipelineZeroAllocPerEvent(t *testing.T) {
 		t.Errorf("Pipeline.Run: %.0f allocs for 4096 events vs %.0f for 64: %.4f per event, want 0", large, small, per)
 	}
 }
+
+// TestEvaluateAllIntoAllocs pins what one grid call allocates at two
+// workers when its reports already have room: the shard call's state,
+// the verdict memo's rows, the reorder ring, the run's delivery and
+// per-worker events, and the worker goroutines. Nothing in it grows
+// with the grid (TestPipelineZeroAllocPerEvent), so the count is a
+// constant of the call: 13, one fewer than before the memo, whose rows
+// cost one allocation while the scheduler gate, now inside the
+// delivery and without a channel until a worker waits, saved two.
+func TestEvaluateAllIntoAllocs(t *testing.T) {
+	const want = 13
+	b := testBenchmark(64)
+	models := []Model{
+		fixedModel{"right", func(*dataset.Question) string { return "c" }},
+		fixedModel{"wrong", func(*dataset.Question) string { return "a" }},
+		fixedModel{"echo", func(q *dataset.Question) string { return q.Golden.Text }},
+	}
+	r := Runner{Workers: 2}
+	ctx := context.Background()
+	reports, err := r.EvaluateAllContext(ctx, models, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := r.EvaluateAllInto(ctx, models, b, reports); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > want {
+		t.Errorf("EvaluateAllInto: %v allocs per call, want at most %d", allocs, want)
+	}
+}

@@ -128,6 +128,11 @@ type Pipeline struct {
 	// runs one pipeline per shard and keeps one ring for all of them.
 	// Nil allocates a ring for this run alone.
 	ring *reorderRing
+	// memo, when set, judges in Judge's place from the verdicts the
+	// run's grid has already computed (verdict.go). A pointer beside
+	// the stage, not a stage itself: boxing it into the JudgeStage
+	// interface would cost the run an allocation.
+	memo *verdictMemo
 }
 
 // Run executes the pipeline until the scheduler drains or ctx is
@@ -170,7 +175,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	if nw < 1 {
 		nw = 1
 	}
-	gate := newSchedGate()
 	d := &delivery{
 		ring:    p.ring.take(ringSize(sched, nw)),
 		workers: nw,
@@ -179,8 +183,8 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		obs:     p.Observer,
 		clock:   clock,
 		sched:   sched,
-		gate:    gate,
 	}
+	gate := &d.gate
 	// A static run hands each worker a block of consecutive Seqs: one
 	// atomic add claims the block, and the worker parks the whole block
 	// in its own run of ring slots before it drains once.
@@ -240,7 +244,11 @@ func (p *Pipeline) Run(ctx context.Context) error {
 			}
 			ev.scratch = sc
 			p.Infer.Infer(ctx, ev)
-			p.Judge.Judge(ctx, ev)
+			if p.memo != nil {
+				ev.Correct = p.memo.verdict(ev)
+			} else {
+				p.Judge.Judge(ctx, ev)
+			}
 			ev.scratch = nil
 			judged++
 			d.park(ev)
@@ -370,7 +378,6 @@ type delivery struct {
 	obs     Observer
 	clock   func() time.Time
 	sched   ItemScheduler
-	gate    *schedGate
 	// ev is the event being delivered, rebuilt from its slot for each
 	// Seq. Only the drainer touches it; a field rather than a local,
 	// so passing it to Record does not move it to the heap per event.
@@ -387,6 +394,9 @@ type delivery struct {
 	judged   atomic.Int64 // events judged, summed as workers exit
 	once     sync.Once
 	breach   error // the first Seq contract breach, if any
+	// gate parks waiting workers. They write it, so it sits down here,
+	// away from the fields the drainer reads on every event.
+	gate schedGate
 }
 
 // cacheLine pads apart fields that different cores write.

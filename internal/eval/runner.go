@@ -115,8 +115,9 @@ func (r Runner) EffectiveWorkers() int {
 
 // run evaluates every event sched issues and hands each to sink in
 // canonical order, in a reorder ring borrowed from ring (nil: the run's
-// own). It is the only place this package builds a Pipeline.
-func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink, ring *reorderRing) error {
+// own), judging through memo when it is set. It is the only place this
+// package builds a Pipeline.
+func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink, ring *reorderRing, memo *verdictMemo) error {
 	p := &Pipeline{
 		Scheduler: sched,
 		Infer:     modelInference{opts: r.Opts},
@@ -125,6 +126,7 @@ func (r Runner) run(ctx context.Context, sched ItemScheduler, sink Sink, ring *r
 		Observer:  r.Observer,
 		Workers:   r.EffectiveWorkers(),
 		ring:      ring,
+		memo:      memo,
 	}
 	return p.Run(ctx)
 }

@@ -104,25 +104,25 @@ func (s *sourceScheduler) SizeHint() int { return s.n }
 // the armed channel; the delivery path pulses the gate after emitting
 // events, which closes the channel only when someone is (or may be)
 // waiting. The armed flag lets that pulse skip the mutex when nobody
-// is, and the channel is replaced lazily, so a run that never waits
-// never allocates here.
+// is. The gate lives inside the run's delivery and its zero value is
+// ready: arm makes the channel on first use, so a run that never waits
+// — every static run — never allocates here.
 type schedGate struct {
 	armed  atomic.Bool
 	mu     sync.Mutex
-	ch     chan struct{}
-	parked int  // waiters blocked since the last pulse
-	gone   int  // workers that have exited the run
-	stuck  bool // every running worker parked at once: no pulse can ever come
-}
-
-func newSchedGate() *schedGate {
-	return &schedGate{ch: make(chan struct{})}
+	ch     chan struct{} // nil until armed; a pulse closes it and clears it
+	parked int           // waiters blocked since the last pulse
+	gone   int           // workers that have exited the run
+	stuck  bool          // every running worker parked at once: no pulse can ever come
 }
 
 // arm returns the channel the next pulse will close.
 func (g *schedGate) arm() <-chan struct{} {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
 	g.armed.Store(true)
 	return g.ch
 }
@@ -175,7 +175,7 @@ func (g *schedGate) pulse() {
 		return
 	}
 	close(g.ch)
-	g.ch = make(chan struct{})
+	g.ch = nil
 	g.armed.Store(false)
 	g.parked = 0
 }

@@ -225,7 +225,7 @@ func TestSchedulerSeqContractBreach(t *testing.T) {
 // is released by the next pulse; arming twice reuses the same channel
 // until a pulse consumes it.
 func TestSchedGate(t *testing.T) {
-	g := newSchedGate()
+	g := &schedGate{}
 	g.pulse() // nothing armed: must not panic or leak
 	ch1 := g.arm()
 	ch2 := g.arm()

@@ -23,6 +23,19 @@ import (
 // report's Results gets exactly that capacity at the first shard;
 // otherwise (StreamPack) the results grow by appending.
 //
+// A call of two or more models also keeps one verdict memo
+// (verdict.go): a row of up to 8 (response, verdict) entries per
+// question of the current shard, so each distinct (question, response)
+// pair of a shard is judged about once instead of once per model. It
+// is sound because a verdict depends only on the question, the
+// response and the Runner's Judge, all fixed for a shard. A Table II
+// sweep has 1,061 distinct pairs in 3,408 events, a 16x extended
+// shard 4,328 in 12,000. A single-model call has no repeated pair to
+// find and skips the memo. Between shards the memo keeps its rows,
+// growing them only for a larger shard, and resets their states;
+// stale responses stay in the entries, never read, until a claim
+// overwrites them or the call returns. Nothing outlives the call.
+//
 // Reports are byte-identical to a monolithic EvaluateAll over the
 // concatenated questions: every stochastic decision in the pipeline is
 // keyed by (model, question, stage) and never by a question's position
@@ -65,7 +78,12 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 		return nil
 	}
 	// What the shards share, in one allocation for the whole call.
-	c := &shardCall{sink: sink}
+	c := &shardCall{sink: sink, memo: verdictMemo{judge: r.Judge}}
+	// One model judges each (question, response) pair once anyway.
+	var memo *verdictMemo
+	if len(models) >= 2 {
+		memo = &c.memo
+	}
 	return stream(func(sh dataset.Shard) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -76,14 +94,18 @@ func (r Runner) EvaluateShardsContext(ctx context.Context, models []Model, strea
 		if len(sh.Questions) == 0 {
 			return nil
 		}
-		return r.run(ctx, newSourceScheduler(gridSource{models: models, questions: sh.Questions}), &c.sink, &c.ring)
+		if memo != nil {
+			memo.take(len(sh.Questions))
+		}
+		return r.run(ctx, newSourceScheduler(gridSource{models: models, questions: sh.Questions}), &c.sink, &c.ring, memo)
 	})
 }
 
 // shardCall is the state one EvaluateShardsContext call keeps across
-// its shards: the sink and the reorder ring every shard's pipeline
-// borrows.
+// its shards: the sink, and the reorder ring and verdict memo every
+// shard's pipeline borrows.
 type shardCall struct {
 	sink reportSink
 	ring reorderRing
+	memo verdictMemo
 }
